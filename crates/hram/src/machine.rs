@@ -104,6 +104,31 @@ impl Hram {
         self.mem[dst] = self.mem[src];
     }
 
+    /// [`Hram::relocate`] with each charge served from a precomputed
+    /// [`CostTable`] when the address is inside the table's range
+    /// (counted in `table_hits`).  The same two charges are summed in the
+    /// same order, so the metered stream is bit-identical to
+    /// [`Hram::relocate`].
+    #[inline]
+    pub fn relocate_via(&mut self, table: &CostTable, src: usize, dst: usize) {
+        self.touch(src);
+        self.touch(dst);
+        let c = self.charge_via(table, src) + self.charge_via(table, dst);
+        self.meter.add_transfer(c);
+        self.mem[dst] = self.mem[src];
+    }
+
+    #[inline]
+    fn charge_via(&mut self, table: &CostTable, addr: usize) -> f64 {
+        match table.charges().get(addr) {
+            Some(&c) => {
+                self.meter.add_table_hits(1);
+                c
+            }
+            None => self.access.charge(addr),
+        }
+    }
+
     /// Relocate a block of `len` consecutive words (charged per word —
     /// the model has no block pipelining; see DESIGN.md §5).
     pub fn relocate_block(&mut self, src: usize, dst: usize, len: usize) {
@@ -194,6 +219,33 @@ mod tests {
         h.write(1000, 7);
         assert_eq!(h.read(1000), 7);
         assert_eq!(h.high_water(), 1001);
+    }
+
+    #[test]
+    fn relocate_via_is_bit_identical_to_relocate() {
+        for d in [1, 2, 3] {
+            let access = AccessFn::new(d, 3);
+            let table = CostTable::new(access, 40);
+            let (mut a, mut b) = (Hram::new(access, 0), Hram::new(access, 0));
+            // Pairs inside, straddling and beyond the table.
+            for (src, dst) in [(7, 0), (39, 12), (41, 5), (3, 97), (120, 64)] {
+                a.poke(src, src as Word);
+                b.poke(src, src as Word);
+                a.relocate(src, dst);
+                b.relocate_via(&table, src, dst);
+            }
+            assert_eq!(
+                a.meter.transfer.to_bits(),
+                b.meter.transfer.to_bits(),
+                "d = {d}"
+            );
+            assert_eq!(a.meter.ops, b.meter.ops);
+            assert_eq!(b.meter.table_hits, 6);
+            assert_eq!(
+                (0..128).map(|i| a.peek(i)).collect::<Vec<_>>(),
+                (0..128).map(|i| b.peek(i)).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub mod naive1;
 pub mod naive2;
 pub mod pipelined1;
 pub mod report;
+mod sorted;
 pub mod zone;
 
 pub use error::SimError;

@@ -807,10 +807,11 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         // above already happened in Γ emission order).
         seeds.sort_unstable();
         let space = self.execs[pr].space(piece);
-        assert!(
-            space <= self.tile_space,
-            "tile footprint {space} exceeds budget"
-        );
+        if space > self.tile_space {
+            return Err(SimError::Internal {
+                what: "tile footprint exceeds the tile budget",
+            });
+        }
         // Parent zone: the transit zone (park results there).
         let mut zone = std::mem::replace(&mut self.transit_zones[pr], ZoneAlloc::new(0, 0));
         let mut out_addrs = Vec::with_capacity(out_pts.len());
@@ -1316,6 +1317,28 @@ mod tests {
     fn rule110_small() {
         let init = inputs::random_bits(40, 16);
         check_equiv(&Eca::rule110(), 16, 2, 16, &init);
+    }
+
+    #[test]
+    fn over_budget_tile_is_a_typed_error() {
+        let spec = MachineSpec::new(1, 64, 4, 1);
+        let init = inputs::random_bits(41, 64);
+        let prog = Eca::rule110();
+        let mut eng = Engine::new(
+            &spec,
+            &prog,
+            64,
+            Multi1Options::default(),
+            &FaultPlan::none(),
+        )
+        .unwrap();
+        eng.tile_space = 0;
+        assert!(matches!(
+            eng.run(&init),
+            Err(SimError::Internal {
+                what: "tile footprint exceeds the tile budget"
+            })
+        ));
     }
 
     #[test]
