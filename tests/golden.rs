@@ -23,9 +23,6 @@ const GOLDEN: &str = concat!(
     "/../../tests/golden/fingerprints.txt"
 );
 
-/// Engines covered so far: the recursive (Proposition-2) executors.
-const ENGINES: [&str; 5] = ["dnc1", "multi1", "dnc2", "multi2", "dnc3"];
-
 /// Shapes beyond the certify matrix, `(engine, d, n, m, p, T)`: deeper
 /// recursions, leaf radii above 1 and clipped cells on every wall, so
 /// the d = 2 / d = 3 memos are exercised past the matrix's tiny cases.
@@ -39,10 +36,7 @@ const EXTRA: [(&str, u8, u64, u64, u64, i64); 6] = [
 ];
 
 fn cases() -> Vec<MatrixCase> {
-    let mut v: Vec<MatrixCase> = matrix()
-        .into_iter()
-        .filter(|c| ENGINES.contains(&c.engine))
-        .collect();
+    let mut v = matrix();
     for (engine, d, n, m, p, steps) in EXTRA {
         let regime = match theorem1::range(d, n as f64, m as f64, p as f64) {
             theorem1::Range::R1 => "R1",
