@@ -8,9 +8,10 @@
 use crate::table::{fnum, Table};
 use crate::Scale;
 use bsmp::machine::MachineSpec;
-use bsmp::sim::dnc1::simulate_dnc1_with_leaf;
-use bsmp::sim::dnc2::simulate_dnc2_with_leaf;
+use bsmp::sim::dnc1::try_simulate_dnc1;
+use bsmp::sim::dnc2::try_simulate_dnc2;
 use bsmp::workloads::{inputs, CyclicWave, Eca, VonNeumannLife};
+use bsmp::{RunOpts, Tracer};
 
 pub fn run(scale: Scale) -> Vec<Table> {
     // (a) m = 1: leaf radius sweep on the diamond executor.
@@ -27,7 +28,18 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let mut results = Vec::new();
     let mut h = 1i64;
     while h <= (n / 4) as i64 {
-        let r = simulate_dnc1_with_leaf(&spec, &Eca::rule110(), &init, n as i64, h);
+        let r = try_simulate_dnc1(
+            &spec,
+            &Eca::rule110(),
+            &init,
+            n as i64,
+            RunOpts {
+                leaf: Some(h),
+                ..RunOpts::default()
+            },
+            &mut Tracer::off(),
+        )
+        .expect("valid parameters");
         results.push((h, r.host_time));
         h *= 4;
     }
@@ -53,7 +65,18 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let mut results = Vec::new();
     let mut h = 1i64;
     while h <= (n / 4) as i64 {
-        let r = simulate_dnc1_with_leaf(&specm, &CyclicWave::new(m), &initm, (n / 2) as i64, h);
+        let r = try_simulate_dnc1(
+            &specm,
+            &CyclicWave::new(m),
+            &initm,
+            (n / 2) as i64,
+            RunOpts {
+                leaf: Some(h),
+                ..RunOpts::default()
+            },
+            &mut Tracer::off(),
+        )
+        .expect("valid parameters");
         results.push((h, r.host_time));
         h *= 2;
     }
@@ -90,7 +113,18 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let mut results = Vec::new();
     let mut h = 1i64;
     while h <= (side / 2) as i64 {
-        let r = simulate_dnc2_with_leaf(&spec2, &VonNeumannLife::fredkin(), &init2, side as i64, h);
+        let r = try_simulate_dnc2(
+            &spec2,
+            &VonNeumannLife::fredkin(),
+            &init2,
+            side as i64,
+            RunOpts {
+                leaf: Some(h),
+                ..RunOpts::default()
+            },
+            &mut Tracer::off(),
+        )
+        .expect("valid parameters");
         results.push((h, r.host_time));
         h *= 2;
     }

@@ -9,7 +9,7 @@ use crate::Scale;
 use bsmp::machine::MachineSpec;
 use bsmp::sim::{multi1, naive1};
 use bsmp::workloads::{inputs, Eca};
-use bsmp::FaultPlan;
+use bsmp::{FaultPlan, RunOpts, Tracer};
 
 pub fn run(scale: Scale) -> Vec<Table> {
     let (n, steps): (u64, i64) = match scale {
@@ -113,7 +113,18 @@ fn run_naive(
     steps: i64,
     plan: &FaultPlan,
 ) -> bsmp::SimReport {
-    naive1::try_simulate_naive1_faulted(spec, prog, init, steps, plan).expect("valid parameters")
+    naive1::try_simulate_naive1(
+        spec,
+        prog,
+        init,
+        steps,
+        RunOpts {
+            plan: *plan,
+            ..RunOpts::default()
+        },
+        &mut Tracer::off(),
+    )
+    .expect("valid parameters")
 }
 
 fn run_multi(
@@ -123,5 +134,16 @@ fn run_multi(
     steps: i64,
     plan: &FaultPlan,
 ) -> bsmp::SimReport {
-    multi1::try_simulate_multi1_faulted(spec, prog, init, steps, plan).expect("valid parameters")
+    multi1::try_simulate_multi1(
+        spec,
+        prog,
+        init,
+        steps,
+        RunOpts {
+            plan: *plan,
+            ..RunOpts::default()
+        },
+        &mut Tracer::off(),
+    )
+    .expect("valid parameters")
 }

@@ -7,8 +7,9 @@ use crate::table::{fnum, Table};
 use crate::Scale;
 use bsmp::analytic::{lambda, optimal_s, theorem4::minimize_lambda};
 use bsmp::machine::MachineSpec;
-use bsmp::sim::multi1::{simulate_multi1_opt, Multi1Options};
+use bsmp::sim::multi1::try_simulate_multi1;
 use bsmp::workloads::{inputs, CyclicWave};
+use bsmp::{RunOpts, Tracer};
 
 pub fn run(scale: Scale) -> Vec<Table> {
     // Analytic: the paper's s* vs brute-force minimization, across ranges.
@@ -60,16 +61,19 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let mut s = 2u64;
     while s <= nn / pp {
         if nn % s == 0 && (nn / s).is_multiple_of(pp) {
-            let r = simulate_multi1_opt(
+            let opts = RunOpts {
+                strip: Some(s),
+                ..RunOpts::default()
+            };
+            let r = try_simulate_multi1(
                 &spec,
                 &CyclicWave::new(mm),
                 &init,
                 (nn / 2) as i64,
-                Multi1Options {
-                    strip: Some(s),
-                    ..Multi1Options::default()
-                },
-            );
+                opts,
+                &mut Tracer::off(),
+            )
+            .expect("admissible strip width");
             let l = lambda(nn as f64, mm as f64, pp as f64, s as f64);
             t2.row(vec![
                 s.to_string(),

@@ -27,9 +27,11 @@
 //!   `--slow`/`--fault-seed` shorthands;
 //! * `--trace <PATH>` — run a traced demo simulation and write its
 //!   `bsmp-trace/v1` JSON log to `PATH` (honors `--slow`/`--faults`);
-//! * `--engine <NAME>` — which engine the `--trace` demo runs:
-//!   `naive1`, `multi1` (default), or `dnc1` on the linear array;
-//!   `naive2`, `multi2`, or `dnc2` on the mesh (the `dnc*` engines are
+//! * `--engine <NAME>` — which engine the `--trace` demo runs, any name
+//!   of the engine registry (`bsmp::EngineKind::ALL`): `naive1`,
+//!   `multi1` (default), `pipelined1` or `dnc1` on a 64-node linear
+//!   array; `naive2`, `multi2` or `dnc2` on an 8×8 mesh; `naive3` or
+//!   `dnc3` on a 4×4×4 cube (the `dnc*` engines and `naive3` are
 //!   uniprocessor, so they trace with p = 1);
 //! * `E1 … E15` — restrict to the named experiments;
 //! * `bench` — instead of the report, time the engine suite and write
@@ -65,8 +67,10 @@
 //! Exit status: 0 on success, 1 on an engine/validation error, 2 on bad
 //! command-line arguments.
 
-use bsmp::workloads::{inputs, Eca, TokenShift, VonNeumannLife};
-use bsmp::{CoreKind, FaultPlan, MachineSpec, Simulation, Strategy};
+use bsmp::serve_suite::stamp_regime;
+use bsmp::sim::engine;
+use bsmp::workloads::{inputs, Eca, Parity3d, TokenShift, VonNeumannLife};
+use bsmp::{CoreKind, EngineKind, FaultPlan, MachineSpec, RunOpts, Simulation, Strategy, Tracer};
 use bsmp_bench::{all_experiments, perf, Scale};
 
 struct Args {
@@ -79,7 +83,7 @@ struct Args {
     core: CoreKind,
     bench: Option<BenchArgs>,
     trace_out: Option<String>,
-    trace_engine: String,
+    trace_engine: EngineKind,
     trace_validate: Option<String>,
     trace_certify: Option<String>,
     serve: Option<ServeCliArgs>,
@@ -111,7 +115,7 @@ fn parse_args(raw: &[String], valid_ids: &[&str]) -> Result<Args, String> {
         core: CoreKind::Dense,
         bench: None,
         trace_out: None,
-        trace_engine: "multi1".to_string(),
+        trace_engine: EngineKind::Multi1,
         trace_validate: None,
         trace_certify: None,
         serve: None,
@@ -156,14 +160,10 @@ fn parse_args(raw: &[String], valid_ids: &[&str]) -> Result<Args, String> {
             "--engine" => {
                 let v = it
                     .next()
-                    .ok_or("--engine requires a name (naive1|multi1|dnc1|naive2|multi2|dnc2)")?;
-                if !["naive1", "multi1", "dnc1", "naive2", "multi2", "dnc2"].contains(&v.as_str()) {
-                    return Err(format!(
-                        "--engine: `{v}` is not a traceable demo engine \
-                         (naive1|multi1|dnc1|naive2|multi2|dnc2)"
-                    ));
-                }
-                args.trace_engine = v.clone();
+                    .ok_or_else(|| format!("--engine requires a name ({})", engine_names()))?;
+                args.trace_engine = EngineKind::parse(v).ok_or_else(|| {
+                    format!("--engine: `{v}` is not an engine ({})", engine_names())
+                })?;
             }
             "trace-validate" => {
                 let v = it.next().ok_or("trace-validate requires a trace path")?;
@@ -333,53 +333,66 @@ fn fault_sweep(
     Ok(())
 }
 
+/// The engine names `--engine` accepts, `|`-separated.
+fn engine_names() -> String {
+    EngineKind::ALL.map(EngineKind::name).join("|")
+}
+
 /// The `--trace` demo: one traced run of the `--engine` selection
 /// (faulted if `--slow` or `--faults` was given), validated, then
 /// written as `bsmp-trace/v1` JSON.
 fn trace_demo(
     path: &str,
-    engine: &str,
+    kind: EngineKind,
     plan: Option<&FaultPlan>,
     input_seed: u64,
     core: CoreKind,
 ) -> Result<(), String> {
-    // The dnc engines are uniprocessor; the d = 2 demo runs fewer steps
-    // because a mesh stage touches every node.
-    let (mesh, strategy) = match engine {
-        "naive1" => (false, Strategy::Naive),
-        "multi1" => (false, Strategy::TwoRegime),
-        "dnc1" => (false, Strategy::DivideAndConquer),
-        "naive2" => (true, Strategy::Naive),
-        "multi2" => (true, Strategy::TwoRegime),
-        "dnc2" => (true, Strategy::DivideAndConquer),
-        other => return Err(format!("no traceable demo engine `{other}`")),
-    };
+    // n = 64 guest nodes (a 4×4×4 cube at d = 3).  The dnc engines and
+    // naive3 are uniprocessor; the d ≥ 2 demos run fewer steps because
+    // a mesh stage touches every node.
     let n = 64u64;
-    let p = if strategy == Strategy::DivideAndConquer {
-        1u64
-    } else {
-        4u64
-    };
-    let steps = if mesh { 16i64 } else { 64i64 };
+    let uniprocessor = matches!(
+        kind,
+        EngineKind::Dnc1 | EngineKind::Dnc2 | EngineKind::Dnc3 | EngineKind::Naive3
+    );
+    let p = if uniprocessor { 1u64 } else { 4u64 };
+    let steps = if kind.d() == 1 { 64i64 } else { 16i64 };
     let init = inputs::random_bits(input_seed, n as usize);
-    let mut sim = if mesh {
-        Simulation::try_mesh(n, p, 1)
-    } else {
-        Simulation::try_linear(n, p, 1)
+    let opts = RunOpts {
+        plan: plan.copied().unwrap_or_default(),
+        core,
+        ..RunOpts::default()
+    };
+    let mut tracer = Tracer::recording();
+    let rep = match kind.d() {
+        1 => MachineSpec::try_new(1, n, p, 1)
+            .map_err(Into::into)
+            .and_then(|spec| {
+                engine::run_linear(
+                    kind,
+                    &spec,
+                    &Eca::rule110(),
+                    &init,
+                    steps,
+                    opts,
+                    &mut tracer,
+                )
+            }),
+        2 => MachineSpec::try_new(2, n, p, 1)
+            .map_err(Into::into)
+            .and_then(|spec| {
+                let prog = VonNeumannLife::fredkin();
+                engine::run_mesh(kind, &spec, &prog, &init, steps, opts, &mut tracer)
+            }),
+        _ => engine::run_volume(kind, 4, &Parity3d, &init, steps, opts, &mut tracer),
     }
-    .map_err(|e| e.to_string())?
-    .strategy(strategy)
-    .core(core);
-    if let Some(plan) = plan {
-        sim = sim.faults(*plan);
-    }
-    let (rep, trace) = if mesh {
-        sim.try_trace_mesh(&VonNeumannLife::fredkin(), &init, steps)
-    } else {
-        sim.try_trace(&Eca::rule110(), &init, steps)
-    }
-    .map_err(|e| e.to_string())?;
-    if let Some(reason) = rep.sim.core_fallback {
+    .map_err(|e: bsmp::SimError| e.to_string())?;
+    let mut trace = tracer
+        .take()
+        .expect("recording tracer always yields a trace");
+    stamp_regime(&mut trace, kind.d(), n, 1, p);
+    if let Some(reason) = rep.core_fallback {
         println!("note: event core fell back to the dense stage loop: {reason}\n");
     }
     bsmp::validate_trace(&trace)?;
@@ -499,11 +512,12 @@ fn main() {
         Err(msg) => {
             eprintln!("bsmp-repro: {msg}");
             eprintln!(
-                "usage: bsmp-repro [--quick] [--threads <N>] [--core dense|event] [--slow <ν>] [--fault-seed <u64>] [--faults <PLAN.json>] [--trace <PATH>] [E1 E4 ...]\n\
-                 \x20      bsmp-repro bench [--out <PATH>] [--meta <STR>] [--threads <N>] [--iters <K>] [--trace-counters] [--mem] [--against <BASELINE.json>]\n\
+                "usage: bsmp-repro [--quick] [--threads <N>] [--core dense|event] [--slow <ν>] [--fault-seed <u64>] [--faults <PLAN.json>] [--trace <PATH>] [--engine {}] [E1 E4 ...]\n\
+                 \x20      bsmp-repro bench [--out <PATH>] [--meta <STR>] [--threads <N>] [--iters <K>] [--trace-counters] [--certify] [--mem] [--against <BASELINE.json>]\n\
                  \x20      bsmp-repro trace-validate <PATH>\n\
                  \x20      bsmp-repro trace-certify <PATH>\n\
-                 \x20      bsmp-repro serve [--threads <N>] [--max-inflight <K>] [--plan-cache-bytes <B>]"
+                 \x20      bsmp-repro serve [--threads <N>] [--max-inflight <K>] [--plan-cache-bytes <B>]",
+                engine_names()
             );
             std::process::exit(2);
         }
@@ -688,7 +702,7 @@ fn main() {
     if let Some(path) = &args.trace_out {
         if let Err(msg) = trace_demo(
             path,
-            &args.trace_engine,
+            args.trace_engine,
             plan.as_ref(),
             input_seed,
             args.core,

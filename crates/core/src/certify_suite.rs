@@ -168,6 +168,14 @@ mod tests {
         let engines: std::collections::HashSet<&str> = cases.iter().map(|c| c.engine).collect();
         assert_eq!(engines.len(), 9);
         assert_eq!(cases.len(), 23);
+        // Every registry engine has a cell, at its own dimension.
+        for kind in bsmp_sim::EngineKind::ALL {
+            assert_eq!(bsmp_sim::EngineKind::parse(kind.name()), Some(kind));
+            assert!(engines.contains(kind.name()), "{} has no cell", kind.name());
+            for c in cases.iter().filter(|c| c.engine == kind.name()) {
+                assert_eq!(c.d, kind.d(), "{}", kind.name());
+            }
+        }
         // Every p > 1 linear engine hits all three Theorem-1 regimes
         // reachable at p > 1.
         for e in ["naive1", "multi1", "pipelined1", "naive2", "multi2"] {

@@ -84,7 +84,7 @@ pub use bsmp_machine::{
     init_shared_pool, plan_cache, set_default_threads, CacheStats, CoreKind, ExecPolicy,
     LinearProgram, MachineSpec, MeshProgram, PlanKey, SpecError,
 };
-pub use bsmp_sim::{SimError, SimReport};
+pub use bsmp_sim::{EngineKind, RunOpts, SimError, SimReport};
 pub use bsmp_trace::{RunTrace, Tracer};
 
 /// Which simulation scheme the host machine uses.
@@ -207,23 +207,70 @@ impl Simulation {
         self.spec
     }
 
-    fn resolve(&self) -> Strategy {
+    /// The engine this simulation runs: the [`Strategy`] resolved
+    /// against the spec.  [`Strategy::Auto`] and [`Strategy::TwoRegime`]
+    /// degrade gracefully to the naive engine when the multiprocessor
+    /// scheme cannot run (no admissible strip width for `d = 1`, e.g.
+    /// prime `n/p`; per-processor blocks of side 1 for `d = 2`).
+    fn pick(&self) -> EngineKind {
+        let spec = &self.spec;
+        let (naive, dnc, multi, multi_fits) = if spec.d == 1 {
+            let fits = bsmp_sim::multi1::engine_strip(spec.n, spec.m, spec.p).is_some();
+            (
+                EngineKind::Naive1,
+                EngineKind::Dnc1,
+                EngineKind::Multi1,
+                fits,
+            )
+        } else {
+            let fits = spec.mesh_side() / spec.proc_side() >= 2;
+            (
+                EngineKind::Naive2,
+                EngineKind::Dnc2,
+                EngineKind::Multi2,
+                fits,
+            )
+        };
+        let (n, m, p) = (spec.n as f64, spec.m as f64, spec.p as f64);
         match self.strategy {
-            Strategy::Auto => {
-                let (n, m, p) = (self.spec.n as f64, self.spec.m as f64, self.spec.p as f64);
-                // Range 4 of Theorem 1: only the naive simulation is
-                // profitable.
-                if bsmp_analytic::theorem1::range(self.spec.d, n, m, p) == bsmp_analytic::Range::R4
-                {
-                    Strategy::Naive
-                } else if self.spec.p == 1 {
-                    Strategy::DivideAndConquer
-                } else {
-                    Strategy::TwoRegime
-                }
+            Strategy::Naive => naive,
+            Strategy::DivideAndConquer => dnc,
+            // Range 4 of Theorem 1: only the naive simulation is
+            // profitable.
+            Strategy::Auto
+                if bsmp_analytic::theorem1::range(spec.d, n, m, p) == bsmp_analytic::Range::R4 =>
+            {
+                naive
             }
-            s => s,
+            Strategy::TwoRegime | Strategy::Auto if spec.p == 1 => dnc,
+            Strategy::TwoRegime | Strategy::Auto if multi_fits => multi,
+            Strategy::TwoRegime | Strategy::Auto => naive,
         }
+    }
+
+    /// Run the picked engine with `tracer` observing, after checking
+    /// that the spec has the layout dimension `d` the program needs;
+    /// `run` dispatches over the engine registry.
+    fn run_with(
+        &self,
+        d: u8,
+        tracer: &mut Tracer,
+        run: impl FnOnce(EngineKind, RunOpts, &mut Tracer) -> Result<SimReport, SimError>,
+    ) -> Result<Report, SimError> {
+        if self.spec.d != d {
+            return Err(SimError::DimensionMismatch {
+                expected: d,
+                got: self.spec.d,
+            });
+        }
+        let opts = RunOpts {
+            plan: self.faults,
+            exec: self.exec,
+            core: self.core,
+            ..RunOpts::default()
+        };
+        let sim = run(self.pick(), opts, tracer)?;
+        Ok(Report::new(self.spec, sim))
     }
 
     /// Run a linear-array guest program, reporting invalid parameters as
@@ -236,60 +283,9 @@ impl Simulation {
         init: &[Word],
         steps: i64,
     ) -> Result<Report, SimError> {
-        if self.spec.d != 1 {
-            return Err(SimError::DimensionMismatch {
-                expected: 1,
-                got: self.spec.d,
-            });
-        }
-        let plan = &self.faults;
-        let sim = match self.resolve() {
-            Strategy::Naive => bsmp_sim::naive1::try_simulate_naive1_core(
-                &self.spec,
-                prog,
-                init,
-                steps,
-                plan,
-                self.exec,
-                self.core,
-                &mut Tracer::off(),
-            )?,
-            Strategy::DivideAndConquer => {
-                bsmp_sim::dnc1::try_simulate_dnc1_faulted(&self.spec, prog, init, steps, plan)?
-            }
-            Strategy::TwoRegime => {
-                if self.spec.p == 1 {
-                    bsmp_sim::dnc1::try_simulate_dnc1_faulted(&self.spec, prog, init, steps, plan)?
-                } else if bsmp_sim::multi1::engine_strip(self.spec.n, self.spec.m, self.spec.p)
-                    .is_some()
-                {
-                    bsmp_sim::multi1::try_simulate_multi1_core(
-                        &self.spec,
-                        prog,
-                        init,
-                        steps,
-                        bsmp_sim::multi1::Multi1Options::default(),
-                        plan,
-                        self.core,
-                        &mut Tracer::off(),
-                    )?
-                } else {
-                    // No admissible strip width (e.g. prime n): naive.
-                    bsmp_sim::naive1::try_simulate_naive1_core(
-                        &self.spec,
-                        prog,
-                        init,
-                        steps,
-                        plan,
-                        self.exec,
-                        self.core,
-                        &mut Tracer::off(),
-                    )?
-                }
-            }
-            Strategy::Auto => unreachable!("resolved above"),
-        };
-        Ok(Report::new(self.spec, sim))
+        self.run_with(1, &mut Tracer::off(), |kind, opts, tracer| {
+            bsmp_sim::engine::run_linear(kind, &self.spec, prog, init, steps, opts, tracer)
+        })
     }
 
     /// Run a linear-array guest program.
@@ -314,73 +310,11 @@ impl Simulation {
         init: &[Word],
         steps: i64,
     ) -> Result<(Report, RunTrace), SimError> {
-        if self.spec.d != 1 {
-            return Err(SimError::DimensionMismatch {
-                expected: 1,
-                got: self.spec.d,
-            });
-        }
-        let plan = &self.faults;
         let mut tracer = Tracer::recording();
-        let sim = match self.resolve() {
-            Strategy::Naive => bsmp_sim::naive1::try_simulate_naive1_core(
-                &self.spec,
-                prog,
-                init,
-                steps,
-                plan,
-                self.exec,
-                self.core,
-                &mut tracer,
-            )?,
-            Strategy::DivideAndConquer => bsmp_sim::dnc1::try_simulate_dnc1_faulted_traced(
-                &self.spec,
-                prog,
-                init,
-                steps,
-                plan,
-                &mut tracer,
-            )?,
-            Strategy::TwoRegime => {
-                if self.spec.p == 1 {
-                    bsmp_sim::dnc1::try_simulate_dnc1_faulted_traced(
-                        &self.spec,
-                        prog,
-                        init,
-                        steps,
-                        plan,
-                        &mut tracer,
-                    )?
-                } else if bsmp_sim::multi1::engine_strip(self.spec.n, self.spec.m, self.spec.p)
-                    .is_some()
-                {
-                    bsmp_sim::multi1::try_simulate_multi1_core(
-                        &self.spec,
-                        prog,
-                        init,
-                        steps,
-                        bsmp_sim::multi1::Multi1Options::default(),
-                        plan,
-                        self.core,
-                        &mut tracer,
-                    )?
-                } else {
-                    bsmp_sim::naive1::try_simulate_naive1_core(
-                        &self.spec,
-                        prog,
-                        init,
-                        steps,
-                        plan,
-                        self.exec,
-                        self.core,
-                        &mut tracer,
-                    )?
-                }
-            }
-            Strategy::Auto => unreachable!("resolved above"),
-        };
-        let trace = self.stamp(tracer);
-        Ok((Report::new(self.spec, sim), trace))
+        let report = self.run_with(1, &mut tracer, |kind, opts, tracer| {
+            bsmp_sim::engine::run_linear(kind, &self.spec, prog, init, steps, opts, tracer)
+        })?;
+        Ok((report, self.stamp(tracer)))
     }
 
     /// Panicking twin of [`Simulation::try_trace`].
@@ -418,58 +352,9 @@ impl Simulation {
         init: &[Word],
         steps: i64,
     ) -> Result<Report, SimError> {
-        if self.spec.d != 2 {
-            return Err(SimError::DimensionMismatch {
-                expected: 2,
-                got: self.spec.d,
-            });
-        }
-        let plan = &self.faults;
-        let sim = match self.resolve() {
-            Strategy::Naive => bsmp_sim::naive2::try_simulate_naive2_core(
-                &self.spec,
-                prog,
-                init,
-                steps,
-                plan,
-                self.exec,
-                self.core,
-                &mut Tracer::off(),
-            )?,
-            Strategy::DivideAndConquer => {
-                bsmp_sim::dnc2::try_simulate_dnc2_faulted(&self.spec, prog, init, steps, plan)?
-            }
-            Strategy::TwoRegime => {
-                if self.spec.p == 1 {
-                    bsmp_sim::dnc2::try_simulate_dnc2_faulted(&self.spec, prog, init, steps, plan)?
-                } else if self.spec.mesh_side() / self.spec.proc_side() >= 2 {
-                    bsmp_sim::multi2::try_simulate_multi2_core(
-                        &self.spec,
-                        prog,
-                        init,
-                        steps,
-                        plan,
-                        self.core,
-                        &mut Tracer::off(),
-                    )?
-                } else {
-                    // Block side 1: the honeycomb scheme degenerates —
-                    // fall back to the naive engine.
-                    bsmp_sim::naive2::try_simulate_naive2_core(
-                        &self.spec,
-                        prog,
-                        init,
-                        steps,
-                        plan,
-                        self.exec,
-                        self.core,
-                        &mut Tracer::off(),
-                    )?
-                }
-            }
-            Strategy::Auto => unreachable!("resolved above"),
-        };
-        Ok(Report::new(self.spec, sim))
+        self.run_with(2, &mut Tracer::off(), |kind, opts, tracer| {
+            bsmp_sim::engine::run_mesh(kind, &self.spec, prog, init, steps, opts, tracer)
+        })
     }
 
     /// Run a mesh guest program.
@@ -486,70 +371,11 @@ impl Simulation {
         init: &[Word],
         steps: i64,
     ) -> Result<(Report, RunTrace), SimError> {
-        if self.spec.d != 2 {
-            return Err(SimError::DimensionMismatch {
-                expected: 2,
-                got: self.spec.d,
-            });
-        }
-        let plan = &self.faults;
         let mut tracer = Tracer::recording();
-        let sim = match self.resolve() {
-            Strategy::Naive => bsmp_sim::naive2::try_simulate_naive2_core(
-                &self.spec,
-                prog,
-                init,
-                steps,
-                plan,
-                self.exec,
-                self.core,
-                &mut tracer,
-            )?,
-            Strategy::DivideAndConquer => bsmp_sim::dnc2::try_simulate_dnc2_faulted_traced(
-                &self.spec,
-                prog,
-                init,
-                steps,
-                plan,
-                &mut tracer,
-            )?,
-            Strategy::TwoRegime => {
-                if self.spec.p == 1 {
-                    bsmp_sim::dnc2::try_simulate_dnc2_faulted_traced(
-                        &self.spec,
-                        prog,
-                        init,
-                        steps,
-                        plan,
-                        &mut tracer,
-                    )?
-                } else if self.spec.mesh_side() / self.spec.proc_side() >= 2 {
-                    bsmp_sim::multi2::try_simulate_multi2_core(
-                        &self.spec,
-                        prog,
-                        init,
-                        steps,
-                        plan,
-                        self.core,
-                        &mut tracer,
-                    )?
-                } else {
-                    bsmp_sim::naive2::try_simulate_naive2_core(
-                        &self.spec,
-                        prog,
-                        init,
-                        steps,
-                        plan,
-                        self.exec,
-                        self.core,
-                        &mut tracer,
-                    )?
-                }
-            }
-            Strategy::Auto => unreachable!("resolved above"),
-        };
-        let trace = self.stamp(tracer);
-        Ok((Report::new(self.spec, sim), trace))
+        let report = self.run_with(2, &mut tracer, |kind, opts, tracer| {
+            bsmp_sim::engine::run_mesh(kind, &self.spec, prog, init, steps, opts, tracer)
+        })?;
+        Ok((report, self.stamp(tracer)))
     }
 
     /// Panicking twin of [`Simulation::try_trace_mesh`].
@@ -723,11 +549,11 @@ mod tests {
     fn auto_picks_naive_in_range_4() {
         // m ≥ n: Theorem 1 range 4 — naive is optimal.
         let s = Simulation::linear(8, 2, 16);
-        assert_eq!(s.resolve(), Strategy::Naive);
+        assert_eq!(s.pick(), EngineKind::Naive1);
         let s = Simulation::linear(64, 2, 1);
-        assert_eq!(s.resolve(), Strategy::TwoRegime);
+        assert_eq!(s.pick(), EngineKind::Multi1);
         let s = Simulation::linear(64, 1, 1);
-        assert_eq!(s.resolve(), Strategy::DivideAndConquer);
+        assert_eq!(s.pick(), EngineKind::Dnc1);
     }
 
     #[test]

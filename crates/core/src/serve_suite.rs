@@ -34,10 +34,8 @@ use std::sync::{Arc, Mutex};
 
 use bsmp_faults::{FaultPlan, FaultStats};
 use bsmp_hram::{CostMeter, Word};
-use bsmp_machine::{
-    plan_cache, run_linear, run_mesh, run_volume, ExecPolicy, GuestRun, MachineSpec, PlanKey,
-};
-use bsmp_sim::{dnc1, dnc2, dnc3, multi1, multi2, naive1, naive2, pipelined1, SimError, SimReport};
+use bsmp_machine::{plan_cache, run_linear, run_mesh, run_volume, GuestRun, MachineSpec, PlanKey};
+use bsmp_sim::{engine, EngineKind, RunOpts, SimError, SimReport};
 use bsmp_trace::certify::{certify, Certificate};
 use bsmp_trace::json::{escape, num, parse, Val};
 use bsmp_trace::{RunTrace, Tracer};
@@ -52,22 +50,6 @@ pub const SERVE_SCHEMA: &str = "bsmp-serve/v1";
 /// 3-D parity; `m > 1` runs the cyclic/plane wave at density `m`.
 pub fn default_seed(n: u64, m: u64, p: u64) -> u64 {
     0xB5_u64.wrapping_mul(n).wrapping_add(m * 31 + p * 7)
-}
-
-/// Resolve an engine name to its interned form and layout dimension.
-pub fn engine_static(name: &str) -> Option<(&'static str, u8)> {
-    Some(match name {
-        "naive1" => ("naive1", 1),
-        "multi1" => ("multi1", 1),
-        "pipelined1" => ("pipelined1", 1),
-        "dnc1" => ("dnc1", 1),
-        "naive2" => ("naive2", 2),
-        "multi2" => ("multi2", 2),
-        "dnc2" => ("dnc2", 2),
-        "naive3" => ("naive3", 3),
-        "dnc3" => ("dnc3", 3),
-        _ => return None,
-    })
 }
 
 /// Run one engine on the canonical workload for its shape.  This is the
@@ -86,31 +68,37 @@ pub fn run_shape(
     plan: &FaultPlan,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
+    let kind = EngineKind::parse(engine).ok_or(SimError::Internal {
+        what: "unknown engine",
+    })?;
+    let opts = RunOpts {
+        plan: *plan,
+        ..RunOpts::default()
+    };
     match d {
         1 => {
             let spec = MachineSpec::try_new(1, n, p, m)?;
             let (nu, mu) = (n as usize, m as usize);
             if mu == 1 {
-                let prog = Eca::rule110();
                 let init = inputs::random_bits(seed, nu);
-                run_linear_engine(engine, &spec, &prog, &init, steps, plan, tracer)
+                engine::run_linear(kind, &spec, &Eca::rule110(), &init, steps, opts, tracer)
             } else {
-                let prog = CyclicWave::new(mu);
                 let init = inputs::random_words(seed, nu * mu, 50);
-                run_linear_engine(engine, &spec, &prog, &init, steps, plan, tracer)
+                let prog = CyclicWave::new(mu);
+                engine::run_linear(kind, &spec, &prog, &init, steps, opts, tracer)
             }
         }
         2 => {
             let spec = MachineSpec::try_new(2, n, p, m)?;
             let (nu, mu) = (n as usize, m as usize);
             if mu == 1 {
-                let prog = VonNeumannLife::fredkin();
                 let init = inputs::random_bits(seed, nu);
-                run_mesh_engine(engine, &spec, &prog, &init, steps, plan, tracer)
+                let prog = VonNeumannLife::fredkin();
+                engine::run_mesh(kind, &spec, &prog, &init, steps, opts, tracer)
             } else {
-                let prog = PlaneWave::new(mu);
                 let init = inputs::random_words(seed, nu * mu, 50);
-                run_mesh_engine(engine, &spec, &prog, &init, steps, plan, tracer)
+                let prog = PlaneWave::new(mu);
+                engine::run_mesh(kind, &spec, &prog, &init, steps, opts, tracer)
             }
         }
         3 => {
@@ -121,86 +109,11 @@ pub fn run_shape(
                 });
             }
             let init = inputs::random_bits(seed, side * side * side);
-            match engine {
-                "naive3" => dnc3::try_simulate_naive3_faulted_traced(
-                    side, &Parity3d, &init, steps, plan, tracer,
-                ),
-                "dnc3" => dnc3::try_simulate_dnc3_faulted_traced(
-                    side, &Parity3d, &init, steps, plan, tracer,
-                ),
-                _ => Err(SimError::Internal {
-                    what: "unknown d = 3 engine",
-                }),
-            }
+            engine::run_volume(kind, side, &Parity3d, &init, steps, opts, tracer)
         }
         _ => Err(SimError::DimensionMismatch {
             expected: 1,
             got: d,
-        }),
-    }
-}
-
-fn run_linear_engine(
-    engine: &str,
-    spec: &MachineSpec,
-    prog: &impl bsmp_machine::LinearProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    match engine {
-        "naive1" => naive1::try_simulate_naive1_traced(
-            spec,
-            prog,
-            init,
-            steps,
-            plan,
-            ExecPolicy::auto(),
-            tracer,
-        ),
-        "multi1" => multi1::try_simulate_multi1_traced(
-            spec,
-            prog,
-            init,
-            steps,
-            multi1::Multi1Options::default(),
-            plan,
-            tracer,
-        ),
-        "pipelined1" => {
-            pipelined1::try_simulate_pipelined1_traced(spec, prog, init, steps, plan, tracer)
-        }
-        "dnc1" => dnc1::try_simulate_dnc1_faulted_traced(spec, prog, init, steps, plan, tracer),
-        _ => Err(SimError::Internal {
-            what: "unknown d = 1 engine",
-        }),
-    }
-}
-
-fn run_mesh_engine(
-    engine: &str,
-    spec: &MachineSpec,
-    prog: &impl bsmp_machine::MeshProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    match engine {
-        "naive2" => naive2::try_simulate_naive2_traced(
-            spec,
-            prog,
-            init,
-            steps,
-            plan,
-            ExecPolicy::auto(),
-            tracer,
-        ),
-        "multi2" => multi2::try_simulate_multi2_traced(spec, prog, init, steps, plan, tracer),
-        "dnc2" => dnc2::try_simulate_dnc2_faulted_traced(spec, prog, init, steps, plan, tracer),
-        _ => Err(SimError::Internal {
-            what: "unknown d = 2 engine",
         }),
     }
 }
@@ -372,8 +285,9 @@ pub fn parse_job(line: &str) -> Result<JobSpec, SimError> {
         .get("engine")
         .and_then(Val::as_str)
         .ok_or_else(|| bad(id, "missing or non-string \"engine\""))?;
-    let (engine, d) = engine_static(engine_name)
+    let kind = EngineKind::parse(engine_name)
         .ok_or_else(|| bad(id, format!("unknown engine \"{engine_name}\"")))?;
+    let (engine, d) = (kind.name(), kind.d());
     let n = u64_field("n", None)?;
     let m = u64_field("m", Some(1))?;
     let p = u64_field("p", Some(1))?;
@@ -463,7 +377,9 @@ pub struct JobOutcome {
     pub cache_hit: bool,
 }
 
-fn stamp_regime(trace: &mut RunTrace, d: u8, n: u64, m: u64, p: u64) {
+/// Stamp Theorem 1's regime for `(d, n, m, p)` into a recorded trace
+/// (the engines leave the tag empty; the certifier cross-checks it).
+pub fn stamp_regime(trace: &mut RunTrace, d: u8, n: u64, m: u64, p: u64) {
     trace.summary.regime = format!(
         "{:?}",
         bsmp_analytic::theorem1::range(d, n as f64, m as f64, p as f64)
@@ -827,6 +743,24 @@ mod tests {
                 other => panic!("{line}: expected BadRequest, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn job_engines_come_from_the_registry() {
+        for kind in EngineKind::ALL {
+            let n = if kind.d() == 3 { 64 } else { 16 };
+            let line = format!(
+                r#"{{"id": 1, "engine": "{}", "n": {n}, "steps": 4}}"#,
+                kind.name()
+            );
+            let job = parse_job(&line).unwrap();
+            assert_eq!((job.engine, job.d), (kind.name(), kind.d()));
+        }
+        let err = parse_job(r#"{"id": 9, "engine": "warp9", "n": 64, "steps": 64}"#).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad request (job 9): unknown engine \"warp9\""
+        );
     }
 
     #[test]

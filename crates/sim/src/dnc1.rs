@@ -10,14 +10,14 @@
 
 use std::sync::Arc;
 
-use bsmp_faults::{FaultPlan, FaultStats};
 use bsmp_hram::Word;
 use bsmp_machine::{linear_guest_time, plan_cache, LinearProgram, MachineSpec, PlanKey};
-use bsmp_trace::{RunMeta, StageTotals, Tracer};
+use bsmp_trace::{RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::exec1::{DiamondExec, DiamondPlan};
 use crate::report::SimReport;
+use crate::{bulk_report, check_uniprocessor, EngineKind, RunOpts};
 
 /// Cache key of the frozen [`DiamondPlan`] for one decomposition shape.
 /// The plan is pure geometry — guest program identity, cost model, and
@@ -76,180 +76,61 @@ pub(crate) fn harvest_plan<P: LinearProgram>(
 }
 
 /// Simulate `steps` guest steps of `M_1(n, n, m)` on the uniprocessor
-/// `M_1(n, 1, m)` with the paper's leaf size (`D(m)` executable
-/// diamonds), with preconditions checked.
+/// `M_1(n, 1, m)`, with preconditions checked.  Reads `opts.leaf` (the
+/// leaf radius; default: the paper's `D(m)` executable diamonds) and
+/// `opts.plan`.  The tracer sees the run as a single bulk stage: one
+/// record carries the whole run's totals.
 pub fn try_simulate_dnc1(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
     init: &[Word],
     steps: i64,
+    opts: RunOpts,
+    tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
-    let leaf_h = (prog.m() as i64 / 2).max(1);
-    try_simulate_dnc1_with_leaf(spec, prog, init, steps, leaf_h)
+    let leaf_h = opts.leaf.unwrap_or((prog.m() as i64 / 2).max(1));
+    let meta = RunMeta {
+        engine: EngineKind::Dnc1.name(),
+        d: 1,
+        n: spec.n,
+        m: spec.m,
+        p: 1,
+        steps: steps.max(0) as u64,
+    };
+    let (hop, words) = (spec.neighbor_distance(), spec.node_mem());
+    crate::run_uniprocessor(meta.clone(), hop, words, &opts.plan, tracer, |tracer| {
+        check_uniprocessor(EngineKind::Dnc1, spec, prog.m(), init.len())?;
+        tracer.ensure_procs(1);
+        tracer.begin_stage("run");
+        let mut exec = DiamondExec::new(spec, prog, steps, leaf_h);
+        let (key, cached) = adopt_plan(&mut exec, spec.n, spec.m, steps, leaf_h);
+        let (mem, values) = exec.run(init)?;
+        harvest_plan(&mut exec, key, cached);
+        let guest_time = linear_guest_time(spec, prog, steps);
+        let meter = exec.ram.meter;
+        Ok(bulk_report(
+            meta, mem, values, &exec.ram, meter, guest_time, tracer,
+        ))
+    })
 }
 
-/// Simulate `steps` guest steps of `M_1(n, n, m)` on the uniprocessor
-/// `M_1(n, 1, m)` with the paper's leaf size (`D(m)` executable
-/// diamonds).
+/// [`try_simulate_dnc1`] with default options; panics on invalid
+/// parameters.
 pub fn simulate_dnc1(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
     init: &[Word],
     steps: i64,
 ) -> SimReport {
-    try_simulate_dnc1(spec, prog, init, steps).unwrap_or_else(|e| panic!("dnc1: {e}"))
-}
-
-/// As [`try_simulate_dnc1`] with an explicit leaf radius (for the
-/// ablation benches: leaf size trades recursion overhead against
-/// naive-execution locality loss).
-pub fn try_simulate_dnc1_with_leaf(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    leaf_h: i64,
-) -> Result<SimReport, SimError> {
-    try_simulate_dnc1_traced(spec, prog, init, steps, leaf_h, &mut Tracer::off())
-}
-
-/// [`try_simulate_dnc1_with_leaf`] with a [`Tracer`] observing the run.
-/// Uniprocessor engines are a single bulk stage from the tracer's point
-/// of view: one record carries the whole run's totals.
-pub fn try_simulate_dnc1_traced(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    leaf_h: i64,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    if spec.d != 1 {
-        return Err(SimError::DimensionMismatch {
-            expected: 1,
-            got: spec.d,
-        });
-    }
-    if spec.p != 1 {
-        return Err(SimError::UniprocessorOnly {
-            engine: "dnc1",
-            p: spec.p,
-        });
-    }
-    if prog.m() as u64 != spec.m {
-        return Err(SimError::DensityMismatch {
-            spec_m: spec.m,
-            prog_m: prog.m() as u64,
-        });
-    }
-    let expected = spec.n as usize * prog.m();
-    if init.len() != expected {
-        return Err(SimError::InitLength {
-            expected,
-            got: init.len(),
-        });
-    }
-    tracer.ensure_procs(1);
-    tracer.begin_stage("run");
-    let mut exec = DiamondExec::new(spec, prog, steps, leaf_h);
-    let (key, cached) = adopt_plan(&mut exec, spec.n, spec.m, steps, leaf_h);
-    let (mem, values) = exec.run(init)?;
-    harvest_plan(&mut exec, key, cached);
-    let host_time = exec.ram.time();
-    if let Some(tl) = tracer.tally() {
-        tl.add(0, spec.n * steps.max(0) as u64, 0);
-    }
-    tracer.end_stage(
-        StageTotals {
-            parallel: host_time,
-            busy: host_time,
-            comm: exec.ram.meter.comm,
-            ..StageTotals::default()
-        },
-        1,
-    );
-    let guest_time = linear_guest_time(spec, prog, steps);
-    tracer.finish_run(
-        RunMeta {
-            engine: "dnc1",
-            d: 1,
-            n: spec.n,
-            m: spec.m,
-            p: 1,
-            steps: steps.max(0) as u64,
-        },
-        host_time,
-        guest_time,
-    );
-    Ok(SimReport {
-        mem,
-        values,
-        host_time,
-        guest_time,
-        meter: exec.ram.meter,
-        space: exec.ram.high_water(),
-        stages: 0,
-        faults: FaultStats::default(),
-        core_fallback: None,
-    })
-}
-
-/// As [`try_simulate_dnc1`] with a fault scenario applied to the run
-/// treated as one bulk stage (the uniprocessor view of DESIGN.md §14:
-/// jitter, asymmetry, outage windows, and churn scale the whole run).
-/// A [`FaultPlan::none`] plan takes the plain path bit-identically.
-pub fn try_simulate_dnc1_faulted(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-) -> Result<SimReport, SimError> {
-    try_simulate_dnc1_faulted_traced(spec, prog, init, steps, plan, &mut Tracer::off())
-}
-
-/// [`try_simulate_dnc1_faulted`] with a [`Tracer`] observing the run.
-pub fn try_simulate_dnc1_faulted_traced(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    plan.validate()?;
-    let leaf_h = (prog.m() as i64 / 2).max(1);
-    if plan.is_none() {
-        return try_simulate_dnc1_traced(spec, prog, init, steps, leaf_h, tracer);
-    }
-    let rep = try_simulate_dnc1_with_leaf(spec, prog, init, steps, leaf_h)?;
-    crate::scenario_over_report(
-        rep,
-        RunMeta {
-            engine: "dnc1",
-            d: 1,
-            n: spec.n,
-            m: spec.m,
-            p: 1,
-            steps: steps.max(0) as u64,
-        },
-        spec.neighbor_distance(),
-        spec.node_mem(),
-        plan,
-        tracer,
+    try_simulate_dnc1(
+        spec,
+        prog,
+        init,
+        steps,
+        RunOpts::default(),
+        &mut Tracer::off(),
     )
-}
-
-/// As [`simulate_dnc1`] with an explicit leaf radius.
-pub fn simulate_dnc1_with_leaf(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    leaf_h: i64,
-) -> SimReport {
-    try_simulate_dnc1_with_leaf(spec, prog, init, steps, leaf_h)
-        .unwrap_or_else(|e| panic!("dnc1: {e}"))
+    .unwrap_or_else(|e| panic!("dnc1: {e}"))
 }
 
 #[cfg(test)]
@@ -379,7 +260,15 @@ mod tests {
         let init = inputs::random_bits(31, 16);
         let spec = MachineSpec::new(1, 16, 4, 1);
         assert_eq!(
-            try_simulate_dnc1(&spec, &Eca::rule110(), &init, 4).err(),
+            try_simulate_dnc1(
+                &spec,
+                &Eca::rule110(),
+                &init,
+                4,
+                RunOpts::default(),
+                &mut Tracer::off()
+            )
+            .err(),
             Some(SimError::UniprocessorOnly {
                 engine: "dnc1",
                 p: 4
@@ -394,7 +283,19 @@ mod tests {
         let spec = MachineSpec::new(1, n, 1, 1);
         let guest = run_linear(&spec, &Eca::rule110(), &init, n as i64);
         for leaf in [1i64, 2, 4, 8] {
-            let rep = simulate_dnc1_with_leaf(&spec, &Eca::rule110(), &init, n as i64, leaf);
+            let opts = RunOpts {
+                leaf: Some(leaf),
+                ..RunOpts::default()
+            };
+            let rep = try_simulate_dnc1(
+                &spec,
+                &Eca::rule110(),
+                &init,
+                n as i64,
+                opts,
+                &mut Tracer::off(),
+            )
+            .unwrap();
             rep.assert_matches(&guest.mem, &guest.values);
         }
     }

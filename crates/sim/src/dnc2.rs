@@ -4,182 +4,68 @@
 //! with slowdown `O(n log n)`; the `m > 1` generalization mirrors
 //! Theorem 3 with *executable cells* of radius `~m/2`.
 
-use bsmp_faults::{FaultPlan, FaultStats};
 use bsmp_hram::Word;
 use bsmp_machine::{mesh_guest_time, MachineSpec, MeshProgram};
-use bsmp_trace::{RunMeta, StageTotals, Tracer};
+use bsmp_trace::{RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::exec2::CellExec;
 use crate::report::SimReport;
+use crate::{bulk_report, check_uniprocessor, EngineKind, RunOpts};
 
 /// Simulate `steps` guest steps of `M_2(n, n, m)` on the uniprocessor
-/// `M_2(n, 1, m)`, with preconditions checked.
+/// `M_2(n, 1, m)`, with preconditions checked.  Reads `opts.leaf` (the
+/// leaf radius; default: executable cells of radius `max(m/2, 1)`) and
+/// `opts.plan`.  The tracer sees the run as a single bulk stage.
 pub fn try_simulate_dnc2(
     spec: &MachineSpec,
     prog: &impl MeshProgram,
     init: &[Word],
     steps: i64,
+    opts: RunOpts,
+    tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
-    let leaf_h = (prog.m() as i64 / 2).max(1);
-    try_simulate_dnc2_with_leaf(spec, prog, init, steps, leaf_h)
+    let leaf_h = opts.leaf.unwrap_or((prog.m() as i64 / 2).max(1));
+    let meta = RunMeta {
+        engine: EngineKind::Dnc2.name(),
+        d: 2,
+        n: spec.n,
+        m: spec.m,
+        p: 1,
+        steps: steps.max(0) as u64,
+    };
+    let (hop, words) = (spec.neighbor_distance(), spec.node_mem());
+    crate::run_uniprocessor(meta.clone(), hop, words, &opts.plan, tracer, |tracer| {
+        check_uniprocessor(EngineKind::Dnc2, spec, prog.m(), init.len())?;
+        tracer.ensure_procs(1);
+        tracer.begin_stage("run");
+        let mut exec = CellExec::new(spec, prog, steps, leaf_h);
+        let (mem, values) = exec.run(init)?;
+        let guest_time = mesh_guest_time(spec, prog, steps);
+        let meter = exec.ram.meter;
+        Ok(bulk_report(
+            meta, mem, values, &exec.ram, meter, guest_time, tracer,
+        ))
+    })
 }
 
-/// Simulate `steps` guest steps of `M_2(n, n, m)` on the uniprocessor
-/// `M_2(n, 1, m)`.
+/// [`try_simulate_dnc2`] with default options; panics on invalid
+/// parameters.
 pub fn simulate_dnc2(
     spec: &MachineSpec,
     prog: &impl MeshProgram,
     init: &[Word],
     steps: i64,
 ) -> SimReport {
-    try_simulate_dnc2(spec, prog, init, steps).unwrap_or_else(|e| panic!("dnc2: {e}"))
-}
-
-/// As [`try_simulate_dnc2`] with an explicit leaf radius.
-pub fn try_simulate_dnc2_with_leaf(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    leaf_h: i64,
-) -> Result<SimReport, SimError> {
-    try_simulate_dnc2_traced(spec, prog, init, steps, leaf_h, &mut Tracer::off())
-}
-
-/// [`try_simulate_dnc2_with_leaf`] with a [`Tracer`] observing the run
-/// as a single bulk stage.
-pub fn try_simulate_dnc2_traced(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    leaf_h: i64,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    if spec.d != 2 {
-        return Err(SimError::DimensionMismatch {
-            expected: 2,
-            got: spec.d,
-        });
-    }
-    if spec.p != 1 {
-        return Err(SimError::UniprocessorOnly {
-            engine: "dnc2",
-            p: spec.p,
-        });
-    }
-    if prog.m() as u64 != spec.m {
-        return Err(SimError::DensityMismatch {
-            spec_m: spec.m,
-            prog_m: prog.m() as u64,
-        });
-    }
-    let expected = spec.n as usize * prog.m();
-    if init.len() != expected {
-        return Err(SimError::InitLength {
-            expected,
-            got: init.len(),
-        });
-    }
-    tracer.ensure_procs(1);
-    tracer.begin_stage("run");
-    let mut exec = CellExec::new(spec, prog, steps, leaf_h);
-    let (mem, values) = exec.run(init)?;
-    let host_time = exec.ram.time();
-    if let Some(tl) = tracer.tally() {
-        tl.add(0, spec.n * steps.max(0) as u64, 0);
-    }
-    tracer.end_stage(
-        StageTotals {
-            parallel: host_time,
-            busy: host_time,
-            comm: exec.ram.meter.comm,
-            ..StageTotals::default()
-        },
-        1,
-    );
-    let guest_time = mesh_guest_time(spec, prog, steps);
-    tracer.finish_run(
-        RunMeta {
-            engine: "dnc2",
-            d: 2,
-            n: spec.n,
-            m: spec.m,
-            p: 1,
-            steps: steps.max(0) as u64,
-        },
-        host_time,
-        guest_time,
-    );
-    Ok(SimReport {
-        mem,
-        values,
-        host_time,
-        guest_time,
-        meter: exec.ram.meter,
-        space: exec.ram.high_water(),
-        stages: 0,
-        faults: FaultStats::default(),
-        core_fallback: None,
-    })
-}
-
-/// As [`try_simulate_dnc2`] with a fault scenario applied to the run
-/// treated as one bulk stage (the uniprocessor view of DESIGN.md §14).
-/// A [`FaultPlan::none`] plan takes the plain path bit-identically.
-pub fn try_simulate_dnc2_faulted(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-) -> Result<SimReport, SimError> {
-    try_simulate_dnc2_faulted_traced(spec, prog, init, steps, plan, &mut Tracer::off())
-}
-
-/// [`try_simulate_dnc2_faulted`] with a [`Tracer`] observing the run.
-pub fn try_simulate_dnc2_faulted_traced(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    plan.validate()?;
-    let leaf_h = (prog.m() as i64 / 2).max(1);
-    if plan.is_none() {
-        return try_simulate_dnc2_traced(spec, prog, init, steps, leaf_h, tracer);
-    }
-    let rep = try_simulate_dnc2_with_leaf(spec, prog, init, steps, leaf_h)?;
-    crate::scenario_over_report(
-        rep,
-        RunMeta {
-            engine: "dnc2",
-            d: 2,
-            n: spec.n,
-            m: spec.m,
-            p: 1,
-            steps: steps.max(0) as u64,
-        },
-        spec.neighbor_distance(),
-        spec.node_mem(),
-        plan,
-        tracer,
+    try_simulate_dnc2(
+        spec,
+        prog,
+        init,
+        steps,
+        RunOpts::default(),
+        &mut Tracer::off(),
     )
-}
-
-/// As [`simulate_dnc2`] with an explicit leaf radius.
-pub fn simulate_dnc2_with_leaf(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    leaf_h: i64,
-) -> SimReport {
-    try_simulate_dnc2_with_leaf(spec, prog, init, steps, leaf_h)
-        .unwrap_or_else(|e| panic!("dnc2: {e}"))
+    .unwrap_or_else(|e| panic!("dnc2: {e}"))
 }
 
 #[cfg(test)]
@@ -275,7 +161,15 @@ mod tests {
         let init = inputs::random_bits(38, 16);
         let spec = MachineSpec::new(2, 16, 4, 1);
         assert_eq!(
-            try_simulate_dnc2(&spec, &VonNeumannLife::fredkin(), &init, 4).err(),
+            try_simulate_dnc2(
+                &spec,
+                &VonNeumannLife::fredkin(),
+                &init,
+                4,
+                RunOpts::default(),
+                &mut Tracer::off()
+            )
+            .err(),
             Some(SimError::UniprocessorOnly {
                 engine: "dnc2",
                 p: 4

@@ -5,170 +5,102 @@
 //! verified in the tests and experiment E11c, against the naive
 //! `O(n^{4/3})` (Proposition 1 with d = 3).
 
-use bsmp_faults::{FaultPlan, FaultStats};
 use bsmp_hram::{CostMeter, CostTable, Word};
 use bsmp_machine::{volume_guest_time, VolumeProgram};
-use bsmp_trace::{RunMeta, StageTotals, Tracer};
+use bsmp_trace::{RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::exec3::VolumeExec;
 use crate::report::SimReport;
+use crate::{bulk_report, EngineKind, RunOpts};
 
 /// Simulate `steps` guest steps of `M_3(n, n, 1)` (side `n^{1/3}`) on
 /// the uniprocessor `M_3(n, 1, 1)` via the 4-D separator recursion,
-/// with preconditions checked.
+/// with preconditions checked.  Reads `opts.plan`; the tracer sees the
+/// run as a single bulk stage.
 pub fn try_simulate_dnc3(
     side: usize,
     prog: &impl VolumeProgram,
     init: &[Word],
     steps: i64,
-) -> Result<SimReport, SimError> {
-    try_simulate_dnc3_traced(side, prog, init, steps, &mut Tracer::off())
-}
-
-/// [`try_simulate_dnc3`] with a [`Tracer`] observing the run as a single
-/// bulk stage.
-pub fn try_simulate_dnc3_traced(
-    side: usize,
-    prog: &impl VolumeProgram,
-    init: &[Word],
-    steps: i64,
+    opts: RunOpts,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
-    let n = side * side * side;
-    if prog.m() != 1 {
-        return Err(SimError::DensityMismatch {
-            spec_m: 1,
-            prog_m: prog.m() as u64,
-        });
-    }
-    if init.len() != n {
-        return Err(SimError::InitLength {
-            expected: n,
-            got: init.len(),
-        });
-    }
-    tracer.ensure_procs(1);
-    tracer.begin_stage("run");
-    let mut exec = VolumeExec::new(side as i64, prog, steps, 1);
-    let (mem, values) = exec.run(init)?;
-    let host_time = exec.ram.time();
-    if let Some(tl) = tracer.tally() {
-        tl.add(0, n as u64 * steps.max(0) as u64, 0);
-    }
-    tracer.end_stage(
-        StageTotals {
-            parallel: host_time,
-            busy: host_time,
-            comm: exec.ram.meter.comm,
-            ..StageTotals::default()
-        },
-        1,
-    );
-    let guest_time = volume_guest_time(side, 1, prog, steps);
-    tracer.finish_run(
-        RunMeta {
-            engine: "dnc3",
-            d: 3,
-            n: n as u64,
-            m: 1,
-            p: 1,
-            steps: steps.max(0) as u64,
-        },
-        host_time,
-        guest_time,
-    );
-    Ok(SimReport {
-        mem,
-        values,
-        host_time,
-        guest_time,
-        meter: exec.ram.meter,
-        space: exec.ram.high_water(),
-        stages: 0,
-        faults: FaultStats::default(),
-        core_fallback: None,
+    let meta = volume_meta(EngineKind::Dnc3, side, steps);
+    let n = meta.n;
+    crate::run_uniprocessor(meta.clone(), side as f64, n, &opts.plan, tracer, |tracer| {
+        check_volume(prog, init, n as usize)?;
+        tracer.ensure_procs(1);
+        tracer.begin_stage("run");
+        let mut exec = VolumeExec::new(side as i64, prog, steps, 1);
+        let (mem, values) = exec.run(init)?;
+        let guest_time = volume_guest_time(side, 1, prog, steps);
+        let meter = exec.ram.meter;
+        Ok(bulk_report(
+            meta, mem, values, &exec.ram, meter, guest_time, tracer,
+        ))
     })
 }
 
-/// As [`try_simulate_dnc3`] with a fault scenario applied to the run
-/// treated as one bulk stage (the uniprocessor view of DESIGN.md §14).
-/// A [`FaultPlan::none`] plan takes the plain path bit-identically.
-pub fn try_simulate_dnc3_faulted(
-    side: usize,
-    prog: &impl VolumeProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-) -> Result<SimReport, SimError> {
-    try_simulate_dnc3_faulted_traced(side, prog, init, steps, plan, &mut Tracer::off())
-}
-
-/// [`try_simulate_dnc3_faulted`] with a [`Tracer`] observing the run.
-pub fn try_simulate_dnc3_faulted_traced(
-    side: usize,
-    prog: &impl VolumeProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    plan.validate()?;
-    if plan.is_none() {
-        return try_simulate_dnc3_traced(side, prog, init, steps, tracer);
-    }
-    let n = side * side * side;
-    let rep = try_simulate_dnc3(side, prog, init, steps)?;
-    crate::scenario_over_report(
-        rep,
-        RunMeta {
-            engine: "dnc3",
-            d: 3,
-            n: n as u64,
-            m: 1,
-            p: 1,
-            steps: steps.max(0) as u64,
-        },
-        side as f64,
-        n as u64,
-        plan,
-        tracer,
-    )
-}
-
-/// Simulate `steps` guest steps of `M_3(n, n, 1)` (side `n^{1/3}`) on
-/// the uniprocessor `M_3(n, 1, 1)` via the 4-D separator recursion.
+/// [`try_simulate_dnc3`] with default options; panics on invalid
+/// parameters.
 pub fn simulate_dnc3(
     side: usize,
     prog: &impl VolumeProgram,
     init: &[Word],
     steps: i64,
 ) -> SimReport {
-    try_simulate_dnc3(side, prog, init, steps).unwrap_or_else(|e| panic!("dnc3: {e}"))
+    try_simulate_dnc3(
+        side,
+        prog,
+        init,
+        steps,
+        RunOpts::default(),
+        &mut Tracer::off(),
+    )
+    .unwrap_or_else(|e| panic!("dnc3: {e}"))
 }
 
 /// Naive step-by-step simulation on the 3-D-mesh uniprocessor host —
 /// the Proposition-1 baseline for `d = 3` (slowdown `O(n^{4/3})`),
-/// with preconditions checked.
+/// with preconditions checked.  Reads `opts.plan`; the tracer sees the
+/// run as a single bulk stage.
 pub fn try_simulate_naive3(
     side: usize,
     prog: &impl VolumeProgram,
     init: &[Word],
     steps: i64,
+    opts: RunOpts,
+    tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
-    try_simulate_naive3_traced(side, prog, init, steps, &mut Tracer::off())
+    let n = (side * side * side) as u64;
+    crate::run_uniprocessor(
+        volume_meta(EngineKind::Naive3, side, steps),
+        side as f64,
+        n,
+        &opts.plan,
+        tracer,
+        |tracer| try_simulate_naive3_impl(side, prog, init, steps, tracer, false),
+    )
 }
 
-/// [`try_simulate_naive3`] with a [`Tracer`] observing the run as a
-/// single bulk stage.
-pub fn try_simulate_naive3_traced(
+/// [`try_simulate_naive3`] with default options; panics on invalid
+/// parameters.
+pub fn simulate_naive3(
     side: usize,
     prog: &impl VolumeProgram,
     init: &[Word],
     steps: i64,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    try_simulate_naive3_impl(side, prog, init, steps, tracer, false)
+) -> SimReport {
+    try_simulate_naive3(
+        side,
+        prog,
+        init,
+        steps,
+        RunOpts::default(),
+        &mut Tracer::off(),
+    )
+    .unwrap_or_else(|e| panic!("naive3: {e}"))
 }
 
 /// The pre-tiling per-point reference loop, kept as the oracle for the
@@ -184,15 +116,21 @@ pub fn try_simulate_naive3_scalar(
     try_simulate_naive3_impl(side, prog, init, steps, &mut Tracer::off(), true)
 }
 
-fn try_simulate_naive3_impl(
-    side: usize,
-    prog: &impl VolumeProgram,
-    init: &[Word],
-    steps: i64,
-    tracer: &mut Tracer,
-    force_scalar: bool,
-) -> Result<SimReport, SimError> {
-    let n = side * side * side;
+/// The trace header of a `d = 3` uniprocessor run.
+fn volume_meta(kind: EngineKind, side: usize, steps: i64) -> RunMeta {
+    RunMeta {
+        engine: kind.name(),
+        d: 3,
+        n: (side * side * side) as u64,
+        m: 1,
+        p: 1,
+        steps: steps.max(0) as u64,
+    }
+}
+
+/// The volume engines' preconditions: unit density and an initial
+/// image of one word per node.
+fn check_volume(prog: &impl VolumeProgram, init: &[Word], n: usize) -> Result<(), SimError> {
     if prog.m() != 1 {
         return Err(SimError::DensityMismatch {
             spec_m: 1,
@@ -205,6 +143,19 @@ fn try_simulate_naive3_impl(
             got: init.len(),
         });
     }
+    Ok(())
+}
+
+fn try_simulate_naive3_impl(
+    side: usize,
+    prog: &impl VolumeProgram,
+    init: &[Word],
+    steps: i64,
+    tracer: &mut Tracer,
+    force_scalar: bool,
+) -> Result<SimReport, SimError> {
+    let n = side * side * side;
+    check_volume(prog, init, n)?;
     tracer.ensure_procs(1);
     tracer.begin_stage("run");
     let access = bsmp_hram::AccessFn::new(3, 1);
@@ -374,99 +325,11 @@ fn try_simulate_naive3_impl(
         m.add_compute(0.0);
         ram.meter.merged(&m)
     };
-    let host_time = ram.time();
-    if let Some(tl) = tracer.tally() {
-        tl.add(0, n as u64 * steps.max(0) as u64, 0);
-    }
-    tracer.end_stage(
-        StageTotals {
-            parallel: host_time,
-            busy: host_time,
-            comm: meter.comm,
-            ..StageTotals::default()
-        },
-        1,
-    );
     let guest_time = volume_guest_time(side, 1, prog, steps);
-    tracer.finish_run(
-        RunMeta {
-            engine: "naive3",
-            d: 3,
-            n: n as u64,
-            m: 1,
-            p: 1,
-            steps: steps.max(0) as u64,
-        },
-        host_time,
-        guest_time,
-    );
-    Ok(SimReport {
-        mem,
-        values: prev,
-        host_time,
-        guest_time,
-        meter,
-        space: ram.high_water(),
-        stages: 0,
-        faults: FaultStats::default(),
-        core_fallback: None,
-    })
-}
-
-/// As [`try_simulate_naive3`] with a fault scenario applied to the run
-/// treated as one bulk stage (the uniprocessor view of DESIGN.md §14).
-/// A [`FaultPlan::none`] plan takes the plain path bit-identically.
-pub fn try_simulate_naive3_faulted(
-    side: usize,
-    prog: &impl VolumeProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-) -> Result<SimReport, SimError> {
-    try_simulate_naive3_faulted_traced(side, prog, init, steps, plan, &mut Tracer::off())
-}
-
-/// [`try_simulate_naive3_faulted`] with a [`Tracer`] observing the run.
-pub fn try_simulate_naive3_faulted_traced(
-    side: usize,
-    prog: &impl VolumeProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    plan.validate()?;
-    if plan.is_none() {
-        return try_simulate_naive3_traced(side, prog, init, steps, tracer);
-    }
-    let n = side * side * side;
-    let rep = try_simulate_naive3(side, prog, init, steps)?;
-    crate::scenario_over_report(
-        rep,
-        RunMeta {
-            engine: "naive3",
-            d: 3,
-            n: n as u64,
-            m: 1,
-            p: 1,
-            steps: steps.max(0) as u64,
-        },
-        side as f64,
-        n as u64,
-        plan,
-        tracer,
-    )
-}
-
-/// Naive step-by-step simulation on the 3-D-mesh uniprocessor host —
-/// the Proposition-1 baseline for `d = 3` (slowdown `O(n^{4/3})`).
-pub fn simulate_naive3(
-    side: usize,
-    prog: &impl VolumeProgram,
-    init: &[Word],
-    steps: i64,
-) -> SimReport {
-    try_simulate_naive3(side, prog, init, steps).unwrap_or_else(|e| panic!("naive3: {e}"))
+    let meta = volume_meta(EngineKind::Naive3, side, steps);
+    Ok(bulk_report(
+        meta, mem, prev, &ram, meter, guest_time, tracer,
+    ))
 }
 
 #[cfg(test)]

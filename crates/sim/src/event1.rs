@@ -69,11 +69,11 @@ impl EventCoreStats {
     }
 }
 
-/// [`crate::naive1::try_simulate_naive1_traced`] on the event core.
+/// The dense naive1 stage loop ([`crate::naive1::try_simulate_naive1`]) on the event core.
 /// Bit-identical report and trace; falls back to the dense loop when
 /// the run does not satisfy the core's preconditions.
 #[allow(clippy::too_many_arguments)]
-pub fn try_simulate_naive1_event(
+pub(crate) fn try_simulate_naive1_event(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
     init: &[Word],

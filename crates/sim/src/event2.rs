@@ -34,11 +34,11 @@ use crate::naive2::try_simulate_naive2_impl;
 use crate::report::SimReport;
 use crate::{settle_scenario, stage_totals};
 
-/// [`crate::naive2::try_simulate_naive2_traced`] on the event core.
+/// The dense naive2 stage loop ([`crate::naive2::try_simulate_naive2`]) on the event core.
 /// Bit-identical report and trace; falls back to the dense loop when
 /// the run does not satisfy the core's preconditions.
 #[allow(clippy::too_many_arguments)]
-pub fn try_simulate_naive2_event(
+pub(crate) fn try_simulate_naive2_event(
     spec: &MachineSpec,
     prog: &impl MeshProgram,
     init: &[Word],

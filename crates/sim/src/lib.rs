@@ -32,6 +32,7 @@
 pub mod dnc1;
 pub mod dnc2;
 pub mod dnc3;
+pub mod engine;
 pub mod error;
 pub mod event1;
 pub mod event2;
@@ -47,6 +48,7 @@ pub mod report;
 mod sorted;
 pub mod zone;
 
+pub use engine::{EngineKind, RunOpts};
 pub use error::SimError;
 pub use report::SimReport;
 
@@ -87,23 +89,28 @@ pub(crate) fn settle_scenario(
     tracer.end_stage(stage_totals(clock, &session.stats), workers);
 }
 
-/// Apply a fault scenario to a uniprocessor run treated as one bulk
-/// stage: the whole run's `[host_time]` / `[comm]` pass through a
-/// single-processor [`bsmp_faults::FaultSession`] (so jitter, asymmetry,
-/// outage windows, and churn scale the run exactly like any other
-/// stage), plus a settlement stage if the scenario ends mid-outage.
-///
-/// Callers hand over the fault-free report of the plain engine; the
-/// returned report keeps its memory image and meter but carries the
+/// Run a uniprocessor engine under `plan`.  A fault-free plan traces
+/// the plain run (`run`) directly.  Otherwise the plain run goes
+/// untraced and its fault-free report is treated as one bulk stage: the
+/// whole run's `[host_time]` / `[comm]` pass through a single-processor
+/// [`bsmp_faults::FaultSession`] (so jitter, asymmetry, outage windows,
+/// and churn scale the run exactly like any other stage), plus a
+/// settlement stage if the scenario ends mid-outage.  The returned
+/// report keeps the plain run's memory image and meter but carries the
 /// scenario-adjusted `host_time`, stage count, and fault statistics.
-pub(crate) fn scenario_over_report(
-    mut rep: SimReport,
+pub(crate) fn run_uniprocessor(
     meta: bsmp_trace::RunMeta,
     hop: f64,
     checkpoint_words: u64,
     plan: &bsmp_faults::FaultPlan,
     tracer: &mut bsmp_trace::Tracer,
+    run: impl FnOnce(&mut bsmp_trace::Tracer) -> Result<SimReport, SimError>,
 ) -> Result<SimReport, SimError> {
+    plan.validate()?;
+    if plan.is_none() {
+        return run(tracer);
+    }
+    let mut rep = run(&mut bsmp_trace::Tracer::off())?;
     let mut session = bsmp_faults::FaultSession::new(
         plan,
         bsmp_faults::FaultEnv {
@@ -128,4 +135,79 @@ pub(crate) fn scenario_over_report(
     rep.stages = clock.stages;
     rep.faults = session.into_stats();
     Ok(rep)
+}
+
+/// Check the preconditions shared by the `d ≥ 1` divide-and-conquer
+/// engines: the spec's dimension, `p = 1`, the program's density, and
+/// the initial image's length.
+pub(crate) fn check_uniprocessor(
+    kind: EngineKind,
+    spec: &bsmp_machine::MachineSpec,
+    prog_m: usize,
+    init_len: usize,
+) -> Result<(), SimError> {
+    if spec.d != kind.d() {
+        return Err(SimError::DimensionMismatch {
+            expected: kind.d(),
+            got: spec.d,
+        });
+    }
+    if spec.p != 1 {
+        return Err(SimError::UniprocessorOnly {
+            engine: kind.name(),
+            p: spec.p,
+        });
+    }
+    if prog_m as u64 != spec.m {
+        return Err(SimError::DensityMismatch {
+            spec_m: spec.m,
+            prog_m: prog_m as u64,
+        });
+    }
+    let expected = spec.n as usize * prog_m;
+    if init_len != expected {
+        return Err(SimError::InitLength {
+            expected,
+            got: init_len,
+        });
+    }
+    Ok(())
+}
+
+/// Close a uniprocessor run (opened with `begin_stage("run")`) as one
+/// traced bulk stage and assemble its fault-free report.
+pub(crate) fn bulk_report(
+    meta: bsmp_trace::RunMeta,
+    mem: Vec<bsmp_hram::Word>,
+    values: Vec<bsmp_hram::Word>,
+    ram: &bsmp_hram::Hram,
+    meter: bsmp_hram::CostMeter,
+    guest_time: f64,
+    tracer: &mut bsmp_trace::Tracer,
+) -> SimReport {
+    let host_time = ram.time();
+    if let Some(tl) = tracer.tally() {
+        tl.add(0, meta.n * meta.steps, 0);
+    }
+    tracer.end_stage(
+        bsmp_trace::StageTotals {
+            parallel: host_time,
+            busy: host_time,
+            comm: meter.comm,
+            ..bsmp_trace::StageTotals::default()
+        },
+        1,
+    );
+    tracer.finish_run(meta, host_time, guest_time);
+    SimReport {
+        mem,
+        values,
+        host_time,
+        guest_time,
+        meter,
+        space: ram.high_water(),
+        stages: 0,
+        faults: bsmp_faults::FaultStats::default(),
+        core_fallback: None,
+    }
 }

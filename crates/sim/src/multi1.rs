@@ -45,7 +45,7 @@ use std::sync::Arc;
 
 use bsmp_machine::{FxHashMap, FxHashSet};
 
-use bsmp_faults::{FaultEnv, FaultPlan, FaultSession};
+use bsmp_faults::{FaultEnv, FaultSession};
 use bsmp_geometry::{diamond_cover, ClippedDiamond, IRect, Pt2};
 use bsmp_hram::Word;
 use bsmp_machine::{
@@ -59,7 +59,7 @@ use crate::error::SimError;
 use crate::exec1::{DiamondExec, DiamondPlan};
 use crate::report::SimReport;
 use crate::zone::ZoneAlloc;
-use crate::{settle_scenario, stage_totals};
+use crate::{settle_scenario, stage_totals, RunOpts};
 
 /// The strip rearrangement `π = π₂ ∘ π₁` of Section 4.2.
 pub mod rearrangement {
@@ -140,20 +140,6 @@ pub mod rearrangement {
     }
 }
 
-/// Tuning/introspection knobs for the multiprocessor engine.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Multi1Options {
-    /// Strip width `s`; `None` selects the paper's `s*` (rounded to a
-    /// power of two dividing `n/p`-compatible grids).
-    pub strip: Option<u64>,
-    /// Execution core: the dense tile loop, or the discrete-event
-    /// calendar that drains `D(ps)` tiles by center time.  Reports are
-    /// bit-identical either way (the tile cover is emitted in
-    /// non-decreasing center-time order, which the calendar replays
-    /// verbatim).
-    pub core: CoreKind,
-}
-
 /// Pick the engine's strip width: the admissible width (`s | n`,
 /// `p | n/s`, `s ≥ 2`) closest to the paper's `s*` in log-scale.
 /// Returns `None` when no admissible width exists (e.g. prime `n`) —
@@ -174,62 +160,22 @@ pub fn engine_strip(n: u64, m: u64, p: u64) -> Option<u64> {
     best.map(|(_, s)| s)
 }
 
-/// Simulate with the paper's optimal strip width, injecting faults per
-/// `plan`, with preconditions checked.
-pub fn try_simulate_multi1_faulted(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-) -> Result<SimReport, SimError> {
-    try_simulate_multi1_opt_faulted(spec, prog, init, steps, Multi1Options::default(), plan)
-}
-
-/// Simulate with the paper's optimal strip width, with preconditions
-/// checked.
+/// Simulate `steps` guest steps of `M_1(n, n, m)` on `M_1(n, p, m)` by
+/// the two-regime strip scheme, with preconditions checked.  Reads
+/// `opts.strip` (default: the admissible width closest to the paper's
+/// `s*`, see [`engine_strip`]), `opts.plan`, and `opts.core`: the dense
+/// tile loop, or the discrete-event calendar that drains `D(ps)` tiles
+/// by center time.  Reports are bit-identical across cores (the tile
+/// cover is emitted in non-decreasing center-time order, which the
+/// calendar replays verbatim).  The tracer observes every
+/// rearrangement/gather/row/scatter stage; a disabled tracer costs one
+/// `None` check per stage.
 pub fn try_simulate_multi1(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
     init: &[Word],
     steps: i64,
-) -> Result<SimReport, SimError> {
-    try_simulate_multi1_faulted(spec, prog, init, steps, &FaultPlan::none())
-}
-
-/// Simulate with the paper's optimal strip width.
-pub fn simulate_multi1(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-) -> SimReport {
-    try_simulate_multi1(spec, prog, init, steps).unwrap_or_else(|e| panic!("multi1: {e}"))
-}
-
-/// Simulate with explicit options and a fault plan, with preconditions
-/// checked.
-pub fn try_simulate_multi1_opt_faulted(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    opts: Multi1Options,
-    plan: &FaultPlan,
-) -> Result<SimReport, SimError> {
-    try_simulate_multi1_traced(spec, prog, init, steps, opts, plan, &mut Tracer::off())
-}
-
-/// [`try_simulate_multi1_opt_faulted`] with a [`Tracer`] observing every
-/// rearrangement/gather/row/scatter stage.  A disabled tracer costs one
-/// `None` check per stage; the report is bit-identical either way.
-pub fn try_simulate_multi1_traced(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    opts: Multi1Options,
-    plan: &FaultPlan,
+    opts: RunOpts,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
     let expected = spec.n as usize * prog.m();
@@ -239,8 +185,8 @@ pub fn try_simulate_multi1_traced(
             got: init.len(),
         });
     }
-    plan.validate()?;
-    let mut eng = Engine::new(spec, prog, steps, opts, plan)?;
+    opts.plan.validate()?;
+    let mut eng = Engine::new(spec, prog, steps, opts)?;
     eng.tracer = std::mem::take(tracer);
     eng.tracer.ensure_procs(spec.p as usize);
     let outcome = eng.run(init);
@@ -252,41 +198,23 @@ pub fn try_simulate_multi1_traced(
     rep
 }
 
-/// [`try_simulate_multi1_traced`] with an explicit execution core: the
-/// dense tile loop or the discrete-event calendar ([`CoreKind::Event`]).
-/// Reports are bit-identical across cores.
-#[allow(clippy::too_many_arguments)]
-pub fn try_simulate_multi1_core(
+/// [`try_simulate_multi1`] with default options; panics on invalid
+/// parameters.
+pub fn simulate_multi1(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
     init: &[Word],
     steps: i64,
-    opts: Multi1Options,
-    plan: &FaultPlan,
-    core: CoreKind,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    try_simulate_multi1_traced(
+) -> SimReport {
+    try_simulate_multi1(
         spec,
         prog,
         init,
         steps,
-        Multi1Options { core, ..opts },
-        plan,
-        tracer,
+        RunOpts::default(),
+        &mut Tracer::off(),
     )
-}
-
-/// Simulate with explicit options (strip-width sweeps for experiment E9).
-pub fn simulate_multi1_opt(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    opts: Multi1Options,
-) -> SimReport {
-    try_simulate_multi1_opt_faulted(spec, prog, init, steps, opts, &FaultPlan::none())
-        .unwrap_or_else(|e| panic!("multi1: {e}"))
+    .unwrap_or_else(|e| panic!("multi1: {e}"))
 }
 
 struct Engine<'a, P: LinearProgram> {
@@ -338,13 +266,7 @@ struct Engine<'a, P: LinearProgram> {
 }
 
 impl<'a, P: LinearProgram> Engine<'a, P> {
-    fn new(
-        spec: &MachineSpec,
-        prog: &'a P,
-        steps: i64,
-        opts: Multi1Options,
-        plan: &FaultPlan,
-    ) -> Result<Self, SimError> {
+    fn new(spec: &MachineSpec, prog: &'a P, steps: i64, opts: RunOpts) -> Result<Self, SimError> {
         if spec.d != 1 {
             return Err(SimError::DimensionMismatch {
                 expected: 1,
@@ -428,7 +350,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
             .collect();
         let levels = ((n as f64) / (p as f64 * s as f64)).log2().max(0.0).round() as u32;
         let session = FaultSession::new(
-            plan,
+            &opts.plan,
             FaultEnv {
                 p,
                 hop: spec.neighbor_distance(),
@@ -1296,6 +1218,7 @@ fn piece_has_column(piece: &ClippedDiamond, x: i64, cbox: &IRect) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsmp_faults::FaultPlan;
     use bsmp_machine::run_linear;
     use bsmp_workloads::{inputs, CyclicWave, Eca, OddEvenSort};
 
@@ -1324,14 +1247,7 @@ mod tests {
         let spec = MachineSpec::new(1, 64, 4, 1);
         let init = inputs::random_bits(41, 64);
         let prog = Eca::rule110();
-        let mut eng = Engine::new(
-            &spec,
-            &prog,
-            64,
-            Multi1Options::default(),
-            &FaultPlan::none(),
-        )
-        .unwrap();
+        let mut eng = Engine::new(&spec, &prog, 64, RunOpts::default()).unwrap();
         eng.tile_space = 0;
         assert!(matches!(
             eng.run(&init),
@@ -1383,16 +1299,19 @@ mod tests {
         let spec = MachineSpec::new(1, n, 4, 1);
         let guest = run_linear(&spec, &Eca::rule110(), &init, n as i64);
         for s in [2u64, 4, 8] {
-            let rep = simulate_multi1_opt(
+            let opts = RunOpts {
+                strip: Some(s),
+                ..RunOpts::default()
+            };
+            let rep = try_simulate_multi1(
                 &spec,
                 &Eca::rule110(),
                 &init,
                 n as i64,
-                Multi1Options {
-                    strip: Some(s),
-                    ..Multi1Options::default()
-                },
-            );
+                opts,
+                &mut Tracer::off(),
+            )
+            .unwrap();
             rep.assert_matches(&guest.mem, &guest.values);
         }
     }
@@ -1405,8 +1324,18 @@ mod tests {
         let base = simulate_multi1(&spec, &Eca::rule110(), &init, n as i64);
         for nu in [1.0, 2.0, 4.0] {
             let plan = FaultPlan::uniform_slowdown(nu);
-            let rep = try_simulate_multi1_faulted(&spec, &Eca::rule110(), &init, n as i64, &plan)
-                .unwrap();
+            let rep = try_simulate_multi1(
+                &spec,
+                &Eca::rule110(),
+                &init,
+                n as i64,
+                RunOpts {
+                    plan,
+                    ..RunOpts::default()
+                },
+                &mut Tracer::off(),
+            )
+            .unwrap();
             rep.assert_matches(&base.mem, &base.values);
             assert!(rep.host_time >= base.host_time - 1e-9);
             assert!(rep.host_time <= nu * base.host_time + 1e-6, "ν = {nu}");
@@ -1418,20 +1347,27 @@ mod tests {
         let init = inputs::random_bits(48, 32);
         let spec = MachineSpec::new(1, 32, 4, 1);
         assert!(matches!(
-            try_simulate_multi1(&spec, &Eca::rule110(), &init[..30], 8),
+            try_simulate_multi1(
+                &spec,
+                &Eca::rule110(),
+                &init[..30],
+                8,
+                RunOpts::default(),
+                &mut Tracer::off()
+            ),
             Err(SimError::InitLength { .. })
         ));
         assert!(matches!(
-            try_simulate_multi1_opt_faulted(
+            try_simulate_multi1(
                 &spec,
                 &Eca::rule110(),
                 &init,
                 8,
-                Multi1Options {
+                RunOpts {
                     strip: Some(3),
-                    ..Multi1Options::default()
+                    ..RunOpts::default()
                 },
-                &FaultPlan::none(),
+                &mut Tracer::off(),
             ),
             Err(SimError::InvalidStrip { s: 3, .. })
         ));

@@ -42,44 +42,21 @@ use crate::error::SimError;
 use crate::exec2::{CellExec, CellPlans};
 use crate::report::SimReport;
 use crate::zone::ZoneAlloc;
-use crate::{settle_scenario, stage_totals};
+use crate::{settle_scenario, stage_totals, RunOpts};
 
-/// Simulate `steps` guest steps of `M_2(n, n, m)` on `M_2(n, p, m)`,
-/// injecting faults per `plan`, with preconditions checked.
-pub fn try_simulate_multi2_faulted(
+/// Simulate `steps` guest steps of `M_2(n, n, m)` on `M_2(n, p, m)`
+/// by the block-banded honeycomb scheme, with preconditions checked.
+/// Reads `opts.plan` and `opts.core`: the dense cell loop or the
+/// discrete-event calendar that drains honeycomb cells by
+/// projection-center time sum.  Reports are bit-identical across
+/// cores.  The tracer observes each honeycomb stage row; the report is
+/// bit-identical either way.
+pub fn try_simulate_multi2(
     spec: &MachineSpec,
     prog: &impl MeshProgram,
     init: &[Word],
     steps: i64,
-    plan: &FaultPlan,
-) -> Result<SimReport, SimError> {
-    try_simulate_multi2_traced(spec, prog, init, steps, plan, &mut Tracer::off())
-}
-
-/// [`try_simulate_multi2_faulted`] with a [`Tracer`] observing each
-/// honeycomb stage row; the report is bit-identical either way.
-pub fn try_simulate_multi2_traced(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    try_simulate_multi2_core(spec, prog, init, steps, plan, CoreKind::Dense, tracer)
-}
-
-/// [`try_simulate_multi2_traced`] with an explicit execution core: the
-/// dense cell loop or the discrete-event calendar ([`CoreKind::Event`])
-/// that drains honeycomb cells by projection-center time sum.  Reports
-/// are bit-identical across cores.
-pub fn try_simulate_multi2_core(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    core: CoreKind,
+    opts: RunOpts,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
     let expected = spec.n as usize * prog.m();
@@ -89,8 +66,8 @@ pub fn try_simulate_multi2_core(
             got: init.len(),
         });
     }
-    plan.validate()?;
-    let mut eng = Engine2::new(spec, prog, steps, plan, core)?;
+    opts.plan.validate()?;
+    let mut eng = Engine2::new(spec, prog, steps, &opts.plan, opts.core)?;
     eng.tracer = std::mem::take(tracer);
     eng.tracer.ensure_procs(spec.p as usize);
     let rep = eng.run(init).and_then(|()| eng.finish(spec, prog, steps));
@@ -98,25 +75,23 @@ pub fn try_simulate_multi2_core(
     rep
 }
 
-/// Simulate `steps` guest steps of `M_2(n, n, m)` on `M_2(n, p, m)`,
-/// with preconditions checked.
-pub fn try_simulate_multi2(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-) -> Result<SimReport, SimError> {
-    try_simulate_multi2_faulted(spec, prog, init, steps, &FaultPlan::none())
-}
-
-/// Simulate `steps` guest steps of `M_2(n, n, m)` on `M_2(n, p, m)`.
+/// [`try_simulate_multi2`] with default options; panics on invalid
+/// parameters.
 pub fn simulate_multi2(
     spec: &MachineSpec,
     prog: &impl MeshProgram,
     init: &[Word],
     steps: i64,
 ) -> SimReport {
-    try_simulate_multi2(spec, prog, init, steps).unwrap_or_else(|e| panic!("multi2: {e}"))
+    try_simulate_multi2(
+        spec,
+        prog,
+        init,
+        steps,
+        RunOpts::default(),
+        &mut Tracer::off(),
+    )
+    .unwrap_or_else(|e| panic!("multi2: {e}"))
 }
 
 struct Engine2<'a, P: MeshProgram> {
@@ -773,10 +748,29 @@ mod tests {
         let init = inputs::random_bits(56, 64);
         let spec = MachineSpec::new(2, 64, 4, 1);
         let prog = VonNeumannLife::fredkin();
-        let base = try_simulate_multi2(&spec, &prog, &init, 6).unwrap();
+        let base = try_simulate_multi2(
+            &spec,
+            &prog,
+            &init,
+            6,
+            RunOpts::default(),
+            &mut Tracer::off(),
+        )
+        .unwrap();
         for nu in [1.0f64, 2.0, 4.0] {
             let plan = bsmp_faults::FaultPlan::uniform_slowdown(nu);
-            let rep = try_simulate_multi2_faulted(&spec, &prog, &init, 6, &plan).unwrap();
+            let rep = try_simulate_multi2(
+                &spec,
+                &prog,
+                &init,
+                6,
+                RunOpts {
+                    plan,
+                    ..RunOpts::default()
+                },
+                &mut Tracer::off(),
+            )
+            .unwrap();
             rep.assert_matches(&base.mem, &base.values);
             assert!(
                 base.host_time <= rep.host_time + 1e-9
@@ -797,7 +791,15 @@ mod tests {
         let init = inputs::random_bits(57, 64);
         let spec = MachineSpec::new(2, 64, 4, 1);
         assert_eq!(
-            try_simulate_multi2(&spec, &prog, &init[..10], 4).err(),
+            try_simulate_multi2(
+                &spec,
+                &prog,
+                &init[..10],
+                4,
+                RunOpts::default(),
+                &mut Tracer::off()
+            )
+            .err(),
             Some(SimError::InitLength {
                 expected: 64,
                 got: 10
@@ -806,7 +808,15 @@ mod tests {
         // p = n gives block side 1 — too small for the strip machinery.
         let tight = MachineSpec::new(2, 64, 64, 1);
         assert_eq!(
-            try_simulate_multi2(&tight, &prog, &init, 4).err(),
+            try_simulate_multi2(
+                &tight,
+                &prog,
+                &init,
+                4,
+                RunOpts::default(),
+                &mut Tracer::off()
+            )
+            .err(),
             Some(SimError::BlockTooSmall { block: 1 })
         );
     }

@@ -14,82 +14,27 @@ use bsmp_trace::{RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::report::SimReport;
+use crate::RunOpts;
 use crate::{settle_scenario, stage_totals};
 
 /// Simulate `steps` guest steps of `M_2(n, n, m)` on `M_2(n, p, m)` by
-/// the naive method, injecting faults per `plan`.
-pub fn try_simulate_naive2_faulted(
+/// the naive method, with preconditions checked.  Reads `opts.plan`,
+/// `opts.exec` (the host-thread budget) and `opts.core`: the dense
+/// stage loop or the event-driven sparse core of [`crate::event2`], which
+/// falls back to the dense loop when its preconditions do not hold.
+/// The report and trace are bit-identical for every thread budget and
+/// core (see DESIGN.md §12); a disabled tracer costs one `None` check
+/// per stage.
+pub fn try_simulate_naive2(
     spec: &MachineSpec,
     prog: &impl MeshProgram,
     init: &[Word],
     steps: i64,
-    plan: &FaultPlan,
-) -> Result<SimReport, SimError> {
-    try_simulate_naive2_exec(spec, prog, init, steps, plan, ExecPolicy::auto())
-}
-
-/// [`try_simulate_naive2_faulted`] with an explicit host-thread budget.
-/// The report is bit-identical for every policy — host threading never
-/// touches model time (see DESIGN.md §12).
-pub fn try_simulate_naive2_exec(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    exec: ExecPolicy,
-) -> Result<SimReport, SimError> {
-    try_simulate_naive2_traced(spec, prog, init, steps, plan, exec, &mut Tracer::off())
-}
-
-/// [`try_simulate_naive2_exec`] with a [`Tracer`] observing each stage.
-/// A disabled tracer costs one `None` check per stage; the report is
-/// bit-identical either way, since the tracer only reads the clock.
-pub fn try_simulate_naive2_traced(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    exec: ExecPolicy,
+    opts: RunOpts,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
-    try_simulate_naive2_impl(spec, prog, init, steps, plan, exec, tracer, false)
-}
-
-/// The pre-tiling per-point reference implementation, kept as the oracle
-/// for the kernel bit-identity tests (`tests/kernels.rs`).  Reports 0
-/// `table_hits`; every other field is bit-identical to the tiled path.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-pub fn try_simulate_naive2_scalar(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    exec: ExecPolicy,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    try_simulate_naive2_impl(spec, prog, init, steps, plan, exec, tracer, true)
-}
-
-/// Select the execution core for a naive2 run: the dense stage loop or
-/// the event-driven sparse core of [`crate::event2`] (bit-identical
-/// report and trace; the event core falls back to the dense loop when
-/// its preconditions do not hold).
-#[allow(clippy::too_many_arguments)]
-pub fn try_simulate_naive2_core(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    exec: ExecPolicy,
-    core: CoreKind,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    match core {
+    let (plan, exec) = (&opts.plan, opts.exec);
+    match opts.core {
         CoreKind::Dense => {
             try_simulate_naive2_impl(spec, prog, init, steps, plan, exec, tracer, false)
         }
@@ -97,6 +42,41 @@ pub fn try_simulate_naive2_core(
             crate::event2::try_simulate_naive2_event(spec, prog, init, steps, plan, exec, tracer)
         }
     }
+}
+
+/// [`try_simulate_naive2`] with default options; panics on invalid
+/// parameters.
+pub fn simulate_naive2(
+    spec: &MachineSpec,
+    prog: &impl MeshProgram,
+    init: &[Word],
+    steps: i64,
+) -> SimReport {
+    try_simulate_naive2(
+        spec,
+        prog,
+        init,
+        steps,
+        RunOpts::default(),
+        &mut Tracer::off(),
+    )
+    .unwrap_or_else(|e| panic!("naive2: {e}"))
+}
+
+/// The pre-tiling per-point reference implementation on the dense core,
+/// kept as the oracle for the kernel bit-identity tests
+/// (`tests/kernels.rs`).  Reports 0 `table_hits`; every other field is
+/// bit-identical to the tiled path.
+#[doc(hidden)]
+pub fn try_simulate_naive2_scalar(
+    spec: &MachineSpec,
+    prog: &impl MeshProgram,
+    init: &[Word],
+    steps: i64,
+    opts: RunOpts,
+    tracer: &mut Tracer,
+) -> Result<SimReport, SimError> {
+    try_simulate_naive2_impl(spec, prog, init, steps, &opts.plan, opts.exec, tracer, true)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -495,28 +475,6 @@ pub(crate) fn try_simulate_naive2_impl(
     })
 }
 
-/// Fault-free checked variant.
-pub fn try_simulate_naive2(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-) -> Result<SimReport, SimError> {
-    try_simulate_naive2_faulted(spec, prog, init, steps, &FaultPlan::none())
-}
-
-/// Simulate `steps` guest steps of `M_2(n, n, m)` on `M_2(n, p, m)` by
-/// the naive method; panics on invalid parameters (see
-/// [`try_simulate_naive2`] for the checked variant).
-pub fn simulate_naive2(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-) -> SimReport {
-    try_simulate_naive2(spec, prog, init, steps).unwrap_or_else(|e| panic!("naive2: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,9 +546,18 @@ mod tests {
         let base = simulate_naive2(&spec, &VonNeumannLife::fredkin(), &init, 8);
         for nu in [1.0, 2.0, 4.0] {
             let plan = FaultPlan::uniform_slowdown(nu);
-            let rep =
-                try_simulate_naive2_faulted(&spec, &VonNeumannLife::fredkin(), &init, 8, &plan)
-                    .unwrap();
+            let rep = try_simulate_naive2(
+                &spec,
+                &VonNeumannLife::fredkin(),
+                &init,
+                8,
+                RunOpts {
+                    plan,
+                    ..RunOpts::default()
+                },
+                &mut Tracer::off(),
+            )
+            .unwrap();
             rep.assert_matches(&base.mem, &base.values);
             assert!(rep.host_time >= base.host_time - 1e-9);
             assert!(rep.host_time <= nu * base.host_time + 1e-6, "ν = {nu}");
@@ -602,12 +569,26 @@ mod tests {
         let init = inputs::random_bits(17, 64);
         let spec = MachineSpec::new(2, 64, 4, 1);
         assert!(matches!(
-            try_simulate_naive2(&spec, &VonNeumannLife::fredkin(), &init[..60], 4),
+            try_simulate_naive2(
+                &spec,
+                &VonNeumannLife::fredkin(),
+                &init[..60],
+                4,
+                RunOpts::default(),
+                &mut Tracer::off()
+            ),
             Err(SimError::InitLength { .. })
         ));
         let linear = MachineSpec::new(1, 64, 4, 1);
         assert!(matches!(
-            try_simulate_naive2(&linear, &VonNeumannLife::fredkin(), &init, 4),
+            try_simulate_naive2(
+                &linear,
+                &VonNeumannLife::fredkin(),
+                &init,
+                4,
+                RunOpts::default(),
+                &mut Tracer::off()
+            ),
             Err(SimError::DimensionMismatch {
                 expected: 2,
                 got: 1

@@ -12,35 +12,25 @@
 //! of `Θ(p·(n/p)^{1/d})` in-flight requests (quantified in
 //! `bsmp_analytic::extensions`).
 
-use bsmp_faults::{FaultEnv, FaultPlan, FaultSession};
+use bsmp_faults::{FaultEnv, FaultSession};
 use bsmp_hram::{CostMeter, Word};
 use bsmp_machine::{lease_scratch, linear_guest_time, LinearProgram, MachineSpec, StageClock};
 use bsmp_trace::{RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::report::SimReport;
-use crate::{settle_scenario, stage_totals};
+use crate::{settle_scenario, stage_totals, RunOpts};
 
 /// Naive simulation of `M_1(n, n, m)` on a pipelined-memory
-/// `M_1(n, p, m)` host, injecting faults per `plan`.
-pub fn try_simulate_pipelined1_faulted(
+/// `M_1(n, p, m)` host, with preconditions checked.  Reads `opts.plan`;
+/// the tracer observes each stage and the report is bit-identical
+/// either way.
+pub fn try_simulate_pipelined1(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
     init: &[Word],
     steps: i64,
-    plan: &FaultPlan,
-) -> Result<SimReport, SimError> {
-    try_simulate_pipelined1_traced(spec, prog, init, steps, plan, &mut Tracer::off())
-}
-
-/// [`try_simulate_pipelined1_faulted`] with a [`Tracer`] observing each
-/// stage; the report is bit-identical either way.
-pub fn try_simulate_pipelined1_traced(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
+    opts: RunOpts,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
     let n = spec.n as usize;
@@ -70,6 +60,7 @@ pub fn try_simulate_pipelined1_traced(
             p: spec.p,
         });
     }
+    let plan = &opts.plan;
     plan.validate()?;
     let q = n / p;
     let access = spec.access_fn();
@@ -172,25 +163,23 @@ pub fn try_simulate_pipelined1_traced(
     })
 }
 
-/// Fault-free checked variant.
-pub fn try_simulate_pipelined1(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-) -> Result<SimReport, SimError> {
-    try_simulate_pipelined1_faulted(spec, prog, init, steps, &FaultPlan::none())
-}
-
-/// Naive simulation of `M_1(n, n, m)` on a pipelined-memory
-/// `M_1(n, p, m)` host.
+/// [`try_simulate_pipelined1`] with default options; panics on invalid
+/// parameters.
 pub fn simulate_pipelined1(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
     init: &[Word],
     steps: i64,
 ) -> SimReport {
-    try_simulate_pipelined1(spec, prog, init, steps).unwrap_or_else(|e| panic!("pipelined1: {e}"))
+    try_simulate_pipelined1(
+        spec,
+        prog,
+        init,
+        steps,
+        RunOpts::default(),
+        &mut Tracer::off(),
+    )
+    .unwrap_or_else(|e| panic!("pipelined1: {e}"))
 }
 
 #[cfg(test)]

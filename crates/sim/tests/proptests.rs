@@ -8,10 +8,10 @@ use bsmp_faults::FaultPlan;
 use bsmp_hram::Word;
 use bsmp_machine::{run_linear, run_mesh, LinearProgram, MachineSpec, MeshProgram};
 use bsmp_sim::{
-    dnc1::simulate_dnc1, dnc2::simulate_dnc2, multi1::simulate_multi1,
-    multi1::try_simulate_multi1_faulted, naive1::simulate_naive1,
-    naive1::try_simulate_naive1_faulted, naive2::simulate_naive2,
+    dnc1::simulate_dnc1, dnc2::simulate_dnc2, multi1::simulate_multi1, multi1::try_simulate_multi1,
+    naive1::simulate_naive1, naive1::try_simulate_naive1, naive2::simulate_naive2, RunOpts,
 };
+use bsmp_trace::Tracer;
 
 const CASES: u64 = 24;
 
@@ -167,9 +167,31 @@ fn faulted_runs_are_deterministic() {
         ] {
             let run = |plan: &FaultPlan| {
                 if faulted {
-                    try_simulate_naive1_faulted(&spec, &AnyRule(30), &bits, 12, plan).unwrap()
+                    try_simulate_naive1(
+                        &spec,
+                        &AnyRule(30),
+                        &bits,
+                        12,
+                        RunOpts {
+                            plan: *plan,
+                            ..RunOpts::default()
+                        },
+                        &mut Tracer::off(),
+                    )
+                    .unwrap()
                 } else {
-                    try_simulate_multi1_faulted(&spec, &AnyRule(30), &bits, 12, plan).unwrap()
+                    try_simulate_multi1(
+                        &spec,
+                        &AnyRule(30),
+                        &bits,
+                        12,
+                        RunOpts {
+                            plan: *plan,
+                            ..RunOpts::default()
+                        },
+                        &mut Tracer::off(),
+                    )
+                    .unwrap()
                 }
             };
             let r1 = run(&plan);
@@ -192,9 +214,18 @@ fn empty_plan_reproduces_unfaulted_costs_bitwise() {
         let steps = rng.range_i64(1, 16);
         let spec = MachineSpec::new(1, 32, 4, 1);
         let plain = simulate_naive1(&spec, &AnyRule(110), &bits, steps);
-        let none =
-            try_simulate_naive1_faulted(&spec, &AnyRule(110), &bits, steps, &FaultPlan::none())
-                .unwrap();
+        let none = try_simulate_naive1(
+            &spec,
+            &AnyRule(110),
+            &bits,
+            steps,
+            RunOpts {
+                plan: FaultPlan::none(),
+                ..RunOpts::default()
+            },
+            &mut Tracer::off(),
+        )
+        .unwrap();
         assert_eq!(plain.values, none.values);
         assert_eq!(plain.host_time.to_bits(), none.host_time.to_bits());
         assert_eq!(plain.guest_time.to_bits(), none.guest_time.to_bits());

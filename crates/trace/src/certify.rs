@@ -43,39 +43,14 @@
 //! instantaneous runs.
 
 use crate::json::{escape, num};
-use crate::RunTrace;
+use crate::{EngineKind, RunTrace};
 use bsmp_analytic::lower::{brent_floor, check_params, comm_floor, BoundError};
-use bsmp_analytic::{logp2, theorem1, theorem4};
+use bsmp_analytic::theorem1;
 
 /// Relative tolerance for envelope comparisons: measured figures are
 /// telescoped f64 ledgers, so exact comparisons would flag honest
 /// rounding as violations.
 const REL_TOL: f64 = 1e-6;
-
-/// Slack constant applied to the naive engines' upper form
-/// `q·((m+2)q)^{1/d}` (per-step constants: six sub-phases per guest
-/// step plus tiling overheads).
-const SLACK_NAIVE: f64 = 16.0;
-/// Slack for the `d = 1` D&C engine.  Its recursion relocates the
-/// block private memories at every level (the Section 4.1 variant), so
-/// its cost carries both Theorem 3's combined form and an `m·log n`
-/// relocation term; calibration at n = 64 puts the worst measured/form
-/// ratio near 69 (shrinking with n), so 128 leaves ~2× headroom.
-const SLACK_DNC1: f64 = 128.0;
-/// Slack for the `d ≥ 2` D&C engines' Theorem 1/5 forms (recursion
-/// constants and the leaf-size rounding; worst calibrated ratio ~10).
-const SLACK_DNC: f64 = 32.0;
-/// Slack for the Theorem 4 strip scheme: the engine picks the closest
-/// *admissible* strip (power of two, dividing n, a multiple of p
-/// strips) and pays non-amortized relocation constants on top of λ.
-/// The measured/`q·λ(s*)` ratio is flat in n (≈187 at m = 1, less for
-/// m > 1), so 512 leaves ~2.7× headroom at the worst calibrated point.
-const SLACK_MULTI1: f64 = 512.0;
-/// Slack for the d = 2 honeycomb scheme (Theorem 1 form plus the
-/// naive-priced setup/drain stages).
-const SLACK_MULTI2: f64 = 32.0;
-/// Slack for the Section 6 pipelined-memory machine (batch constants).
-const SLACK_PIPELINED: f64 = 32.0;
 
 /// Outcome of a certification pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -182,50 +157,6 @@ impl From<BoundError> for CertifyError {
     }
 }
 
-/// The engine-specific upper envelope on measured slowdown, from the
-/// theorem each engine implements.  Using the per-engine form (rather
-/// than the regime's Theorem 1 form) matters: a naive engine run in
-/// Range 1 or the strip scheme run in Range 4 legitimately exceeds the
-/// *optimal* scheme's bound while staying inside its own.
-fn upper_slowdown(engine: &str, d: u8, n: f64, m: f64, p: f64) -> Result<f64, CertifyError> {
-    let q = n / p;
-    Ok(match engine {
-        // Naive simulation: q points per guest step, each access priced
-        // up to f((m+2)q) = ((m+2)q)^{1/d} (Proposition 1 generalized
-        // to m > 1 host cells per node).
-        "naive1" | "naive2" | "naive3" => SLACK_NAIVE * q * ((m + 2.0) * q).powf(1.0 / d as f64),
-        // Theorem 3's combined form, plus the block-relocation term
-        // n·m·log n that the implemented recursion (which relocates
-        // whole private memories at every level) actually pays — for
-        // m > n/log n the relocation term exceeds the combined form's
-        // naive ceiling.
-        "dnc1" => {
-            let combined = bsmp_analytic::bounds::try_thm3_locality(n, m)?;
-            SLACK_DNC1 * n * combined.max(m * logp2(n))
-        }
-        // Theorem 1's d = 2 uniprocessor form (Theorem 5 at m = 1).
-        "dnc2" => SLACK_DNC * n * theorem1::try_locality_slowdown(2, n, m, 1.0)?,
-        // The d = 3 analogue of Theorem 2 (Conjecture 1 form); the
-        // volume engine only supports m = 1.
-        "dnc3" => SLACK_DNC * n * logp2(n),
-        // Theorem 4's strip scheme at the optimal strip width.
-        "multi1" => {
-            let s = theorem4::optimal_s(n, m, p);
-            SLACK_MULTI1 * q * theorem4::try_lambda(n, m, p, s)?
-        }
-        // The d = 2 honeycomb scheme: Theorem 1's A(n, m, p) plus a
-        // naive-priced term for the setup/drain stages.
-        "multi2" => {
-            let a = theorem1::try_locality_slowdown(2, n, m, p)?;
-            SLACK_MULTI2 * q * (a + ((m + 2.0) * q).sqrt())
-        }
-        // Section 6 pipelined-memory machine: one batch of q accesses
-        // per guest step, priced f(X) + k ≤ ((m+2)q)^{1/d} + q.
-        "pipelined1" => SLACK_PIPELINED * (q + ((m + 2.0) * q).powf(1.0 / d as f64)),
-        other => return Err(CertifyError::UnknownEngine(other.to_string())),
-    })
-}
-
 /// Certify one traced run against the two-sided envelopes.
 ///
 /// Returns `Err` when the trace cannot be certified (malformed,
@@ -287,7 +218,9 @@ pub fn certify(trace: &RunTrace) -> Result<Certificate, CertifyError> {
             num(lower)
         )
     });
-    let upper = upper_slowdown(&trace.engine, d, n, m, p)?;
+    let upper = EngineKind::parse(&trace.engine)
+        .ok_or_else(|| CertifyError::UnknownEngine(trace.engine.clone()))?
+        .upper_slowdown(d, n, m, p)?;
     // Injected fault delay inflates host time; subtract it before the
     // upper check (see module docs for why this never over-corrects).
     let adjusted = (s.host_time - s.injected_delay).max(0.0) / s.guest_time;

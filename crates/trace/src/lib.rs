@@ -26,7 +26,10 @@
 //! invariants that `bsmp-repro trace-validate` enforces.
 
 pub mod certify;
+mod engine;
 pub mod json;
+
+pub use engine::EngineKind;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

@@ -16,9 +16,11 @@
 
 use bsmp::faults::Region;
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{dnc1, dnc2, dnc3, multi1, multi2, naive1, naive2, pipelined1};
+use bsmp::sim::engine;
 use bsmp::workloads::{inputs, Eca, Parity3d, VonNeumannLife};
-use bsmp::{set_default_threads, ExecPolicy, FaultPlan, SimError, SimReport};
+use bsmp::{
+    set_default_threads, EngineKind, ExecPolicy, FaultPlan, RunOpts, SimError, SimReport, Tracer,
+};
 
 /// One engine of the matrix: a short, multi-stage configuration.
 struct Outcome {
@@ -27,68 +29,45 @@ struct Outcome {
 }
 
 /// Run the full 9-engine suite under `plan` (with `exec` for the
-/// engines that take an explicit policy) and return every report.
+/// engines that read a host-thread policy) and return every report.
 /// Panics only on a *typed-error* result — the harness itself asserts
 /// the error-free property of the matrix plans.
 fn run_all_engines(plan: &FaultPlan, exec: ExecPolicy) -> Vec<Outcome> {
-    let mut out = Vec::new();
-    let mut push = |engine: &'static str, rep: Result<SimReport, SimError>| {
-        let report = rep.unwrap_or_else(|e| panic!("{engine}: scenario must not error: {e}"));
-        out.push(Outcome { engine, report });
+    let opts = RunOpts {
+        plan: *plan,
+        exec,
+        ..RunOpts::default()
     };
-
-    // d = 1: naive1, multi1, pipelined1 (p = 8), dnc1 (p = 1).
+    // d = 1: p = 8, dnc1 at p = 1.
     let prog1 = Eca::rule110();
     let init1 = inputs::random_bits(0xC0DE, 64);
     let spec1 = MachineSpec::new(1, 64, 8, 1);
-    push(
-        "naive1",
-        naive1::try_simulate_naive1_exec(&spec1, &prog1, &init1, 32, plan, exec),
-    );
-    push(
-        "multi1",
-        multi1::try_simulate_multi1_faulted(&spec1, &prog1, &init1, 32, plan),
-    );
-    push(
-        "pipelined1",
-        pipelined1::try_simulate_pipelined1_faulted(&spec1, &prog1, &init1, 32, plan),
-    );
     let uni1 = MachineSpec::new(1, 64, 1, 1);
-    push(
-        "dnc1",
-        dnc1::try_simulate_dnc1_faulted(&uni1, &prog1, &init1, 16, plan),
-    );
-
-    // d = 2: naive2, multi2 (p = 4), dnc2 (p = 1).
+    // d = 2: p = 4, dnc2 at p = 1.
     let prog2 = VonNeumannLife::fredkin();
     let init2 = inputs::random_bits(0xC0DE + 1, 64);
     let spec2 = MachineSpec::new(2, 64, 4, 1);
-    push(
-        "naive2",
-        naive2::try_simulate_naive2_exec(&spec2, &prog2, &init2, 8, plan, exec),
-    );
-    push(
-        "multi2",
-        multi2::try_simulate_multi2_faulted(&spec2, &prog2, &init2, 8, plan),
-    );
     let uni2 = MachineSpec::new(2, 64, 1, 1);
-    push(
-        "dnc2",
-        dnc2::try_simulate_dnc2_faulted(&uni2, &prog2, &init2, 8, plan),
-    );
-
-    // d = 3: dnc3, naive3 (uniprocessor engines, side³ = 27 nodes).
-    let prog3 = Parity3d;
+    // d = 3: uniprocessor engines, side³ = 27 nodes.
     let init3 = inputs::random_bits(0xC0DE + 2, 27);
-    push(
-        "dnc3",
-        dnc3::try_simulate_dnc3_faulted(3, &prog3, &init3, 3, plan),
-    );
-    push(
-        "naive3",
-        dnc3::try_simulate_naive3_faulted(3, &prog3, &init3, 3, plan),
-    );
-    out
+    EngineKind::ALL
+        .into_iter()
+        .map(|kind| {
+            let off = &mut Tracer::off();
+            let rep = match kind {
+                EngineKind::Dnc1 => engine::run_linear(kind, &uni1, &prog1, &init1, 16, opts, off),
+                EngineKind::Dnc2 => engine::run_mesh(kind, &uni2, &prog2, &init2, 8, opts, off),
+                _ => match kind.d() {
+                    1 => engine::run_linear(kind, &spec1, &prog1, &init1, 32, opts, off),
+                    2 => engine::run_mesh(kind, &spec2, &prog2, &init2, 8, opts, off),
+                    _ => engine::run_volume(kind, 3, &Parity3d, &init3, 3, opts, off),
+                },
+            };
+            let engine = kind.name();
+            let report = rep.unwrap_or_else(|e| panic!("{engine}: scenario must not error: {e}"));
+            Outcome { engine, report }
+        })
+        .collect()
 }
 
 /// The seeded scenario matrix: one plan per adversarial family plus
@@ -222,71 +201,17 @@ fn chaos_reports_identical_across_thread_counts() {
     set_default_threads(0);
 }
 
-/// `FaultPlan::none` through every faulted entry point is bit-identical
-/// to the plain entry point: the scenario layer must cost nothing when
-/// it injects nothing.
+/// A plan that injects nothing (here: [`FaultPlan::none`] with a
+/// non-default seed) is bit-identical to the default fault-free run on
+/// every engine: the scenario layer must cost nothing when it injects
+/// nothing.
 #[test]
 fn none_plan_is_bitwise_neutral_on_all_engines() {
-    let prog1 = Eca::rule110();
-    let init1 = inputs::random_bits(0xC0DE, 64);
-    let spec1 = MachineSpec::new(1, 64, 8, 1);
-    let uni1 = MachineSpec::new(1, 64, 1, 1);
-    let prog2 = VonNeumannLife::fredkin();
-    let init2 = inputs::random_bits(0xC0DE + 1, 64);
-    let spec2 = MachineSpec::new(2, 64, 4, 1);
-    let uni2 = MachineSpec::new(2, 64, 1, 1);
-    let prog3 = Parity3d;
-    let init3 = inputs::random_bits(0xC0DE + 2, 27);
-    let none = FaultPlan::none();
-
-    let pairs: Vec<(&str, SimReport, SimReport)> = vec![
-        (
-            "naive1",
-            naive1::try_simulate_naive1(&spec1, &prog1, &init1, 32).unwrap(),
-            naive1::try_simulate_naive1_faulted(&spec1, &prog1, &init1, 32, &none).unwrap(),
-        ),
-        (
-            "multi1",
-            multi1::try_simulate_multi1(&spec1, &prog1, &init1, 32).unwrap(),
-            multi1::try_simulate_multi1_faulted(&spec1, &prog1, &init1, 32, &none).unwrap(),
-        ),
-        (
-            "pipelined1",
-            pipelined1::try_simulate_pipelined1(&spec1, &prog1, &init1, 32).unwrap(),
-            pipelined1::try_simulate_pipelined1_faulted(&spec1, &prog1, &init1, 32, &none).unwrap(),
-        ),
-        (
-            "dnc1",
-            dnc1::try_simulate_dnc1(&uni1, &prog1, &init1, 16).unwrap(),
-            dnc1::try_simulate_dnc1_faulted(&uni1, &prog1, &init1, 16, &none).unwrap(),
-        ),
-        (
-            "naive2",
-            naive2::try_simulate_naive2(&spec2, &prog2, &init2, 8).unwrap(),
-            naive2::try_simulate_naive2_faulted(&spec2, &prog2, &init2, 8, &none).unwrap(),
-        ),
-        (
-            "multi2",
-            multi2::try_simulate_multi2(&spec2, &prog2, &init2, 8).unwrap(),
-            multi2::try_simulate_multi2_faulted(&spec2, &prog2, &init2, 8, &none).unwrap(),
-        ),
-        (
-            "dnc2",
-            dnc2::try_simulate_dnc2(&uni2, &prog2, &init2, 8).unwrap(),
-            dnc2::try_simulate_dnc2_faulted(&uni2, &prog2, &init2, 8, &none).unwrap(),
-        ),
-        (
-            "dnc3",
-            dnc3::try_simulate_dnc3(3, &prog3, &init3, 3).unwrap(),
-            dnc3::try_simulate_dnc3_faulted(3, &prog3, &init3, 3, &none).unwrap(),
-        ),
-        (
-            "naive3",
-            dnc3::try_simulate_naive3(3, &prog3, &init3, 3).unwrap(),
-            dnc3::try_simulate_naive3_faulted(3, &prog3, &init3, 3, &none).unwrap(),
-        ),
-    ];
-    for (engine, plain, none) in pairs {
+    let plain = run_all_engines(&FaultPlan::none(), ExecPolicy::auto());
+    let none = run_all_engines(&FaultPlan::none().seed(0xC0DE), ExecPolicy::auto());
+    for (plain, none) in plain.iter().zip(&none) {
+        let engine = plain.engine;
+        let (plain, none) = (&plain.report, &none.report);
         assert_eq!(
             plain.host_time.to_bits(),
             none.host_time.to_bits(),
@@ -313,21 +238,17 @@ fn churn_exhaustion_degrades_to_typed_error() {
     let prog = Eca::rule110();
     let init = inputs::random_bits(0xDEAD, 64);
     let spec = MachineSpec::new(1, 64, 8, 1);
-    for (engine, res) in [
-        (
-            "naive1",
-            naive1::try_simulate_naive1_faulted(&spec, &prog, &init, 32, &plan),
-        ),
-        (
-            "multi1",
-            multi1::try_simulate_multi1_faulted(&spec, &prog, &init, 32, &plan),
-        ),
-        (
-            "pipelined1",
-            pipelined1::try_simulate_pipelined1_faulted(&spec, &prog, &init, 32, &plan),
-        ),
+    let opts = RunOpts {
+        plan,
+        ..RunOpts::default()
+    };
+    for kind in [
+        EngineKind::Naive1,
+        EngineKind::Multi1,
+        EngineKind::Pipelined1,
     ] {
-        match res {
+        let engine = kind.name();
+        match engine::run_linear(kind, &spec, &prog, &init, 32, opts, &mut Tracer::off()) {
             Err(SimError::ScenarioExhausted { stats, .. }) => {
                 assert!(
                     stats.departures > 0,

@@ -7,7 +7,7 @@ use bsmp::machine::{ExecPolicy, MachineSpec};
 use bsmp::sim::{dnc3, naive1, naive2};
 use bsmp::trace::Tracer;
 use bsmp::workloads::{inputs, CyclicWave, Eca, Parity3d, VonNeumannLife};
-use bsmp::{FaultPlan, SimReport};
+use bsmp::{FaultPlan, RunOpts, SimReport};
 
 /// Every field bit-compared; `table_hits` is exempt by design (the
 /// scalar reference reports 0 there).
@@ -63,13 +63,16 @@ fn naive1_tiled_matches_scalar_bitwise() {
             let exec = ExecPolicy::threads(threads);
             for plan in [FaultPlan::none(), storm_plan()] {
                 let what = format!("naive1 m={m} n={n} p={p} threads={threads}");
-                let tiled = naive1::try_simulate_naive1_traced(
+                let tiled = naive1::try_simulate_naive1(
                     &spec,
                     &prog,
                     &init,
                     steps,
-                    &plan,
-                    exec,
+                    RunOpts {
+                        plan,
+                        exec,
+                        ..RunOpts::default()
+                    },
                     &mut Tracer::off(),
                 )
                 .unwrap();
@@ -78,8 +81,11 @@ fn naive1_tiled_matches_scalar_bitwise() {
                     &prog,
                     &init,
                     steps,
-                    &plan,
-                    exec,
+                    RunOpts {
+                        plan,
+                        exec,
+                        ..RunOpts::default()
+                    },
                     &mut Tracer::off(),
                 )
                 .unwrap();
@@ -102,7 +108,15 @@ fn naive1_exact_mode_engages_for_dyadic_density() {
     let (n, p, steps) = (256usize, 4u64, 32i64);
     let spec = MachineSpec::new(1, n as u64, p, 1);
     let init = inputs::random_bits(3, n);
-    let rep = naive1::try_simulate_naive1(&spec, &Eca::rule110(), &init, steps).unwrap();
+    let rep = naive1::try_simulate_naive1(
+        &spec,
+        &Eca::rule110(),
+        &init,
+        steps,
+        RunOpts::default(),
+        &mut Tracer::off(),
+    )
+    .unwrap();
     assert_eq!(
         rep.meter.table_hits, rep.meter.ops,
         "all accesses table-served"
@@ -121,13 +135,16 @@ fn naive2_tiled_matches_scalar_bitwise() {
             let exec = ExecPolicy::threads(threads);
             for plan in [FaultPlan::none(), storm_plan()] {
                 let what = format!("naive2 side={side} p={p} threads={threads}");
-                let tiled = naive2::try_simulate_naive2_traced(
+                let tiled = naive2::try_simulate_naive2(
                     &spec,
                     &prog,
                     &init,
                     steps,
-                    &plan,
-                    exec,
+                    RunOpts {
+                        plan,
+                        exec,
+                        ..RunOpts::default()
+                    },
                     &mut Tracer::off(),
                 )
                 .unwrap();
@@ -136,8 +153,11 @@ fn naive2_tiled_matches_scalar_bitwise() {
                     &prog,
                     &init,
                     steps,
-                    &plan,
-                    exec,
+                    RunOpts {
+                        plan,
+                        exec,
+                        ..RunOpts::default()
+                    },
                     &mut Tracer::off(),
                 )
                 .unwrap();
@@ -154,7 +174,15 @@ fn naive3_tiled_matches_scalar_bitwise() {
         let n = (side * side * side) as usize;
         let init = inputs::random_bits(13, n);
         let steps = side;
-        let tiled = dnc3::try_simulate_naive3(side as usize, &Parity3d, &init, steps).unwrap();
+        let tiled = dnc3::try_simulate_naive3(
+            side as usize,
+            &Parity3d,
+            &init,
+            steps,
+            RunOpts::default(),
+            &mut Tracer::off(),
+        )
+        .unwrap();
         let scalar =
             dnc3::try_simulate_naive3_scalar(side as usize, &Parity3d, &init, steps).unwrap();
         assert_bit_identical(&tiled, &scalar, &format!("naive3 side={side}"));

@@ -8,7 +8,16 @@
 use bsmp::machine::{ExecPolicy, MachineSpec, StagePool};
 use bsmp::sim::{naive1, naive2};
 use bsmp::workloads::{inputs, Eca, VonNeumannLife};
-use bsmp::{FaultPlan, LinearProgram, SimError, SimReport, Word};
+use bsmp::{FaultPlan, LinearProgram, RunOpts, SimError, SimReport, Tracer, Word};
+
+/// Run options with fault plan `plan` and host policy `exec`.
+fn opts(plan: FaultPlan, exec: ExecPolicy) -> RunOpts {
+    RunOpts {
+        plan,
+        exec,
+        ..RunOpts::default()
+    }
+}
 
 /// Sizes chosen so the naive engines actually take the pooled path
 /// (`q = n/p ≥ 256` with more than one resolved thread).
@@ -52,17 +61,23 @@ fn naive1_pooled_is_bit_identical_to_serial() {
     let init = inputs::random_bits(90, N1 as usize);
     let prog = Eca::rule110();
     let plan = FaultPlan::none();
-    let serial =
-        naive1::try_simulate_naive1_exec(&spec, &prog, &init, 64, &plan, ExecPolicy::serial())
-            .unwrap();
+    let serial = naive1::try_simulate_naive1(
+        &spec,
+        &prog,
+        &init,
+        64,
+        opts(plan, ExecPolicy::serial()),
+        &mut Tracer::off(),
+    )
+    .unwrap();
     for threads in [2usize, 4, 8] {
-        let pooled = naive1::try_simulate_naive1_exec(
+        let pooled = naive1::try_simulate_naive1(
             &spec,
             &prog,
             &init,
             64,
-            &plan,
-            ExecPolicy::threads(threads),
+            opts(plan, ExecPolicy::threads(threads)),
+            &mut Tracer::off(),
         )
         .unwrap();
         assert_bit_identical(&serial, &pooled, &format!("naive1 t={threads}"));
@@ -78,13 +93,25 @@ fn naive1_pooled_is_bit_identical_under_faults() {
         .seed(91)
         .loss(50, 3)
         .random_crashes(10);
-    let serial =
-        naive1::try_simulate_naive1_exec(&spec, &prog, &init, 48, &plan, ExecPolicy::serial())
-            .unwrap();
+    let serial = naive1::try_simulate_naive1(
+        &spec,
+        &prog,
+        &init,
+        48,
+        opts(plan, ExecPolicy::serial()),
+        &mut Tracer::off(),
+    )
+    .unwrap();
     assert!(serial.faults.injected_delay > 0.0, "plan must be active");
-    let pooled =
-        naive1::try_simulate_naive1_exec(&spec, &prog, &init, 48, &plan, ExecPolicy::threads(4))
-            .unwrap();
+    let pooled = naive1::try_simulate_naive1(
+        &spec,
+        &prog,
+        &init,
+        48,
+        opts(plan, ExecPolicy::threads(4)),
+        &mut Tracer::off(),
+    )
+    .unwrap();
     assert_bit_identical(&serial, &pooled, "naive1 faulted");
 }
 
@@ -94,17 +121,23 @@ fn naive2_pooled_is_bit_identical_to_serial() {
     let init = inputs::random_bits(92, N2 as usize);
     let prog = VonNeumannLife::fredkin();
     let plan = FaultPlan::none();
-    let serial =
-        naive2::try_simulate_naive2_exec(&spec, &prog, &init, 12, &plan, ExecPolicy::serial())
-            .unwrap();
+    let serial = naive2::try_simulate_naive2(
+        &spec,
+        &prog,
+        &init,
+        12,
+        opts(plan, ExecPolicy::serial()),
+        &mut Tracer::off(),
+    )
+    .unwrap();
     for threads in [2usize, 4] {
-        let pooled = naive2::try_simulate_naive2_exec(
+        let pooled = naive2::try_simulate_naive2(
             &spec,
             &prog,
             &init,
             12,
-            &plan,
-            ExecPolicy::threads(threads),
+            opts(plan, ExecPolicy::threads(threads)),
+            &mut Tracer::off(),
         )
         .unwrap();
         assert_bit_identical(&serial, &pooled, &format!("naive2 t={threads}"));
@@ -117,13 +150,25 @@ fn naive2_pooled_is_bit_identical_under_faults() {
     let init = inputs::random_bits(93, N2 as usize);
     let prog = VonNeumannLife::fredkin();
     let plan = FaultPlan::uniform_slowdown(2.0).seed(93).loss(40, 2);
-    let serial =
-        naive2::try_simulate_naive2_exec(&spec, &prog, &init, 12, &plan, ExecPolicy::serial())
-            .unwrap();
+    let serial = naive2::try_simulate_naive2(
+        &spec,
+        &prog,
+        &init,
+        12,
+        opts(plan, ExecPolicy::serial()),
+        &mut Tracer::off(),
+    )
+    .unwrap();
     assert!(serial.faults.injected_delay > 0.0, "plan must be active");
-    let pooled =
-        naive2::try_simulate_naive2_exec(&spec, &prog, &init, 12, &plan, ExecPolicy::threads(4))
-            .unwrap();
+    let pooled = naive2::try_simulate_naive2(
+        &spec,
+        &prog,
+        &init,
+        12,
+        opts(plan, ExecPolicy::threads(4)),
+        &mut Tracer::off(),
+    )
+    .unwrap();
     assert_bit_identical(&serial, &pooled, "naive2 faulted");
 }
 
@@ -152,9 +197,15 @@ fn worker_panic_surfaces_as_sim_error_not_hang() {
     let init = inputs::random_bits(94, N1 as usize);
     let prog = PanicAt { v: 700, t: 3 };
     for exec in [ExecPolicy::serial(), ExecPolicy::threads(4)] {
-        let err =
-            naive1::try_simulate_naive1_exec(&spec, &prog, &init, 8, &FaultPlan::none(), exec)
-                .unwrap_err();
+        let err = naive1::try_simulate_naive1(
+            &spec,
+            &prog,
+            &init,
+            8,
+            opts(FaultPlan::none(), exec),
+            &mut Tracer::off(),
+        )
+        .unwrap_err();
         match err {
             SimError::HostPanic { ref message } => {
                 assert!(message.contains("injected guest panic"), "{message}");

@@ -11,7 +11,7 @@
 use bsmp::sim::{dnc3, pipelined1};
 use bsmp::trace::{RunTrace, Tracer};
 use bsmp::workloads::{inputs, Eca, Parity3d, VonNeumannLife};
-use bsmp::{validate_trace, FaultPlan, MachineSpec, SimReport, Simulation, Strategy};
+use bsmp::{validate_trace, FaultPlan, MachineSpec, RunOpts, SimReport, Simulation, Strategy};
 
 fn assert_reports_identical(a: &SimReport, b: &SimReport) {
     assert_eq!(a.host_time.to_bits(), b.host_time.to_bits());
@@ -134,12 +134,15 @@ fn direct_engines_produce_valid_traces() {
     let init = inputs::random_bits(94, 64);
     let spec = MachineSpec::new(1, 64, 4, 1);
     let mut tracer = Tracer::recording();
-    let rep = pipelined1::try_simulate_pipelined1_traced(
+    let rep = pipelined1::try_simulate_pipelined1(
         &spec,
         &Eca::rule110(),
         &init,
         32,
-        &FaultPlan::none(),
+        RunOpts {
+            plan: FaultPlan::none(),
+            ..RunOpts::default()
+        },
         &mut tracer,
     )
     .unwrap();
@@ -149,12 +152,15 @@ fn direct_engines_produce_valid_traces() {
     let side = 4usize;
     let vinit = inputs::random_bits(95, side * side * side);
     let mut tracer = Tracer::recording();
-    let rep = dnc3::try_simulate_dnc3_traced(side, &Parity3d, &vinit, 4, &mut tracer).unwrap();
+    let rep = dnc3::try_simulate_dnc3(side, &Parity3d, &vinit, 4, RunOpts::default(), &mut tracer)
+        .unwrap();
     let tr = stamp(tracer.take().unwrap());
     check_trace(&tr, "dnc3", &rep);
 
     let mut tracer = Tracer::recording();
-    let rep = dnc3::try_simulate_naive3_traced(side, &Parity3d, &vinit, 4, &mut tracer).unwrap();
+    let rep =
+        dnc3::try_simulate_naive3(side, &Parity3d, &vinit, 4, RunOpts::default(), &mut tracer)
+            .unwrap();
     let tr = stamp(tracer.take().unwrap());
     check_trace(&tr, "naive3", &rep);
 }
