@@ -90,7 +90,7 @@ pub fn try_simulate_dnc1(
 ) -> Result<SimReport, SimError> {
     let leaf_h = opts.leaf.unwrap_or((prog.m() as i64 / 2).max(1));
     let meta = RunMeta {
-        engine: EngineKind::Dnc1.name(),
+        engine: EngineKind::Dnc1,
         d: 1,
         n: spec.n,
         m: spec.m,
@@ -98,7 +98,7 @@ pub fn try_simulate_dnc1(
         steps: steps.max(0) as u64,
     };
     let (hop, words) = (spec.neighbor_distance(), spec.node_mem());
-    crate::run_uniprocessor(meta.clone(), hop, words, &opts.plan, tracer, |tracer| {
+    crate::run_uniprocessor(meta, hop, words, &opts.plan, tracer, |tracer| {
         check_uniprocessor(EngineKind::Dnc1, spec, prog.m(), init.len())?;
         tracer.ensure_procs(1);
         tracer.begin_stage("run");

@@ -27,7 +27,7 @@ pub fn try_simulate_dnc2(
 ) -> Result<SimReport, SimError> {
     let leaf_h = opts.leaf.unwrap_or((prog.m() as i64 / 2).max(1));
     let meta = RunMeta {
-        engine: EngineKind::Dnc2.name(),
+        engine: EngineKind::Dnc2,
         d: 2,
         n: spec.n,
         m: spec.m,
@@ -35,7 +35,7 @@ pub fn try_simulate_dnc2(
         steps: steps.max(0) as u64,
     };
     let (hop, words) = (spec.neighbor_distance(), spec.node_mem());
-    crate::run_uniprocessor(meta.clone(), hop, words, &opts.plan, tracer, |tracer| {
+    crate::run_uniprocessor(meta, hop, words, &opts.plan, tracer, |tracer| {
         check_uniprocessor(EngineKind::Dnc2, spec, prog.m(), init.len())?;
         tracer.ensure_procs(1);
         tracer.begin_stage("run");

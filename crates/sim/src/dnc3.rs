@@ -28,7 +28,7 @@ pub fn try_simulate_dnc3(
 ) -> Result<SimReport, SimError> {
     let meta = volume_meta(EngineKind::Dnc3, side, steps);
     let n = meta.n;
-    crate::run_uniprocessor(meta.clone(), side as f64, n, &opts.plan, tracer, |tracer| {
+    crate::run_uniprocessor(meta, side as f64, n, &opts.plan, tracer, |tracer| {
         check_volume(prog, init, n as usize)?;
         tracer.ensure_procs(1);
         tracer.begin_stage("run");
@@ -119,7 +119,7 @@ pub fn try_simulate_naive3_scalar(
 /// The trace header of a `d = 3` uniprocessor run.
 fn volume_meta(kind: EngineKind, side: usize, steps: i64) -> RunMeta {
     RunMeta {
-        engine: kind.name(),
+        engine: kind,
         d: 3,
         n: (side * side * side) as u64,
         m: 1,

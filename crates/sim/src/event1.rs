@@ -30,7 +30,7 @@ use bsmp_hram::{CostMeter, CostTable, Word};
 use bsmp_machine::{
     lease_scratch, ExecPolicy, Frontier, LinearProgram, MachineSpec, SparseState, StageClock,
 };
-use bsmp_trace::{RunMeta, Tracer};
+use bsmp_trace::{EngineKind, RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::naive1::try_simulate_naive1_impl;
@@ -396,7 +396,7 @@ fn naive1_event_impl(
     };
     tracer.finish_run(
         RunMeta {
-            engine: "naive1",
+            engine: EngineKind::Naive1,
             d: 1,
             n: spec.n,
             m: spec.m,

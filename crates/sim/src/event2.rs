@@ -26,7 +26,7 @@ use bsmp_hram::{CostMeter, CostTable, Word};
 use bsmp_machine::{
     lease_scratch, ExecPolicy, Frontier, MachineSpec, MeshProgram, SparseState, StageClock,
 };
-use bsmp_trace::{RunMeta, Tracer};
+use bsmp_trace::{EngineKind, RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::event1::EventCoreStats;
@@ -387,7 +387,7 @@ fn naive2_event_impl(
     };
     tracer.finish_run(
         RunMeta {
-            engine: "naive2",
+            engine: EngineKind::Naive2,
             d: 2,
             n: spec.n,
             m: spec.m,

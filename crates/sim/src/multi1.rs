@@ -52,7 +52,7 @@ use bsmp_machine::{
     lease_scratch, linear_guest_time, plan_cache, CoreKind, EventQueue, LinearProgram, MachineSpec,
     PlanKey, ScratchLease, StageClock,
 };
-use bsmp_trace::{RunMeta, Tracer};
+use bsmp_trace::{EngineKind, RunMeta, Tracer};
 
 use crate::dnc1::exec1_plan_key;
 use crate::error::SimError;
@@ -1172,7 +1172,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         let guest_time = linear_guest_time(spec, prog, steps);
         self.tracer.finish_run(
             RunMeta {
-                engine: "multi1",
+                engine: EngineKind::Multi1,
                 d: 1,
                 n: spec.n,
                 m: spec.m,

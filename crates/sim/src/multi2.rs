@@ -36,7 +36,7 @@ use bsmp_machine::{
     lease_scratch, mesh_guest_time, CoreKind, EventQueue, MachineSpec, MeshProgram, ScratchLease,
     StageClock,
 };
-use bsmp_trace::{RunMeta, Tracer};
+use bsmp_trace::{EngineKind, RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::exec2::{CellExec, CellPlans};
@@ -615,7 +615,7 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         let guest_time = mesh_guest_time(spec, prog, steps);
         self.tracer.finish_run(
             RunMeta {
-                engine: "multi2",
+                engine: EngineKind::Multi2,
                 d: 2,
                 n: spec.n,
                 m: spec.m,

@@ -15,7 +15,7 @@ use bsmp_machine::{
     lease_scratch, linear_guest_time, CoreKind, DisjointSlice, ExecPolicy, LinearProgram,
     MachineSpec, PoolLease, StageClock,
 };
-use bsmp_trace::{RunMeta, Tracer};
+use bsmp_trace::{EngineKind, RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::report::SimReport;
@@ -521,7 +521,7 @@ pub(crate) fn try_simulate_naive1_impl(
     let guest_time = linear_guest_time(spec, prog, steps);
     tracer.finish_run(
         RunMeta {
-            engine: "naive1",
+            engine: EngineKind::Naive1,
             d: 1,
             n: spec.n,
             m: spec.m,

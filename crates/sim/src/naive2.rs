@@ -10,7 +10,7 @@ use bsmp_machine::{
     lease_scratch, mesh_guest_time, CoreKind, DisjointSlice, ExecPolicy, MachineSpec, MeshProgram,
     PoolLease, StageClock,
 };
-use bsmp_trace::{RunMeta, Tracer};
+use bsmp_trace::{EngineKind, RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::report::SimReport;
@@ -452,7 +452,7 @@ pub(crate) fn try_simulate_naive2_impl(
     let guest_time = mesh_guest_time(spec, prog, steps);
     tracer.finish_run(
         RunMeta {
-            engine: "naive2",
+            engine: EngineKind::Naive2,
             d: 2,
             n: spec.n,
             m: spec.m,

@@ -15,7 +15,7 @@
 use bsmp_faults::{FaultEnv, FaultSession};
 use bsmp_hram::{CostMeter, Word};
 use bsmp_machine::{lease_scratch, linear_guest_time, LinearProgram, MachineSpec, StageClock};
-use bsmp_trace::{RunMeta, Tracer};
+use bsmp_trace::{EngineKind, RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::report::SimReport;
@@ -140,7 +140,7 @@ pub fn try_simulate_pipelined1(
     let guest_time = linear_guest_time(spec, prog, steps);
     tracer.finish_run(
         RunMeta {
-            engine: "pipelined1",
+            engine: EngineKind::Pipelined1,
             d: 1,
             n: spec.n,
             m: spec.m,

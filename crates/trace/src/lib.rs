@@ -135,9 +135,9 @@ pub struct RunTrace {
 }
 
 /// Static description of the run, supplied when the trace is closed.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RunMeta {
-    pub engine: &'static str,
+    pub engine: EngineKind,
     pub d: u32,
     pub n: u64,
     pub m: u64,
@@ -367,7 +367,7 @@ impl Tracer {
                 },
             };
             st.run = Some(RunTrace {
-                engine: meta.engine.to_string(),
+                engine: meta.engine.name().to_string(),
                 d: meta.d,
                 n: meta.n,
                 m: meta.m,
@@ -717,7 +717,7 @@ mod tests {
         );
         t.finish_run(
             RunMeta {
-                engine: "test",
+                engine: EngineKind::Naive1,
                 d: 1,
                 n: 16,
                 m: 1,
@@ -754,7 +754,7 @@ mod tests {
         }
         t.finish_run(
             RunMeta {
-                engine: "test",
+                engine: EngineKind::Naive1,
                 d: 1,
                 n: 1,
                 m: 1,
@@ -789,7 +789,7 @@ mod tests {
         t.end_stage(StageTotals::default(), 4);
         t.finish_run(
             RunMeta {
-                engine: "x",
+                engine: EngineKind::Naive1,
                 d: 1,
                 n: 1,
                 m: 1,
