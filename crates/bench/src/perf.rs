@@ -32,6 +32,7 @@ use bsmp::sim::{
     naive2::simulate_naive2,
     pipelined1::simulate_pipelined1,
 };
+use bsmp::trace::json::escape;
 use bsmp::workloads::{inputs, Eca, Parity3d, TokenShift, VonNeumannLife};
 use bsmp::{CoreKind, Simulation, Strategy};
 
@@ -666,18 +667,6 @@ pub fn to_json_full(
     }
     s.push_str("}\n");
     s
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// Extract `"key": <number>` from a case line (the shape [`to_json`]

@@ -1,8 +1,8 @@
 //! Hand-rolled JSON (de)serialization for [`FaultPlan`] — the on-disk
 //! scenario format behind the CLI's `--faults <plan.json>` flag.
 //!
-//! The workspace is dependency-free by policy, so the reader is a small
-//! recursive-descent parser over exactly the subset the schema needs:
+//! Documents are read with the workspace's one JSON parser
+//! ([`bsmp_trace::json::parse`]) and then checked against the schema:
 //! one object of optional sections, each an object of numeric fields.
 //! Every section is optional and defaults to its `None` model, so `{}`
 //! parses to [`FaultPlan::none`].
@@ -32,6 +32,8 @@
 use std::error::Error;
 use std::fmt;
 
+use bsmp_trace::json::{num, parse, Val};
+
 use crate::plan::{
     ChurnModel, CrashModel, FaultPlan, LinkModel, LossModel, OutageModel, Region, SlowdownModel,
 };
@@ -55,136 +57,6 @@ fn err<T>(message: impl Into<String>) -> Result<T, PlanParseError> {
     Err(PlanParseError {
         message: message.into(),
     })
-}
-
-/// The JSON subset the plan schema uses.
-#[derive(Clone, Debug, PartialEq)]
-enum Val {
-    Num(f64),
-    Str(String),
-    Obj(Vec<(String, Val)>),
-}
-
-impl Val {
-    fn get(&self, key: &str) -> Option<&Val> {
-        match self {
-            Val::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn keys(&self) -> Vec<&str> {
-        match self {
-            Val::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
-            _ => Vec::new(),
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, PlanParseError> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(&b) => Ok(b),
-            None => err("unexpected end of input"),
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), PlanParseError> {
-        if self.peek()? != b {
-            return err(format!("expected '{}' at byte {}", char::from(b), self.pos));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn value(&mut self) -> Result<Val, PlanParseError> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'"' => Ok(Val::Str(self.string()?)),
-            _ => self.number(),
-        }
-    }
-
-    fn object(&mut self) -> Result<Val, PlanParseError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Val::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let v = self.value()?;
-            fields.push((key, v));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Val::Obj(fields));
-                }
-                _ => return err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, PlanParseError> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| PlanParseError {
-                        message: "invalid UTF-8 in string".into(),
-                    })?
-                    .to_string();
-                self.pos += 1;
-                return Ok(s);
-            }
-            if b == b'\\' {
-                return err("escape sequences are not used by the plan schema");
-            }
-            self.pos += 1;
-        }
-        err("unterminated string")
-    }
-
-    fn number(&mut self) -> Result<Val, PlanParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if start == self.pos {
-            return err(format!("expected a value at byte {start}"));
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        match text.parse::<f64>() {
-            Ok(x) => Ok(Val::Num(x)),
-            Err(_) => err(format!("bad number '{text}' at byte {start}")),
-        }
-    }
 }
 
 fn get_f64(v: &Val, key: &str, section: &str) -> Result<f64, PlanParseError> {
@@ -213,9 +85,11 @@ fn get_u32(v: &Val, key: &str, section: &str) -> Result<u32, PlanParseError> {
 }
 
 fn check_keys(v: &Val, allowed: &[&str], section: &str) -> Result<(), PlanParseError> {
-    for k in v.keys() {
-        if !allowed.contains(&k) {
-            return err(format!("unknown field '{k}' in '{section}'"));
+    if let Val::Obj(fields) = v {
+        for (k, _) in fields {
+            if !allowed.contains(&k.as_str()) {
+                return err(format!("unknown field '{k}' in '{section}'"));
+            }
         }
     }
     Ok(())
@@ -285,14 +159,9 @@ impl FaultPlan {
     /// back as [`PlanParseError`]; run
     /// [`FaultPlan::validate`] afterwards for the semantic checks.
     pub fn from_json(src: &str) -> Result<FaultPlan, PlanParseError> {
-        let mut p = Parser {
-            bytes: src.as_bytes(),
-            pos: 0,
-        };
-        let doc = p.object()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return err(format!("trailing data at byte {}", p.pos));
+        let doc = parse(src).map_err(|message| PlanParseError { message })?;
+        if !matches!(doc, Val::Obj(_)) {
+            return err("a fault plan is a JSON object");
         }
         check_keys(
             &doc,
@@ -373,13 +242,6 @@ impl FaultPlan {
 
     /// Serialize to the JSON document [`FaultPlan::from_json`] reads.
     pub fn to_json(&self) -> String {
-        fn num(x: f64) -> String {
-            if x.is_finite() {
-                format!("{x:?}")
-            } else {
-                "null".to_string()
-            }
-        }
         let mut sections: Vec<String> = vec![format!("  \"seed\": {}", self.seed)];
         match self.slowdown {
             SlowdownModel::None => {}
@@ -535,6 +397,13 @@ mod tests {
             "[1, 2]",
             "{\"seed\": -1}",
             "{\"seed\": 1.5}",
+            "{\"seed\": null}",
+            "{\"seed\": true}",
+            "{\"seed\": [1]}",
+            "{\"link\": {\"spread\": false}}",
+            "{\"slowdown\": {\"model\": \"constant\", \"nu\": null}}",
+            "{\"loss\": {\"loss_permille\": [50], \"max_retries\": 3}}",
+            "{\"outage\": {\"region\": [0, 2], \"onset\": 1, \"duration\": 1}}",
             "{\"unknown\": 3}",
             "{\"slowdown\": {\"model\": \"warp\"}}",
             "{\"slowdown\": {\"model\": \"constant\"}}",
