@@ -22,6 +22,16 @@ SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT
 STATUS_BEFORE="$(git status --porcelain)"
 
+echo "==> servebench: build and test against the serve_suite API"
+# servebench/ is a Cargo workspace of its own, so the steps above never
+# compile it; without this step a serve_suite API break surfaces only
+# when the benchmark runs.  Cargo rewrites servebench's committed lock
+# when an internal crate gains a dependency; restore it so the run
+# leaves the tree as it found it.
+cp servebench/Cargo.lock "$SCRATCH/servebench.lock"
+cargo test -q --release --offline --manifest-path servebench/Cargo.toml
+cp "$SCRATCH/servebench.lock" servebench/Cargo.lock
+
 echo "==> perf smoke + regression gate (bsmp-repro bench --against)"
 # Runs the full points/sec suite with counters, then gates the fresh
 # throughput against the committed baseline: >20% best-iteration
