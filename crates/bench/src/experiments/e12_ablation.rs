@@ -13,6 +13,14 @@ use bsmp::sim::dnc2::try_simulate_dnc2;
 use bsmp::workloads::{inputs, CyclicWave, Eca, VonNeumannLife};
 use bsmp::{RunOpts, Tracer};
 
+/// Default run options with leaf radius `h`.
+fn leaf(h: i64) -> RunOpts {
+    RunOpts {
+        leaf: Some(h),
+        ..RunOpts::default()
+    }
+}
+
 pub fn run(scale: Scale) -> Vec<Table> {
     // (a) m = 1: leaf radius sweep on the diamond executor.
     let n: u64 = match scale {
@@ -33,10 +41,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             &Eca::rule110(),
             &init,
             n as i64,
-            RunOpts {
-                leaf: Some(h),
-                ..RunOpts::default()
-            },
+            leaf(h),
             &mut Tracer::off(),
         )
         .expect("valid parameters");
@@ -70,10 +75,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             &CyclicWave::new(m),
             &initm,
             (n / 2) as i64,
-            RunOpts {
-                leaf: Some(h),
-                ..RunOpts::default()
-            },
+            leaf(h),
             &mut Tracer::off(),
         )
         .expect("valid parameters");
@@ -118,10 +120,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             &VonNeumannLife::fredkin(),
             &init2,
             side as i64,
-            RunOpts {
-                leaf: Some(h),
-                ..RunOpts::default()
-            },
+            leaf(h),
             &mut Tracer::off(),
         )
         .expect("valid parameters");

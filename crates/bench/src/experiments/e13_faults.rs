@@ -7,9 +7,9 @@
 use crate::table::{fnum, Table};
 use crate::Scale;
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{multi1, naive1};
+use bsmp::sim::engine;
 use bsmp::workloads::{inputs, Eca};
-use bsmp::{FaultPlan, RunOpts, Tracer};
+use bsmp::{EngineKind, FaultPlan, RunOpts, Tracer};
 
 pub fn run(scale: Scale) -> Vec<Table> {
     let (n, steps): (u64, i64) = match scale {
@@ -20,6 +20,14 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let prog = Eca::rule110();
     let init = inputs::random_bits(13, n as usize);
     let spec = MachineSpec::new(1, n, p, 1);
+    let run = |kind: EngineKind, plan: FaultPlan| {
+        let opts = RunOpts {
+            plan,
+            ..RunOpts::default()
+        };
+        engine::run_linear(kind, &spec, &prog, &init, steps, opts, &mut Tracer::off())
+            .expect("valid parameters")
+    };
 
     let mut t = Table::new(
         format!("E13 / fault envelope — uniform link slowdown ν (n = {n}, p = {p})"),
@@ -32,21 +40,15 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "output = guest",
         ],
     );
-    for (name, runner) in [
-        (
-            "naive1",
-            run_naive as fn(&MachineSpec, &Eca, &[u64], i64, &FaultPlan) -> bsmp::SimReport,
-        ),
-        ("multi1", run_multi),
-    ] {
-        let base = runner(&spec, &prog, &init, steps, &FaultPlan::none());
+    for kind in [EngineKind::Naive1, EngineKind::Multi1] {
+        let base = run(kind, FaultPlan::none());
         for nu in [1.0f64, 2.0, 4.0] {
-            let rep = runner(&spec, &prog, &init, steps, &FaultPlan::uniform_slowdown(nu));
+            let rep = run(kind, FaultPlan::uniform_slowdown(nu));
             let ratio = rep.host_time / base.host_time;
             let ok = rep.host_time <= nu * base.host_time + 1e-6;
             let matches = rep.check_matches(&base.mem, &base.values).is_ok();
             t.row(vec![
-                name.to_string(),
+                kind.name().to_string(),
                 fnum(nu),
                 fnum(rep.host_time),
                 fnum(ratio),
@@ -72,7 +74,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "T_p/T_p(clean)",
         ],
     );
-    let clean = run_naive(&spec, &prog, &init, steps, &FaultPlan::none());
+    let clean = run(EngineKind::Naive1, FaultPlan::none());
     for (label, plan) in [
         (
             "loss 100‰ (≤3 retries)",
@@ -89,7 +91,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
                 .random_crashes(20),
         ),
     ] {
-        let rep = run_naive(&spec, &prog, &init, steps, &plan);
+        let rep = run(EngineKind::Naive1, plan);
         t2.row(vec![
             label.to_string(),
             rep.faults.retries.to_string(),
@@ -104,46 +106,4 @@ pub fn run(scale: Scale) -> Vec<Table> {
          always match direct guest execution.",
     );
     vec![t, t2]
-}
-
-fn run_naive(
-    spec: &MachineSpec,
-    prog: &Eca,
-    init: &[u64],
-    steps: i64,
-    plan: &FaultPlan,
-) -> bsmp::SimReport {
-    naive1::try_simulate_naive1(
-        spec,
-        prog,
-        init,
-        steps,
-        RunOpts {
-            plan: *plan,
-            ..RunOpts::default()
-        },
-        &mut Tracer::off(),
-    )
-    .expect("valid parameters")
-}
-
-fn run_multi(
-    spec: &MachineSpec,
-    prog: &Eca,
-    init: &[u64],
-    steps: i64,
-    plan: &FaultPlan,
-) -> bsmp::SimReport {
-    multi1::try_simulate_multi1(
-        spec,
-        prog,
-        init,
-        steps,
-        RunOpts {
-            plan: *plan,
-            ..RunOpts::default()
-        },
-        &mut Tracer::off(),
-    )
-    .expect("valid parameters")
 }

@@ -258,17 +258,9 @@ mod tests {
     #[test]
     fn multiprocessor_spec_is_rejected() {
         let init = inputs::random_bits(31, 16);
-        let spec = MachineSpec::new(1, 16, 4, 1);
+        let (spec, opts) = (MachineSpec::new(1, 16, 4, 1), RunOpts::default());
         assert_eq!(
-            try_simulate_dnc1(
-                &spec,
-                &Eca::rule110(),
-                &init,
-                4,
-                RunOpts::default(),
-                &mut Tracer::off()
-            )
-            .err(),
+            try_simulate_dnc1(&spec, &Eca::rule110(), &init, 4, opts, &mut Tracer::off()).err(),
             Some(SimError::UniprocessorOnly {
                 engine: "dnc1",
                 p: 4
@@ -281,21 +273,15 @@ mod tests {
         let n = 32u64;
         let init = inputs::random_bits(27, n as usize);
         let spec = MachineSpec::new(1, n, 1, 1);
-        let guest = run_linear(&spec, &Eca::rule110(), &init, n as i64);
+        let (prog, steps) = (Eca::rule110(), n as i64);
+        let guest = run_linear(&spec, &prog, &init, steps);
         for leaf in [1i64, 2, 4, 8] {
             let opts = RunOpts {
                 leaf: Some(leaf),
                 ..RunOpts::default()
             };
-            let rep = try_simulate_dnc1(
-                &spec,
-                &Eca::rule110(),
-                &init,
-                n as i64,
-                opts,
-                &mut Tracer::off(),
-            )
-            .unwrap();
+            let rep =
+                try_simulate_dnc1(&spec, &prog, &init, steps, opts, &mut Tracer::off()).unwrap();
             rep.assert_matches(&guest.mem, &guest.values);
         }
     }

@@ -159,17 +159,10 @@ mod tests {
     #[test]
     fn multiprocessor_spec_is_rejected() {
         let init = inputs::random_bits(38, 16);
-        let spec = MachineSpec::new(2, 16, 4, 1);
+        let (spec, prog) = (MachineSpec::new(2, 16, 4, 1), VonNeumannLife::fredkin());
+        let opts = RunOpts::default();
         assert_eq!(
-            try_simulate_dnc2(
-                &spec,
-                &VonNeumannLife::fredkin(),
-                &init,
-                4,
-                RunOpts::default(),
-                &mut Tracer::off()
-            )
-            .err(),
+            try_simulate_dnc2(&spec, &prog, &init, 4, opts, &mut Tracer::off()).err(),
             Some(SimError::UniprocessorOnly {
                 engine: "dnc2",
                 p: 4

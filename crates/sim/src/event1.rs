@@ -25,16 +25,15 @@
 //! to the dense loop, so every caller gets a bit-identical report
 //! either way.
 
-use bsmp_faults::{FaultEnv, FaultPlan, FaultSession};
+use bsmp_faults::{FaultEnv, FaultSession};
 use bsmp_hram::{CostMeter, CostTable, Word};
-use bsmp_machine::{
-    lease_scratch, ExecPolicy, Frontier, LinearProgram, MachineSpec, SparseState, StageClock,
-};
+use bsmp_machine::{lease_scratch, Frontier, LinearProgram, MachineSpec, SparseState, StageClock};
 use bsmp_trace::{EngineKind, RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::naive1::try_simulate_naive1_impl;
 use crate::report::SimReport;
+use crate::RunOpts;
 use crate::{settle_scenario, stage_totals};
 
 /// Resident-footprint and activity statistics of an event-core run
@@ -69,22 +68,6 @@ impl EventCoreStats {
     }
 }
 
-/// The dense naive1 stage loop ([`crate::naive1::try_simulate_naive1`]) on the event core.
-/// Bit-identical report and trace; falls back to the dense loop when
-/// the run does not satisfy the core's preconditions.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_simulate_naive1_event(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    exec: ExecPolicy,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    naive1_event_impl(spec, prog, init, steps, plan, exec, tracer, None)
-}
-
 /// Run the event core fault-free and report its resident footprint
 /// alongside the simulation report (the `bench --mem` probe).
 pub fn naive1_event_footprint(
@@ -94,16 +77,8 @@ pub fn naive1_event_footprint(
     steps: i64,
 ) -> Result<(SimReport, EventCoreStats), SimError> {
     let mut stats = EventCoreStats::default();
-    let rep = naive1_event_impl(
-        spec,
-        prog,
-        init,
-        steps,
-        &FaultPlan::none(),
-        ExecPolicy::auto(),
-        &mut Tracer::off(),
-        Some(&mut stats),
-    )?;
+    let (opts, off) = (RunOpts::default(), &mut Tracer::off());
+    let rep = try_simulate_naive1_event(spec, prog, init, steps, opts, off, Some(&mut stats))?;
     Ok((rep, stats))
 }
 
@@ -128,17 +103,20 @@ impl EdgeClass {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn naive1_event_impl(
+/// The dense naive1 stage loop ([`crate::naive1::try_simulate_naive1`])
+/// on the event core.  Bit-identical report and trace; falls back to the
+/// dense loop when the run does not satisfy the core's preconditions.
+/// `stats` receives the core's footprint (the `bench --mem` probe).
+pub(crate) fn try_simulate_naive1_event(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
     init: &[Word],
     steps: i64,
-    plan: &FaultPlan,
-    exec: ExecPolicy,
+    opts: RunOpts,
     tracer: &mut Tracer,
     mut stats: Option<&mut EventCoreStats>,
 ) -> Result<SimReport, SimError> {
+    let (plan, exec) = (&opts.plan, opts.exec);
     let n = spec.n as usize;
     let p = spec.p as usize;
     let m = prog.m();
@@ -197,7 +175,7 @@ fn naive1_event_impl(
             st.used_event_core = false;
             st.fallback = Some(reason);
         }
-        let mut rep = try_simulate_naive1_impl(spec, prog, init, steps, plan, exec, tracer, false)?;
+        let mut rep = try_simulate_naive1_impl(spec, prog, init, steps, opts, tracer, false)?;
         rep.core_fallback = Some(reason);
         return Ok(rep);
     }

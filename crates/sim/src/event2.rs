@@ -21,34 +21,17 @@
 //! the von Neumann neighborhood.  Ineligible runs (multi-cell or
 //! clock-reading programs) fall back to the dense loop.
 
-use bsmp_faults::{FaultEnv, FaultPlan, FaultSession};
+use bsmp_faults::{FaultEnv, FaultSession};
 use bsmp_hram::{CostMeter, CostTable, Word};
-use bsmp_machine::{
-    lease_scratch, ExecPolicy, Frontier, MachineSpec, MeshProgram, SparseState, StageClock,
-};
+use bsmp_machine::{lease_scratch, Frontier, MachineSpec, MeshProgram, SparseState, StageClock};
 use bsmp_trace::{EngineKind, RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::event1::EventCoreStats;
 use crate::naive2::try_simulate_naive2_impl;
 use crate::report::SimReport;
+use crate::RunOpts;
 use crate::{settle_scenario, stage_totals};
-
-/// The dense naive2 stage loop ([`crate::naive2::try_simulate_naive2`]) on the event core.
-/// Bit-identical report and trace; falls back to the dense loop when
-/// the run does not satisfy the core's preconditions.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_simulate_naive2_event(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    exec: ExecPolicy,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    naive2_event_impl(spec, prog, init, steps, plan, exec, tracer, None)
-}
 
 /// Run the event core fault-free and report its resident footprint
 /// alongside the simulation report (the `bench --mem` probe).
@@ -59,16 +42,8 @@ pub fn naive2_event_footprint(
     steps: i64,
 ) -> Result<(SimReport, EventCoreStats), SimError> {
     let mut stats = EventCoreStats::default();
-    let rep = naive2_event_impl(
-        spec,
-        prog,
-        init,
-        steps,
-        &FaultPlan::none(),
-        ExecPolicy::auto(),
-        &mut Tracer::off(),
-        Some(&mut stats),
-    )?;
+    let (opts, off) = (RunOpts::default(), &mut Tracer::off());
+    let rep = try_simulate_naive2_event(spec, prog, init, steps, opts, off, Some(&mut stats))?;
     Ok((rep, stats))
 }
 
@@ -81,17 +56,20 @@ struct SideClass {
     comm_delta: f64,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn naive2_event_impl(
+/// The dense naive2 stage loop ([`crate::naive2::try_simulate_naive2`])
+/// on the event core.  Bit-identical report and trace; falls back to the
+/// dense loop when the run does not satisfy the core's preconditions.
+/// `stats` receives the core's footprint (the `bench --mem` probe).
+pub(crate) fn try_simulate_naive2_event(
     spec: &MachineSpec,
     prog: &impl MeshProgram,
     init: &[Word],
     steps: i64,
-    plan: &FaultPlan,
-    exec: ExecPolicy,
+    opts: RunOpts,
     tracer: &mut Tracer,
     mut stats: Option<&mut EventCoreStats>,
 ) -> Result<SimReport, SimError> {
+    let (plan, exec) = (&opts.plan, opts.exec);
     if spec.d != 2 {
         return Err(SimError::DimensionMismatch {
             expected: 2,
@@ -135,7 +113,7 @@ fn naive2_event_impl(
             st.used_event_core = false;
             st.fallback = Some(reason);
         }
-        let mut rep = try_simulate_naive2_impl(spec, prog, init, steps, plan, exec, tracer, false)?;
+        let mut rep = try_simulate_naive2_impl(spec, prog, init, steps, opts, tracer, false)?;
         rep.core_fallback = Some(reason);
         return Ok(rep);
     }

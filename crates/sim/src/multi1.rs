@@ -1321,21 +1321,15 @@ mod tests {
         let n = 32u64;
         let init = inputs::random_bits(47, n as usize);
         let spec = MachineSpec::new(1, n, 4, 1);
-        let base = simulate_multi1(&spec, &Eca::rule110(), &init, n as i64);
+        let (prog, steps) = (Eca::rule110(), n as i64);
+        let base = simulate_multi1(&spec, &prog, &init, steps);
         for nu in [1.0, 2.0, 4.0] {
-            let plan = FaultPlan::uniform_slowdown(nu);
-            let rep = try_simulate_multi1(
-                &spec,
-                &Eca::rule110(),
-                &init,
-                n as i64,
-                RunOpts {
-                    plan,
-                    ..RunOpts::default()
-                },
-                &mut Tracer::off(),
-            )
-            .unwrap();
+            let opts = RunOpts {
+                plan: FaultPlan::uniform_slowdown(nu),
+                ..RunOpts::default()
+            };
+            let rep =
+                try_simulate_multi1(&spec, &prog, &init, steps, opts, &mut Tracer::off()).unwrap();
             rep.assert_matches(&base.mem, &base.values);
             assert!(rep.host_time >= base.host_time - 1e-9);
             assert!(rep.host_time <= nu * base.host_time + 1e-6, "ν = {nu}");
@@ -1344,31 +1338,21 @@ mod tests {
 
     #[test]
     fn try_variant_reports_bad_parameters() {
-        let init = inputs::random_bits(48, 32);
         let spec = MachineSpec::new(1, 32, 4, 1);
+        let run = |init: &[Word], strip| {
+            let opts = RunOpts {
+                strip,
+                ..RunOpts::default()
+            };
+            try_simulate_multi1(&spec, &Eca::rule110(), init, 8, opts, &mut Tracer::off())
+        };
+        let init = inputs::random_bits(48, 32);
         assert!(matches!(
-            try_simulate_multi1(
-                &spec,
-                &Eca::rule110(),
-                &init[..30],
-                8,
-                RunOpts::default(),
-                &mut Tracer::off()
-            ),
+            run(&init[..30], None),
             Err(SimError::InitLength { .. })
         ));
         assert!(matches!(
-            try_simulate_multi1(
-                &spec,
-                &Eca::rule110(),
-                &init,
-                8,
-                RunOpts {
-                    strip: Some(3),
-                    ..RunOpts::default()
-                },
-                &mut Tracer::off(),
-            ),
+            run(&init, Some(3)),
             Err(SimError::InvalidStrip { s: 3, .. })
         ));
     }

@@ -748,29 +748,14 @@ mod tests {
         let init = inputs::random_bits(56, 64);
         let spec = MachineSpec::new(2, 64, 4, 1);
         let prog = VonNeumannLife::fredkin();
-        let base = try_simulate_multi2(
-            &spec,
-            &prog,
-            &init,
-            6,
-            RunOpts::default(),
-            &mut Tracer::off(),
-        )
-        .unwrap();
+        let base = simulate_multi2(&spec, &prog, &init, 6);
         for nu in [1.0f64, 2.0, 4.0] {
-            let plan = bsmp_faults::FaultPlan::uniform_slowdown(nu);
-            let rep = try_simulate_multi2(
-                &spec,
-                &prog,
-                &init,
-                6,
-                RunOpts {
-                    plan,
-                    ..RunOpts::default()
-                },
-                &mut Tracer::off(),
-            )
-            .unwrap();
+            let opts = RunOpts {
+                plan: bsmp_faults::FaultPlan::uniform_slowdown(nu),
+                ..RunOpts::default()
+            };
+            let rep =
+                try_simulate_multi2(&spec, &prog, &init, 6, opts, &mut Tracer::off()).unwrap();
             rep.assert_matches(&base.mem, &base.values);
             assert!(
                 base.host_time <= rep.host_time + 1e-9
@@ -790,16 +775,11 @@ mod tests {
         let prog = VonNeumannLife::fredkin();
         let init = inputs::random_bits(57, 64);
         let spec = MachineSpec::new(2, 64, 4, 1);
+        let run = |spec: &MachineSpec, init: &[Word]| {
+            try_simulate_multi2(spec, &prog, init, 4, RunOpts::default(), &mut Tracer::off()).err()
+        };
         assert_eq!(
-            try_simulate_multi2(
-                &spec,
-                &prog,
-                &init[..10],
-                4,
-                RunOpts::default(),
-                &mut Tracer::off()
-            )
-            .err(),
+            run(&spec, &init[..10]),
             Some(SimError::InitLength {
                 expected: 64,
                 got: 10
@@ -808,15 +788,7 @@ mod tests {
         // p = n gives block side 1 — too small for the strip machinery.
         let tight = MachineSpec::new(2, 64, 64, 1);
         assert_eq!(
-            try_simulate_multi2(
-                &tight,
-                &prog,
-                &init,
-                4,
-                RunOpts::default(),
-                &mut Tracer::off()
-            )
-            .err(),
+            run(&tight, &init),
             Some(SimError::BlockTooSmall { block: 1 })
         );
     }

@@ -9,11 +9,11 @@
 //! at addresses up to `Θ(n·m/p)`, hence slowdown `O((n/p)^{1+1/d})`;
 //! values crossing the processor boundary are charged `words × n/p`.
 
-use bsmp_faults::{FaultEnv, FaultPlan, FaultSession};
+use bsmp_faults::{FaultEnv, FaultSession};
 use bsmp_hram::{CostTable, Hram, Word};
 use bsmp_machine::{
-    lease_scratch, linear_guest_time, CoreKind, DisjointSlice, ExecPolicy, LinearProgram,
-    MachineSpec, PoolLease, StageClock,
+    lease_scratch, linear_guest_time, CoreKind, DisjointSlice, LinearProgram, MachineSpec,
+    PoolLease, StageClock,
 };
 use bsmp_trace::{EngineKind, RunMeta, Tracer};
 
@@ -38,13 +38,10 @@ pub fn try_simulate_naive1(
     opts: RunOpts,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
-    let (plan, exec) = (&opts.plan, opts.exec);
     match opts.core {
-        CoreKind::Dense => {
-            try_simulate_naive1_impl(spec, prog, init, steps, plan, exec, tracer, false)
-        }
+        CoreKind::Dense => try_simulate_naive1_impl(spec, prog, init, steps, opts, tracer, false),
         CoreKind::Event => {
-            crate::event1::try_simulate_naive1_event(spec, prog, init, steps, plan, exec, tracer)
+            crate::event1::try_simulate_naive1_event(spec, prog, init, steps, opts, tracer, None)
         }
     }
 }
@@ -81,20 +78,19 @@ pub fn try_simulate_naive1_scalar(
     opts: RunOpts,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
-    try_simulate_naive1_impl(spec, prog, init, steps, &opts.plan, opts.exec, tracer, true)
+    try_simulate_naive1_impl(spec, prog, init, steps, opts, tracer, true)
 }
 
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn try_simulate_naive1_impl(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
     init: &[Word],
     steps: i64,
-    plan: &FaultPlan,
-    exec: ExecPolicy,
+    opts: RunOpts,
     tracer: &mut Tracer,
     force_scalar: bool,
 ) -> Result<SimReport, SimError> {
+    let (plan, exec) = (&opts.plan, opts.exec);
     let n = spec.n as usize;
     let p = spec.p as usize;
     let m = prog.m();
@@ -547,6 +543,7 @@ pub(crate) fn try_simulate_naive1_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsmp_faults::FaultPlan;
     use bsmp_machine::run_linear;
     use bsmp_workloads::{inputs, CyclicWave, Eca, OddEvenSort, TokenShift};
 
@@ -667,43 +664,30 @@ mod tests {
 
     #[test]
     fn try_variant_reports_bad_parameters() {
+        let run = |spec: &MachineSpec, init: &[Word], plan| {
+            let opts = RunOpts {
+                plan,
+                ..RunOpts::default()
+            };
+            try_simulate_naive1(spec, &Eca::rule90(), init, 4, opts, &mut Tracer::off())
+        };
         let init = inputs::random_bits(11, 12);
         let spec = MachineSpec::new(1, 12, 4, 1);
         assert!(matches!(
-            try_simulate_naive1(
-                &spec,
-                &Eca::rule90(),
-                &init[..10],
-                4,
-                RunOpts::default(),
-                &mut Tracer::off()
-            ),
+            run(&spec, &init[..10], FaultPlan::none()),
             Err(SimError::InitLength { .. })
         ));
         let indivisible = MachineSpec::new(1, 10, 3, 1);
         let init10 = inputs::random_bits(12, 10);
         assert!(matches!(
-            try_simulate_naive1(
-                &indivisible,
-                &Eca::rule90(),
-                &init10,
-                4,
-                RunOpts::default(),
-                &mut Tracer::off()
-            ),
+            run(&indivisible, &init10, FaultPlan::none()),
             Err(SimError::IndivisibleProcessors { .. })
         ));
         assert!(matches!(
-            try_simulate_naive1(
+            run(
                 &spec,
-                &Eca::rule90(),
                 &inputs::random_bits(13, 12),
-                4,
-                RunOpts {
-                    plan: FaultPlan::uniform_slowdown(0.25),
-                    ..RunOpts::default()
-                },
-                &mut Tracer::off()
+                FaultPlan::uniform_slowdown(0.25)
             ),
             Err(SimError::Fault(_))
         ));
@@ -715,19 +699,13 @@ mod tests {
         let spec = MachineSpec::new(1, 64, 8, 1);
         let base = simulate_naive1(&spec, &Eca::rule110(), &init, 32);
         for nu in [1.0, 2.0, 4.0] {
-            let plan = FaultPlan::uniform_slowdown(nu);
-            let rep = try_simulate_naive1(
-                &spec,
-                &Eca::rule110(),
-                &init,
-                32,
-                RunOpts {
-                    plan,
-                    ..RunOpts::default()
-                },
-                &mut Tracer::off(),
-            )
-            .unwrap();
+            let opts = RunOpts {
+                plan: FaultPlan::uniform_slowdown(nu),
+                ..RunOpts::default()
+            };
+            let rep =
+                try_simulate_naive1(&spec, &Eca::rule110(), &init, 32, opts, &mut Tracer::off())
+                    .unwrap();
             rep.assert_matches(&base.mem, &base.values);
             assert!(rep.host_time >= base.host_time - 1e-9);
             assert!(rep.host_time <= nu * base.host_time + 1e-6, "ν = {nu}");

@@ -4,11 +4,11 @@
 //! natural order, two value planes above them.  Slowdown
 //! `O((n/p)^{3/2})` — Proposition 1 with `d = 2`.
 
-use bsmp_faults::{FaultEnv, FaultPlan, FaultSession};
+use bsmp_faults::{FaultEnv, FaultSession};
 use bsmp_hram::{CostTable, Hram, Word};
 use bsmp_machine::{
-    lease_scratch, mesh_guest_time, CoreKind, DisjointSlice, ExecPolicy, MachineSpec, MeshProgram,
-    PoolLease, StageClock,
+    lease_scratch, mesh_guest_time, CoreKind, DisjointSlice, MachineSpec, MeshProgram, PoolLease,
+    StageClock,
 };
 use bsmp_trace::{EngineKind, RunMeta, Tracer};
 
@@ -33,13 +33,10 @@ pub fn try_simulate_naive2(
     opts: RunOpts,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
-    let (plan, exec) = (&opts.plan, opts.exec);
     match opts.core {
-        CoreKind::Dense => {
-            try_simulate_naive2_impl(spec, prog, init, steps, plan, exec, tracer, false)
-        }
+        CoreKind::Dense => try_simulate_naive2_impl(spec, prog, init, steps, opts, tracer, false),
         CoreKind::Event => {
-            crate::event2::try_simulate_naive2_event(spec, prog, init, steps, plan, exec, tracer)
+            crate::event2::try_simulate_naive2_event(spec, prog, init, steps, opts, tracer, None)
         }
     }
 }
@@ -76,20 +73,19 @@ pub fn try_simulate_naive2_scalar(
     opts: RunOpts,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
-    try_simulate_naive2_impl(spec, prog, init, steps, &opts.plan, opts.exec, tracer, true)
+    try_simulate_naive2_impl(spec, prog, init, steps, opts, tracer, true)
 }
 
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn try_simulate_naive2_impl(
     spec: &MachineSpec,
     prog: &impl MeshProgram,
     init: &[Word],
     steps: i64,
-    plan: &FaultPlan,
-    exec: ExecPolicy,
+    opts: RunOpts,
     tracer: &mut Tracer,
     force_scalar: bool,
 ) -> Result<SimReport, SimError> {
+    let (plan, exec) = (&opts.plan, opts.exec);
     if spec.d != 2 {
         return Err(SimError::DimensionMismatch {
             expected: 2,
@@ -478,6 +474,7 @@ pub(crate) fn try_simulate_naive2_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsmp_faults::FaultPlan;
     use bsmp_machine::run_mesh;
     use bsmp_workloads::{inputs, HeatDiffusion, SystolicMatmul, VonNeumannLife};
 
@@ -543,21 +540,15 @@ mod tests {
     fn uniform_slowdown_stays_within_nu_envelope() {
         let init = inputs::random_bits(16, 64);
         let spec = MachineSpec::new(2, 64, 4, 1);
-        let base = simulate_naive2(&spec, &VonNeumannLife::fredkin(), &init, 8);
+        let prog = VonNeumannLife::fredkin();
+        let base = simulate_naive2(&spec, &prog, &init, 8);
         for nu in [1.0, 2.0, 4.0] {
-            let plan = FaultPlan::uniform_slowdown(nu);
-            let rep = try_simulate_naive2(
-                &spec,
-                &VonNeumannLife::fredkin(),
-                &init,
-                8,
-                RunOpts {
-                    plan,
-                    ..RunOpts::default()
-                },
-                &mut Tracer::off(),
-            )
-            .unwrap();
+            let opts = RunOpts {
+                plan: FaultPlan::uniform_slowdown(nu),
+                ..RunOpts::default()
+            };
+            let rep =
+                try_simulate_naive2(&spec, &prog, &init, 8, opts, &mut Tracer::off()).unwrap();
             rep.assert_matches(&base.mem, &base.values);
             assert!(rep.host_time >= base.host_time - 1e-9);
             assert!(rep.host_time <= nu * base.host_time + 1e-6, "ν = {nu}");
@@ -566,29 +557,19 @@ mod tests {
 
     #[test]
     fn try_variant_reports_bad_parameters() {
+        let run = |spec: &MachineSpec, init: &[Word]| {
+            let (prog, opts) = (VonNeumannLife::fredkin(), RunOpts::default());
+            try_simulate_naive2(spec, &prog, init, 4, opts, &mut Tracer::off())
+        };
         let init = inputs::random_bits(17, 64);
         let spec = MachineSpec::new(2, 64, 4, 1);
         assert!(matches!(
-            try_simulate_naive2(
-                &spec,
-                &VonNeumannLife::fredkin(),
-                &init[..60],
-                4,
-                RunOpts::default(),
-                &mut Tracer::off()
-            ),
+            run(&spec, &init[..60]),
             Err(SimError::InitLength { .. })
         ));
         let linear = MachineSpec::new(1, 64, 4, 1);
         assert!(matches!(
-            try_simulate_naive2(
-                &linear,
-                &VonNeumannLife::fredkin(),
-                &init,
-                4,
-                RunOpts::default(),
-                &mut Tracer::off()
-            ),
+            run(&linear, &init),
             Err(SimError::DimensionMismatch {
                 expected: 2,
                 got: 1

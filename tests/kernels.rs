@@ -108,15 +108,7 @@ fn naive1_exact_mode_engages_for_dyadic_density() {
     let (n, p, steps) = (256usize, 4u64, 32i64);
     let spec = MachineSpec::new(1, n as u64, p, 1);
     let init = inputs::random_bits(3, n);
-    let rep = naive1::try_simulate_naive1(
-        &spec,
-        &Eca::rule110(),
-        &init,
-        steps,
-        RunOpts::default(),
-        &mut Tracer::off(),
-    )
-    .unwrap();
+    let rep = naive1::simulate_naive1(&spec, &Eca::rule110(), &init, steps);
     assert_eq!(
         rep.meter.table_hits, rep.meter.ops,
         "all accesses table-served"
@@ -174,15 +166,7 @@ fn naive3_tiled_matches_scalar_bitwise() {
         let n = (side * side * side) as usize;
         let init = inputs::random_bits(13, n);
         let steps = side;
-        let tiled = dnc3::try_simulate_naive3(
-            side as usize,
-            &Parity3d,
-            &init,
-            steps,
-            RunOpts::default(),
-            &mut Tracer::off(),
-        )
-        .unwrap();
+        let tiled = dnc3::simulate_naive3(side as usize, &Parity3d, &init, steps);
         let scalar =
             dnc3::try_simulate_naive3_scalar(side as usize, &Parity3d, &init, steps).unwrap();
         assert_bit_identical(&tiled, &scalar, &format!("naive3 side={side}"));
