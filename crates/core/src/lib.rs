@@ -214,22 +214,17 @@ impl Simulation {
     /// prime `n/p`; per-processor blocks of side 1 for `d = 2`).
     fn pick(&self) -> EngineKind {
         let spec = &self.spec;
-        let (naive, dnc, multi, multi_fits) = if spec.d == 1 {
-            let fits = bsmp_sim::multi1::engine_strip(spec.n, spec.m, spec.p).is_some();
-            (
-                EngineKind::Naive1,
-                EngineKind::Dnc1,
-                EngineKind::Multi1,
-                fits,
-            )
+        let [naive, dnc, multi] = if spec.d == 1 {
+            [EngineKind::Naive1, EngineKind::Dnc1, EngineKind::Multi1]
         } else {
-            let fits = spec.mesh_side() / spec.proc_side() >= 2;
-            (
-                EngineKind::Naive2,
-                EngineKind::Dnc2,
-                EngineKind::Multi2,
-                fits,
-            )
+            [EngineKind::Naive2, EngineKind::Dnc2, EngineKind::Multi2]
+        };
+        let multi_fits = || {
+            if spec.d == 1 {
+                bsmp_sim::multi1::engine_strip(spec.n, spec.m, spec.p).is_some()
+            } else {
+                spec.mesh_side() / spec.proc_side() >= 2
+            }
         };
         let (n, m, p) = (spec.n as f64, spec.m as f64, spec.p as f64);
         match self.strategy {
@@ -243,7 +238,7 @@ impl Simulation {
                 naive
             }
             Strategy::TwoRegime | Strategy::Auto if spec.p == 1 => dnc,
-            Strategy::TwoRegime | Strategy::Auto if multi_fits => multi,
+            Strategy::TwoRegime | Strategy::Auto if multi_fits() => multi,
             Strategy::TwoRegime | Strategy::Auto => naive,
         }
     }
