@@ -366,28 +366,25 @@ fn trace_demo(
     };
     let mut tracer = Tracer::recording();
     let rep = match kind.d() {
-        1 => MachineSpec::try_new(1, n, p, 1)
-            .map_err(Into::into)
-            .and_then(|spec| {
-                engine::run_linear(
-                    kind,
-                    &spec,
-                    &Eca::rule110(),
-                    &init,
-                    steps,
-                    opts,
-                    &mut tracer,
-                )
-            }),
-        2 => MachineSpec::try_new(2, n, p, 1)
-            .map_err(Into::into)
-            .and_then(|spec| {
-                let prog = VonNeumannLife::fredkin();
-                engine::run_mesh(kind, &spec, &prog, &init, steps, opts, &mut tracer)
-            }),
+        1 => {
+            let spec = MachineSpec::new(1, n, p, 1);
+            engine::run_linear(
+                kind,
+                &spec,
+                &Eca::rule110(),
+                &init,
+                steps,
+                opts,
+                &mut tracer,
+            )
+        }
+        2 => {
+            let (spec, prog) = (MachineSpec::new(2, n, p, 1), VonNeumannLife::fredkin());
+            engine::run_mesh(kind, &spec, &prog, &init, steps, opts, &mut tracer)
+        }
         _ => engine::run_volume(kind, 4, &Parity3d, &init, steps, opts, &mut tracer),
     }
-    .map_err(|e: bsmp::SimError| e.to_string())?;
+    .map_err(|e| e.to_string())?;
     let mut trace = tracer
         .take()
         .expect("recording tracer always yields a trace");
