@@ -330,9 +330,8 @@ impl Simulation {
         let mut trace = tracer
             .take()
             .expect("recording tracer always yields a trace");
-        let (n, m, p) = (self.spec.n as f64, self.spec.m as f64, self.spec.p as f64);
-        trace.summary.regime =
-            format!("{:?}", bsmp_analytic::theorem1::range(self.spec.d, n, m, p));
+        let s = &self.spec;
+        serve_suite::stamp_regime(&mut trace, s.d, s.n, s.m, s.p);
         trace
     }
 

@@ -24,6 +24,11 @@
 //! | [`dnc2`]    | Theorem 5 (uniprocessor D&C, `d = 2`)            |
 //! | [`multi2`]  | Theorem 1 `d = 2` (two-regime, cost-accounted)   |
 //!
+//! Each engine module exposes `try_simulate_X(spec, prog, init, steps,
+//! opts, tracer)` and the default-options `simulate_X`; [`engine`]
+//! dispatches a run over the [`EngineKind`] registry with one
+//! [`RunOpts`].
+//!
 //! The instantaneous-model (Brent) baseline of experiment E10 is the
 //! naive engines run on a [`bsmp_machine::MachineSpec::instantaneous`]
 //! host; [`pipelined1`] implements Section 6's pipelined-memory machine
@@ -137,9 +142,9 @@ pub(crate) fn run_uniprocessor(
     Ok(rep)
 }
 
-/// Check the preconditions shared by the `d ≥ 1` divide-and-conquer
-/// engines: the spec's dimension, `p = 1`, the program's density, and
-/// the initial image's length.
+/// Check the preconditions shared by the `d = 1` and `d = 2`
+/// divide-and-conquer engines: the spec's dimension, `p = 1`, the
+/// program's density, and the initial image's length.
 pub(crate) fn check_uniprocessor(
     kind: EngineKind,
     spec: &bsmp_machine::MachineSpec,
