@@ -25,14 +25,18 @@ const GOLDEN: &str = concat!(
 
 /// Shapes beyond the certify matrix, `(engine, d, n, m, p, T)`: deeper
 /// recursions, leaf radii above 1 and clipped cells on every wall, so
-/// the d = 2 / d = 3 memos are exercised past the matrix's tiny cases.
-const EXTRA: [(&str, u8, u64, u64, u64, i64); 6] = [
+/// the d = 2 / d = 3 memos are exercised past the matrix's tiny cases
+/// (including runs longer than the mesh side and the reverse).
+const EXTRA: [(&str, u8, u64, u64, u64, i64); 9] = [
     ("dnc1", 1, 256, 4, 1, 200),
     ("dnc2", 2, 256, 1, 1, 16),
     ("dnc2", 2, 144, 4, 1, 13),
     ("multi2", 2, 256, 2, 4, 20),
     ("multi2", 2, 144, 3, 4, 12),
     ("dnc3", 3, 216, 1, 1, 11),
+    ("dnc3", 3, 125, 1, 1, 9),
+    ("dnc3", 3, 343, 1, 1, 5),
+    ("dnc2", 2, 100, 1, 1, 21),
 ];
 
 fn cases() -> Vec<MatrixCase> {
@@ -60,7 +64,11 @@ fn cases() -> Vec<MatrixCase> {
 fn plans() -> Vec<(&'static str, FaultPlan)> {
     let storm = FaultPlan::from_json(include_str!("../examples/chaos_storm.json"))
         .expect("chaos_storm.json parses");
-    vec![("none", FaultPlan::none()), ("chaos_storm", storm)]
+    vec![
+        ("none", FaultPlan::none()),
+        ("chaos_storm", storm),
+        ("nu1.8", FaultPlan::uniform_slowdown(1.8).seed(11)),
+    ]
 }
 
 fn hex(x: f64) -> String {
