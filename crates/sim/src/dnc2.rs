@@ -1,15 +1,16 @@
 //! **Theorem 5** — divide-and-conquer uniprocessor simulation of the
-//! mesh, built on the [`crate::exec2`] executor: for `T_n ≥ √n`,
+//! mesh, built on the [`crate::execd`] executor: for `T_n ≥ √n`,
 //! a `T_n`-step computation of `M_2(n, n, 1)` runs on `M_2(n, 1, 1)`
 //! with slowdown `O(n log n)`; the `m > 1` generalization mirrors
 //! Theorem 3 with *executable cells* of radius `~m/2`.
 
+use bsmp_geometry::Domain2;
 use bsmp_hram::Word;
 use bsmp_machine::{mesh_guest_time, MachineSpec, MeshProgram};
 use bsmp_trace::{RunMeta, Tracer};
 
 use crate::error::SimError;
-use crate::exec2::CellExec;
+use crate::execd::CellExec;
 use crate::report::SimReport;
 use crate::{bulk_report, check_uniprocessor, EngineKind, RunOpts};
 
@@ -39,7 +40,8 @@ pub fn try_simulate_dnc2(
         check_uniprocessor(EngineKind::Dnc2, spec, prog.m(), init.len())?;
         tracer.ensure_procs(1);
         tracer.begin_stage("run");
-        let mut exec = CellExec::new(spec, prog, steps, leaf_h);
+        let side = spec.mesh_side() as i64;
+        let mut exec = CellExec::<Domain2, _, 2>::new(side, spec.access_fn(), prog, steps, leaf_h);
         let (mem, values) = exec.run(init)?;
         let guest_time = mesh_guest_time(spec, prog, steps);
         let meter = exec.ram.meter;

@@ -1,16 +1,17 @@
 //! **Section 6's conjecture, measured**: divide-and-conquer uniprocessor
 //! simulation of the 3-D mesh `M_3(n, n, 1)` on `M_3(n, 1, 1)`, built on
-//! the 4-D separator executor [`crate::exec3`].  The conjectured
+//! the 4-D separator executor [`crate::execd`].  The conjectured
 //! slowdown — `O(n log n)`, the d = 3 analogue of Theorems 2/5 — is
 //! verified in the tests and experiment E11c, against the naive
 //! `O(n^{4/3})` (Proposition 1 with d = 3).
 
-use bsmp_hram::{CostMeter, CostTable, Word};
+use bsmp_geometry::Domain3;
+use bsmp_hram::{AccessFn, CostMeter, CostTable, Word};
 use bsmp_machine::{volume_guest_time, VolumeProgram};
 use bsmp_trace::{RunMeta, Tracer};
 
 use crate::error::SimError;
-use crate::exec3::VolumeExec;
+use crate::execd::CellExec;
 use crate::report::SimReport;
 use crate::{bulk_report, EngineKind, RunOpts};
 
@@ -32,7 +33,8 @@ pub fn try_simulate_dnc3(
         check_volume(prog, init, n as usize)?;
         tracer.ensure_procs(1);
         tracer.begin_stage("run");
-        let mut exec = VolumeExec::new(side as i64, prog, steps, 1);
+        let access = AccessFn::new(3, 1);
+        let mut exec = CellExec::<Domain3, _, 3>::new(side as i64, access, prog, steps, 1);
         let (mem, values) = exec.run(init)?;
         let guest_time = volume_guest_time(side, 1, prog, steps);
         let meter = exec.ram.meter;
@@ -158,7 +160,7 @@ fn try_simulate_naive3_impl(
     check_volume(prog, init, n)?;
     tracer.ensure_procs(1);
     tracer.begin_stage("run");
-    let access = bsmp_hram::AccessFn::new(3, 1);
+    let access = AccessFn::new(3, 1);
     let mut ram = bsmp_hram::Hram::new(access, 3 * n);
     // Layout: value row A at [0, n), row B at [n, 2n).
     for (v, w) in init.iter().enumerate() {

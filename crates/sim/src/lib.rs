@@ -13,16 +13,17 @@
 //!
 //! Engines:
 //!
-//! | module      | paper artifact                                   |
-//! |-------------|--------------------------------------------------|
-//! | [`naive1`]  | Proposition 1 / §4.2 naive, `d = 1`, any `p`     |
-//! | [`naive2`]  | Proposition 1 naive, `d = 2`, any square `p`     |
-//! | [`exec1`]   | Proposition 2 executor over diamond separators   |
-//! | [`dnc1`]    | Theorems 2 & 3 (uniprocessor D&C, `d = 1`)       |
-//! | [`multi1`]  | Theorem 4 (two-regime multiprocessor, `d = 1`)   |
-//! | [`exec2`]   | Proposition 2 executor over octa/tetra cells     |
-//! | [`dnc2`]    | Theorem 5 (uniprocessor D&C, `d = 2`)            |
-//! | [`multi2`]  | Theorem 1 `d = 2` (two-regime, cost-accounted)   |
+//! | module      | paper artifact                                       |
+//! |-------------|------------------------------------------------------|
+//! | [`naive1`]  | Proposition 1 / §4.2 naive, `d = 1`, any `p`         |
+//! | [`naive2`]  | Proposition 1 naive, `d = 2`, any square `p`         |
+//! | [`exec1`]   | Proposition 2 executor over diamond separators       |
+//! | [`dnc1`]    | Theorems 2 & 3 (uniprocessor D&C, `d = 1`)           |
+//! | [`multi1`]  | Theorem 4 (two-regime multiprocessor, `d = 1`)       |
+//! | [`execd`]   | Proposition 2 executor over product cells, `d = 2, 3` |
+//! | [`dnc2`]    | Theorem 5 (uniprocessor D&C, `d = 2`)                |
+//! | [`multi2`]  | Theorem 1 `d = 2` (two-regime, cost-accounted)       |
+//! | [`dnc3`]    | Section 6 conjecture (uniprocessor D&C and naive, `d = 3`) |
 //!
 //! Each engine module exposes `try_simulate_X(spec, prog, init, steps,
 //! opts, tracer)` and the default-options `simulate_X`; [`engine`]
@@ -42,8 +43,7 @@ pub mod error;
 pub mod event1;
 pub mod event2;
 pub mod exec1;
-pub mod exec2;
-pub mod exec3;
+pub mod execd;
 pub mod multi1;
 pub mod multi2;
 pub mod naive1;

@@ -3,7 +3,7 @@
 //!
 //! The paper proves the `d = 2` multiprocessor case by an orchestration
 //! "closely patterned" on Section 4.2 but published only in the
-//! technical report [BP95a], which is not available.  This engine
+//! technical report \[BP95a\], which is not available.  This engine
 //! implements the *block-banded* generalization of Figure 2 — the
 //! analogue of the first multiprocessor scheme of §4.2:
 //!
@@ -24,14 +24,14 @@
 //! (ranges 2–4, where the paper's own `s*` equals the block/band scale);
 //! for very small `m` the full rearranged scheme would shave a further
 //! factor (range 1), which we document as out of scope along with
-//! [BP95a].  The analytic four-range `A` is available in
+//! \[BP95a\].  The analytic four-range `A` is available in
 //! `bsmp_analytic::theorem1` for comparison (experiment E5).
 
 use bsmp_machine::FxHashMap;
 
 use bsmp_faults::{FaultEnv, FaultPlan, FaultSession};
-use bsmp_geometry::{cell_cover, ClippedDomain2, IBox, Pt3};
-use bsmp_hram::Word;
+use bsmp_geometry::{cell_cover, ClippedDomain2, Domain2, IBox, Pt3};
+use bsmp_hram::{AccessFn, Word};
 use bsmp_machine::{
     lease_scratch, mesh_guest_time, CoreKind, EventQueue, MachineSpec, MeshProgram, ScratchLease,
     StageClock,
@@ -39,7 +39,7 @@ use bsmp_machine::{
 use bsmp_trace::{EngineKind, RunMeta, Tracer};
 
 use crate::error::SimError;
-use crate::exec2::{CellExec, CellPlans};
+use crate::execd::{CellExec, CellPlans};
 use crate::report::SimReport;
 use crate::zone::ZoneAlloc;
 use crate::{settle_scenario, stage_totals, RunOpts};
@@ -102,9 +102,9 @@ struct Engine2<'a, P: MeshProgram> {
     t_steps: i64,
     hop: f64,
     cbox: IBox,
-    execs: Vec<CellExec<'a, P>>,
+    execs: Vec<CellExec<'a, Domain2, P, 2>>,
     /// Shape plans shared by all `execs` (lent to the executing one).
-    plans: CellPlans,
+    plans: CellPlans<2>,
     prog: &'a P,
     vals: FxHashMap<Pt3, Word>,
     /// value → (proc, addr) in that proc's value-home zone.
@@ -156,19 +156,18 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         }
         let cbox = IBox::new(0, side as i64, 0, side as i64, 1, steps + 1);
 
-        let pseudo = MachineSpec::new(2, spec.n, 1, spec.m);
+        // Each processor runs the Theorem-5 recursion on its own H-RAM,
+        // metered like the uniprocessor host's.
+        let access = AccessFn::new(2, spec.m);
         let leaf = (m as i64 / 2).max(1);
-        let mut probe = CellExec::new(&pseudo, prog, steps, leaf);
-        let interior = ClippedDomain2::new(
-            bsmp_geometry::Domain2::octahedron(
-                (side / 2) as i64,
-                (side / 2) as i64,
-                (steps / 2).max(1),
-                (b / 2).max(1) as i64,
-            ),
-            cbox,
+        let new_exec = || CellExec::new(side as i64, access, prog, steps, leaf);
+        let interior = Domain2::octahedron(
+            (side / 2) as i64,
+            (side / 2) as i64,
+            (steps / 2).max(1),
+            (b / 2).max(1) as i64,
         );
-        let tile_space = probe.space(&interior) * 2 + 128;
+        let tile_space = new_exec().space(&interior) * 2 + 128;
         let transit_cap = 8 * b * b * m + 32 * b * b + 1024;
         let home_cap = 16 * b * b + 8 * b + 512;
         let transit_base = tile_space;
@@ -178,7 +177,7 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
 
         let execs = (0..sp * sp)
             .map(|_| {
-                let mut e = CellExec::new(&pseudo, prog, steps, leaf);
+                let mut e = new_exec();
                 e.cover(state_base + b * b * m);
                 e
             })
@@ -351,17 +350,17 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
 
     fn run_cell_on(&mut self, piece: &ClippedDomain2, pr: usize) -> Result<(), SimError> {
         // Stage preboundary values (private copies, consumed by exec).
-        let g = self.execs[pr].gamma(piece);
+        let g = self.execs[pr].gamma(&piece.cell);
         let mut seeds = Vec::with_capacity(g.len());
-        for pt in &g {
-            let addr = self.stage_value(*pt, pr)?;
-            seeds.push((*pt, addr));
+        for &(t, [x, y]) in &g {
+            let addr = self.stage_value(Pt3::new(x, y, t), pr)?;
+            seeds.push(((t, [x, y]), addr));
         }
 
         // Stage pillar states (borrow foreign ones, charged).
         let mut state_seeds: Vec<((i64, i64), usize, usize, usize)> = Vec::new();
         if self.m > 1 {
-            for (x, y) in self.execs[pr].pillars(piece) {
+            for [x, y] in self.execs[pr].pillars(&piece.cell) {
                 let hpr = self.proc_of_node(x, y);
                 let home_addr = self.state_home(x, y);
                 let copy = self.transit_zones[pr].alloc_block(self.m);
@@ -388,17 +387,17 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         // in sorted order, while the harvest below keeps the cell's
         // visit order (its charges follow it).
         let out_pts = self.outbound(piece);
-        let mut want = out_pts.clone();
+        let mut want: Vec<_> = out_pts.iter().map(|p| (p.t, [p.x, p.y])).collect();
         want.sort_unstable();
         debug_assert!(seeds.windows(2).all(|w| w[0].0 < w[1].0));
         {
             let exec = &mut self.execs[pr];
             exec.clear_seeds();
             for ((x, y), addr, _, _) in &state_seeds {
-                exec.seed_state((*x, *y), *addr);
+                exec.seed_state([*x, *y], *addr);
             }
         }
-        let space = self.execs[pr].space(piece);
+        let space = self.execs[pr].space(&piece.cell);
         let mut zone = std::mem::replace(&mut self.transit_zones[pr], ZoneAlloc::new(0, 0));
         let mut out_addrs = Vec::with_capacity(want.len());
         let exec_res = if space > self.tile_space {
@@ -406,7 +405,7 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
                 what: "cell footprint exceeds the tile budget",
             })
         } else {
-            self.execs[pr].exec(piece, &want, &mut zone, &seeds, &mut out_addrs)
+            self.execs[pr].exec(&piece.cell, &want, &mut zone, &seeds, &mut out_addrs)
         };
         self.transit_zones[pr] = zone;
         exec_res?;
@@ -420,12 +419,12 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         // Harvest outbound values: persist them at the *consumer-side*
         // home (the processor owning the value's node).
         for pt in out_pts {
-            let addr =
-                want.binary_search(&pt)
-                    .map(|i| out_addrs[i])
-                    .map_err(|_| SimError::Internal {
-                        what: "cell output not parked",
-                    })?;
+            let addr = want
+                .binary_search(&(pt.t, [pt.x, pt.y]))
+                .map(|i| out_addrs[i])
+                .map_err(|_| SimError::Internal {
+                    what: "cell output not parked",
+                })?;
             let w = self.execs[pr].ram.peek(addr);
             let _ = self.execs[pr].ram.read(addr);
             self.transit_zones[pr].free_if_owned(addr);
@@ -449,7 +448,7 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         if self.m > 1 {
             for ((x, y), copy, home_addr, hpr) in state_seeds {
                 let parked = self.execs[pr]
-                    .state_addr((x, y))
+                    .state_addr([x, y])
                     .ok_or(SimError::Internal {
                         what: "pillar state not parked",
                     })?;

@@ -1,5 +1,5 @@
 //! Sorted value directories and sorted-set merges for the recursive
-//! executors ([`crate::exec1`], [`crate::exec2`], [`crate::exec3`]).
+//! executors ([`crate::exec1`], [`crate::execd`]).
 //!
 //! A directory maps each parked dag value (a point of any dimension) to
 //! its current address, ordered by point.  It is threaded down the
