@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate: build, test, lint, and format-check the whole workspace.
+# CI gate: build, test, lint, format-check and doc-check the whole workspace.
 # Run from the repo root.  Fails fast on the first broken step.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -15,6 +15,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+
+echo "==> cargo doc (rustdoc warnings are errors)"
+# Broken intra-doc links (a renamed or deleted item, a bracketed
+# citation read as a link) fail here instead of rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Scratch area for CI artifacts: the committed BENCH_engines.json is a
 # baseline to diff against, never something a CI run may overwrite.

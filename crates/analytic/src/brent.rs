@@ -1,5 +1,5 @@
-//! Brent's Principle [B74] and the Fundamental Principle of Parallel
-//! Computation [S86] — the *instantaneous-model* baseline that the
+//! Brent's Principle \[B74\] and the Fundamental Principle of Parallel
+//! Computation \[S86\] — the *instantaneous-model* baseline that the
 //! limiting technology breaks.
 
 /// Brent's Principle: a `T`-step computation on `n` processors can be

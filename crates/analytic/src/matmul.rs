@@ -7,7 +7,7 @@
 //! * a uniprocessor with `O(n)` memory needs `Θ(n^{3/2})` operations;
 //!   under bounded speed a *straightforward* implementation pays the
 //!   average access distance `Θ(√n)` per operation, while the
-//!   locality-careful blocked algorithm of [AACS87] pays only
+//!   locality-careful blocked algorithm of \[AACS87\] pays only
 //!   `Θ(log n)`;
 //! * hence the mesh's speedup is `Θ(n^{3/2})` (naive serial) or
 //!   `Θ(n·log n)` (blocked serial) — *superlinear* in the `n`
@@ -33,7 +33,7 @@ pub fn serial_time_naive(n: f64) -> f64 {
 }
 
 /// Blocked (hierarchy-aware) uniprocessor time: access overhead
-/// `Θ(log n)` per operation [AACS87].
+/// `Θ(log n)` per operation \[AACS87\].
 pub fn serial_time_blocked(n: f64) -> f64 {
     serial_ops(n) * logp2(n)
 }

@@ -1,7 +1,7 @@
 //! Minimal wall-clock timing harness for the `benches/` targets.
 //!
 //! Each bench target is a plain binary (`harness = false`) that calls
-//! [`bench`] per case: warm up, run a fixed number of timed iterations,
+//! [`bench()`] per case: warm up, run a fixed number of timed iterations,
 //! and print min/median/mean per-iteration wall time.  No external
 //! benchmarking framework is required.
 

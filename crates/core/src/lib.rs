@@ -35,7 +35,7 @@
 //! ```
 //!
 //! The fallible twin [`Simulation::try_run`] returns a
-//! [`SimError`](bsmp_sim::SimError) instead of panicking, and
+//! [`SimError`] instead of panicking, and
 //! [`Simulation::faults`] injects a deterministic [`FaultPlan`] (link
 //! slowdown, message loss with retries, crash/recovery) whose cost shows
 //! up in [`SimReport::faults`](bsmp_sim::SimReport):

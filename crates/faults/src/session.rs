@@ -3,7 +3,7 @@
 //! accounting.
 //!
 //! The session is the single choke point through which every engine's
-//! stage costs flow ([`StageClock::add_stage_faulted`] in
+//! stage costs flow (`StageClock::add_stage_faulted` in
 //! `bsmp-machine` calls [`FaultSession::try_apply_stage`]).  All draws
 //! are stateless hashes of `(seed, kind, stage, proc)`, so the injected
 //! costs are bit-reproducible per seed and independent of host thread

@@ -15,7 +15,7 @@
 //! point where stage costs enter the clock.
 //!
 //! Engines that run many stages should hold a persistent
-//! [`StagePool`](crate::pool::StagePool) instead of calling
+//! [`StagePool`] instead of calling
 //! [`run_stage`], which stands up (and tears down) a fresh pool per
 //! call and survives only as a compatibility shim.
 

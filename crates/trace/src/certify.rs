@@ -37,7 +37,7 @@
 //! the same stages, so the `comm ≤ Σ busy` check is skipped (the floor
 //! still applies: settlement repays deferred work before the run ends).
 //!
-//! Traces recorded under [`CostModel::Instantaneous`] price every hop
+//! Traces recorded under `CostModel::Instantaneous` price every hop
 //! at 0; the schema does not record the cost model, so `certify`
 //! assumes bounded-speed propagation and the façade refuses to certify
 //! instantaneous runs.
@@ -84,7 +84,7 @@ pub struct StageCheck {
     pub measured: f64,
     /// The stage's recorded busy total.
     pub upper: f64,
-    /// Whether the sandwich holds (within [`REL_TOL`]).
+    /// Whether the sandwich holds (within `REL_TOL`).
     pub ok: bool,
 }
 
