@@ -44,12 +44,31 @@ use bsmp_workloads::{inputs, CyclicWave, Eca, Parity3d, PlaneWave, VonNeumannLif
 /// Protocol schema stamped on every request/response line.
 pub const SERVE_SCHEMA: &str = "bsmp-serve/v1";
 
-/// The canonical guest workload per `(d, m)` — shared with the
-/// certification matrix so a serve job and its `bench --certify` twin
-/// run the same computation: `m = 1` runs rule 110 / Fredkin life /
-/// 3-D parity; `m > 1` runs the cyclic/plane wave at density `m`.
+/// The input seed of a job that names none — shared with the
+/// certification matrix, so a serve job and its `bench --certify` twin
+/// start from the same image.
 pub fn default_seed(n: u64, m: u64, p: u64) -> u64 {
     0xB5_u64.wrapping_mul(n).wrapping_add(m * 31 + p * 7)
+}
+
+/// The canonical guest workload per `(d, m)`, shared by [`run_shape`]
+/// and [`run_guest`] (and through them the certification matrix):
+/// `m = 1` runs rule 110 / Fredkin life / 3-D parity on random bits;
+/// `m > 1` runs the cyclic/plane wave at density `m` on random words.
+/// This is its initial image of `n` nodes.
+fn canonical_init(seed: u64, n: u64, m: u64) -> Vec<Word> {
+    let (n, m) = (n as usize, m as usize);
+    if m == 1 {
+        inputs::random_bits(seed, n)
+    } else {
+        inputs::random_words(seed, n * m, 50)
+    }
+}
+
+/// The side of a `d = 3` mesh of `n` nodes, if `n` is a cube.
+fn cube_side(n: u64) -> Option<usize> {
+    let side = (n as f64).cbrt().round() as u64;
+    (side.checked_pow(3) == Some(n)).then_some(side as usize)
 }
 
 /// Run one engine on the canonical workload for its shape.  This is the
@@ -78,37 +97,32 @@ pub fn run_shape(
     match d {
         1 => {
             let spec = MachineSpec::try_new(1, n, p, m)?;
-            let (nu, mu) = (n as usize, m as usize);
-            if mu == 1 {
-                let init = inputs::random_bits(seed, nu);
+            let init = canonical_init(seed, n, m);
+            if m == 1 {
                 engine::run_linear(kind, &spec, &Eca::rule110(), &init, steps, opts, tracer)
             } else {
-                let init = inputs::random_words(seed, nu * mu, 50);
-                let prog = CyclicWave::new(mu);
+                let prog = CyclicWave::new(m as usize);
                 engine::run_linear(kind, &spec, &prog, &init, steps, opts, tracer)
             }
         }
         2 => {
             let spec = MachineSpec::try_new(2, n, p, m)?;
-            let (nu, mu) = (n as usize, m as usize);
-            if mu == 1 {
-                let init = inputs::random_bits(seed, nu);
+            let init = canonical_init(seed, n, m);
+            if m == 1 {
                 let prog = VonNeumannLife::fredkin();
                 engine::run_mesh(kind, &spec, &prog, &init, steps, opts, tracer)
             } else {
-                let init = inputs::random_words(seed, nu * mu, 50);
-                let prog = PlaneWave::new(mu);
+                let prog = PlaneWave::new(m as usize);
                 engine::run_mesh(kind, &spec, &prog, &init, steps, opts, tracer)
             }
         }
         3 => {
-            let side = (n as f64).cbrt().round() as usize;
-            if (side * side * side) as u64 != n || m != 1 || p != 1 {
-                return Err(SimError::Internal {
+            let side = cube_side(n)
+                .filter(|_| m == 1 && p == 1)
+                .ok_or(SimError::Internal {
                     what: "d = 3 engines need a cube n with m = p = 1",
-                });
-            }
-            let init = inputs::random_bits(seed, side * side * side);
+                })?;
+            let init = canonical_init(seed, n, 1);
             engine::run_volume(kind, side, &Parity3d, &init, steps, opts, tracer)
         }
         _ => Err(SimError::DimensionMismatch {
@@ -125,56 +139,28 @@ pub fn run_guest(d: u8, n: u64, m: u64, steps: i64, seed: u64) -> Result<GuestRu
     match d {
         1 => {
             let spec = MachineSpec::try_new(1, n, 1, m)?;
-            let (nu, mu) = (n as usize, m as usize);
-            Ok(if mu == 1 {
-                run_linear(
-                    &spec,
-                    &Eca::rule110(),
-                    &inputs::random_bits(seed, nu),
-                    steps,
-                )
+            let init = canonical_init(seed, n, m);
+            Ok(if m == 1 {
+                run_linear(&spec, &Eca::rule110(), &init, steps)
             } else {
-                run_linear(
-                    &spec,
-                    &CyclicWave::new(mu),
-                    &inputs::random_words(seed, nu * mu, 50),
-                    steps,
-                )
+                run_linear(&spec, &CyclicWave::new(m as usize), &init, steps)
             })
         }
         2 => {
             let spec = MachineSpec::try_new(2, n, 1, m)?;
-            let (nu, mu) = (n as usize, m as usize);
-            Ok(if mu == 1 {
-                run_mesh(
-                    &spec,
-                    &VonNeumannLife::fredkin(),
-                    &inputs::random_bits(seed, nu),
-                    steps,
-                )
+            let init = canonical_init(seed, n, m);
+            Ok(if m == 1 {
+                run_mesh(&spec, &VonNeumannLife::fredkin(), &init, steps)
             } else {
-                run_mesh(
-                    &spec,
-                    &PlaneWave::new(mu),
-                    &inputs::random_words(seed, nu * mu, 50),
-                    steps,
-                )
+                run_mesh(&spec, &PlaneWave::new(m as usize), &init, steps)
             })
         }
         3 => {
-            let side = (n as f64).cbrt().round() as usize;
-            if (side * side * side) as u64 != n || m != 1 {
-                return Err(SimError::Internal {
-                    what: "d = 3 guest needs a cube n with m = 1",
-                });
-            }
-            Ok(run_volume(
-                side,
-                1,
-                &Parity3d,
-                &inputs::random_bits(seed, side * side * side),
-                steps,
-            ))
+            let side = cube_side(n).filter(|_| m == 1).ok_or(SimError::Internal {
+                what: "d = 3 guest needs a cube n with m = 1",
+            })?;
+            let init = canonical_init(seed, n, 1);
+            Ok(run_volume(side, 1, &Parity3d, &init, steps))
         }
         _ => Err(SimError::DimensionMismatch {
             expected: 1,
@@ -309,11 +295,8 @@ pub fn parse_job(line: &str) -> Result<JobSpec, SimError> {
         }
         Some(_) => return Err(bad(id, "\"faults\" must be an object")),
     };
-    if d == 3 {
-        let side = (n as f64).cbrt().round() as u64;
-        if side * side * side != n || m != 1 || p != 1 {
-            return Err(bad(id, "d = 3 engines need a cube n with m = p = 1"));
-        }
+    if d == 3 && (cube_side(n).is_none() || m != 1 || p != 1) {
+        return Err(bad(id, "d = 3 engines need a cube n with m = p = 1"));
     }
     Ok(JobSpec {
         id,
