@@ -306,9 +306,9 @@ impl<'a, C: ProductCell<D>, P: Guest<D>, const D: usize> CellExec<'a, C, P, D> {
         let m = prog.m();
         let leaf_h = leaf_h.max(1);
         // Leaf scratch bound: a radius-h cell has ≤ w^(D+1) points
-        // (w = 2h + 1), fewer than 2^(D+1)·w^D preboundary slots and
-        // ≤ m·w^D state words.  Capped so degenerate leaf choices cannot
-        // balloon the table.
+        // (w = 2h + 1), O(D·w^D) preboundary slots (budgeted at
+        // 2^(D+1)·w^D) and ≤ m·w^D state words.  Capped so degenerate
+        // leaf choices cannot balloon the table.
         let w = 2 * leaf_h as usize + 1;
         let wd = w.pow(D as u32);
         let leaf_span = (w * wd + ((1 << (D + 1)) + m) * wd + 16).min(1 << 20);
