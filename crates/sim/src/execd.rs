@@ -213,7 +213,7 @@ pub struct CellExec<'a, C, P, const D: usize> {
     plans: CellPlans<D>,
     /// Per-recursion-depth scratch buffers (see [`LevelBufs`]).
     levels: Vec<LevelBufs<D>>,
-    pub leaf_h: i64,
+    leaf_h: i64,
     /// Plan-time charge table (see `DiamondExec::table`): reads, writes
     /// and relocations take their `1 + f(x)` from here instead of a root
     /// per access, counted in `table_hits`, with scalar fallback above
