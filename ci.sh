@@ -27,7 +27,7 @@ SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT
 STATUS_BEFORE="$(git status --porcelain)"
 
-echo "==> servebench: build and test against the serve_suite API"
+echo "==> servebench: build, test, and check the cold-recursive answers"
 # servebench/ is a Cargo workspace of its own, so the steps above never
 # compile it; without this step a serve_suite API break surfaces only
 # when the benchmark runs.  Cargo rewrites servebench's committed lock
@@ -35,6 +35,18 @@ echo "==> servebench: build and test against the serve_suite API"
 # leaves the tree as it found it.
 cp servebench/Cargo.lock "$SCRATCH/servebench.lock"
 cargo test -q --release --offline --manifest-path servebench/Cargo.toml
+# servebench's unit tests check answers on warm-repeat only; a one-second
+# cold-recursive run checks every dnc/multi recursion job's answer too.
+COLD_OUT="$SCRATCH/servebench_cold.ndjson"
+cargo run --release -q --offline --manifest-path servebench/Cargo.toml -- \
+    --workload cold-recursive --seed 7 --seconds 1 --trace 0 > "$COLD_OUT"
+COLD_RESULT="$(grep '"correct"' "$COLD_OUT" | tail -n 1)"
+echo "$COLD_RESULT" | grep -q '"correct": true' &&
+    echo "$COLD_RESULT" | grep -q '"failed": 0[,}]' || {
+    echo "servebench cold-recursive FAILED: wrong answers or failed jobs" >&2
+    echo "$COLD_RESULT" >&2
+    exit 1
+}
 cp "$SCRATCH/servebench.lock" servebench/Cargo.lock
 
 echo "==> perf smoke + regression gate (bsmp-repro bench --against)"

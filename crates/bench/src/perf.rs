@@ -432,7 +432,7 @@ pub struct ServeCase {
     pub jobs: u32,
     /// Jobs/sec with the plan cache cleared before every job.
     pub cold_jps: f64,
-    /// Jobs/sec with the cache pre-seeded (capsule + exec-plan hits).
+    /// Jobs/sec with the cache pre-seeded (every job hits its capsule).
     pub warm_jps: f64,
 }
 
@@ -445,7 +445,7 @@ impl ServeCase {
 
 /// Time one batch of `lines` through [`bsmp::serve_suite::run_job`],
 /// returning jobs/sec.  `cold` clears the plan cache before every job
-/// so each one replans and re-derives its cost capsule from scratch.
+/// so each one runs its engine and re-derives its cost capsule.
 fn serve_batch_jps(lines: &[String], cold: bool) -> f64 {
     let t0 = std::time::Instant::now();
     for line in lines {

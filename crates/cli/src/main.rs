@@ -54,11 +54,11 @@
 //!   `certificates` section (exit 1 if any cell is not `Certified`);
 //! * `serve` — the batch server: read newline-delimited
 //!   `bsmp-serve/v1` job requests from stdin until EOF, run them
-//!   concurrently over the shared stage pool and plan cache, and write
-//!   one JSON result line per job (completion order) plus a final
-//!   summary line to stdout.  `--max-inflight <K>` bounds the in-flight
+//!   concurrently over the shared stage pool and cost-capsule cache,
+//!   and write one JSON result line per job (completion order) plus a
+//!   final summary line to stdout.  `--max-inflight <K>` bounds the in-flight
 //!   window (default 8; the reader blocks, giving stdin backpressure);
-//!   `--plan-cache-bytes <B>` caps the plan cache's budget.  A
+//!   `--plan-cache-bytes <B>` caps that cache's byte budget.  A
 //!   malformed request yields a typed `bad_request` line and never
 //!   kills the server, so `serve` exits 0 whenever the batch ran to
 //!   completion — per-job failures are results, counted in the summary

@@ -81,11 +81,12 @@ pub mod serve_suite;
 pub use bsmp_faults::{FaultPlan, FaultStats, PlanParseError};
 pub use bsmp_hram::{CostModel, Word};
 pub use bsmp_machine::{
-    init_shared_pool, plan_cache, set_default_threads, CacheStats, CoreKind, ExecPolicy,
-    LinearProgram, MachineSpec, MeshProgram, PlanKey, SpecError,
+    init_shared_pool, set_default_threads, CacheStats, CoreKind, ExecPolicy, LinearProgram,
+    MachineSpec, MeshProgram, SpecError,
 };
 pub use bsmp_sim::{EngineKind, RunOpts, SimError, SimReport};
 pub use bsmp_trace::{RunTrace, Tracer};
+pub use serve_suite::plan_cache;
 
 /// Which simulation scheme the host machine uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

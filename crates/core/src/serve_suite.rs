@@ -1,7 +1,7 @@
 //! Simulation-as-a-service: the `bsmp-serve/v1` batch protocol.
 //!
 //! A server process owns one shared [`bsmp_machine::StagePool`] and one
-//! global [`bsmp_machine::PlanCache`] and answers newline-delimited JSON
+//! global [`plan_cache`] of cost capsules and answers newline-delimited JSON
 //! job requests read from stdin with one JSON result line per job, in
 //! *completion* order (each line carries the request's `id`).  The
 //! per-job pipeline is the same engine dispatch `bench --certify` uses
@@ -14,7 +14,7 @@
 //! functions of `(engine, shape, fault plan)` — they never depend on the
 //! guest's input values (the functional-equivalence and chaos suites
 //! enforce this).  So after one cold run the server memoizes the cost
-//! side of the report in a `CostCapsule` keyed by shape + canonical
+//! side of the report in a [`CostCapsule`] keyed by shape + canonical
 //! fault-plan JSON, and answers repeats by running only the *direct
 //! guest* execution (for `mem`/`values`, which do depend on the seed)
 //! and splicing the capsule's costs back in.  Engines guarantee
@@ -30,11 +30,11 @@
 
 use std::io::{BufRead, Write};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use bsmp_faults::{FaultPlan, FaultStats};
 use bsmp_hram::{CostMeter, Word};
-use bsmp_machine::{plan_cache, run_linear, run_mesh, run_volume, GuestRun, MachineSpec, PlanKey};
+use bsmp_machine::{run_linear, run_mesh, run_volume, GuestRun, MachineSpec, PlanCache, PlanKey};
 use bsmp_sim::{engine, EngineKind, RunOpts, SimError, SimReport};
 use bsmp_trace::certify::{certify, Certificate};
 use bsmp_trace::json::{escape, num, parse, Val};
@@ -316,7 +316,7 @@ pub fn parse_job(line: &str) -> Result<JobSpec, SimError> {
 /// The cost side of a successful run, memoized per shape (see module
 /// docs).  `mem`/`values` are deliberately absent: they depend on the
 /// job's seed and come from the warm path's direct guest run.
-struct CostCapsule {
+pub struct CostCapsule {
     host_time: f64,
     guest_time: f64,
     meter: CostMeter,
@@ -335,11 +335,19 @@ fn capsule_key(job: &JobSpec) -> PlanKey {
         p: job.p,
         m: job.m,
         steps: job.steps,
-        core: 0,
-        extra: 0,
         // The full canonical plan text, not a hash: no collisions.
-        salt: format!("capsule|{}", job.faults.as_deref().unwrap_or("")),
+        salt: job.faults.clone().unwrap_or_default(),
     }
+}
+
+/// Default total capacity of [`plan_cache`].
+const DEFAULT_PLAN_CACHE_BYTES: usize = 256 << 20;
+
+/// The process-wide cost-capsule cache behind [`run_job`]
+/// (`--plan-cache-bytes` sets its capacity).
+pub fn plan_cache() -> &'static PlanCache<CostCapsule> {
+    static CACHE: OnceLock<PlanCache<CostCapsule>> = OnceLock::new();
+    CACHE.get_or_init(|| PlanCache::new(DEFAULT_PLAN_CACHE_BYTES))
 }
 
 fn capsule_bytes(c: &CostCapsule) -> usize {
@@ -375,7 +383,7 @@ pub fn stamp_regime(trace: &mut RunTrace, d: u8, n: u64, m: u64, p: u64) {
 pub fn run_job(job: &JobSpec) -> Result<JobOutcome, SimError> {
     let want_trace = job.trace || job.certify;
     let key = capsule_key(job);
-    if let Some(c) = plan_cache().get_as::<CostCapsule>(&key) {
+    if let Some(c) = plan_cache().get(&key) {
         // A hit that needs a trace the capsule lacks falls through to a
         // cold run (which upgrades the entry).
         if !want_trace || c.trace.is_some() {

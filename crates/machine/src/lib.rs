@@ -41,7 +41,7 @@ pub mod sparse;
 pub mod spec;
 pub mod stage;
 
-pub use cache::{plan_cache, CacheStats, PlanCache, PlanKey};
+pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use event::{CoreKind, EventQueue};
 pub use guest::{
     linear_guest_time, mesh_guest_time, run_linear, run_mesh, run_volume, volume_guest_time,

@@ -8,72 +8,14 @@
 //!   `O(n · min(n, m log(n/m)))`.  For `m ≥ n` the whole computation is
 //!   one executable diamond — the naive regime.
 
-use std::sync::Arc;
-
 use bsmp_hram::Word;
-use bsmp_machine::{linear_guest_time, plan_cache, LinearProgram, MachineSpec, PlanKey};
+use bsmp_machine::{linear_guest_time, LinearProgram, MachineSpec};
 use bsmp_trace::{RunMeta, Tracer};
 
 use crate::error::SimError;
-use crate::exec1::{DiamondExec, DiamondPlan};
+use crate::exec1::DiamondExec;
 use crate::report::SimReport;
 use crate::{bulk_report, check_uniprocessor, EngineKind, RunOpts};
-
-/// Cache key of the frozen [`DiamondPlan`] for one decomposition shape.
-/// The plan is pure geometry — guest program identity, cost model, and
-/// fault plan are deliberately absent (they cannot change the memos) —
-/// so every engine recursing over the same `(n, T, m, leaf_h)` diamond
-/// dag shares one entry.
-pub(crate) fn exec1_plan_key(n: u64, m: u64, steps: i64, leaf_h: i64) -> PlanKey {
-    PlanKey {
-        engine: "exec1-plan",
-        d: 1,
-        n,
-        p: 1,
-        m,
-        steps: steps.max(0),
-        core: 0,
-        extra: leaf_h.max(1) as u64,
-        salt: String::new(),
-    }
-}
-
-/// Attach the cached plan (if any) to a fresh executor; returns the key
-/// and the plan so the caller can harvest discoveries afterwards.
-pub(crate) fn adopt_plan<P: LinearProgram>(
-    exec: &mut DiamondExec<'_, P>,
-    n: u64,
-    m: u64,
-    steps: i64,
-    leaf_h: i64,
-) -> (PlanKey, Option<Arc<DiamondPlan>>) {
-    let key = exec1_plan_key(n, m, steps, leaf_h);
-    let cached = plan_cache().get_as::<DiamondPlan>(&key);
-    if let Some(plan) = &cached {
-        exec.set_plan(Arc::clone(plan));
-    }
-    (key, cached)
-}
-
-/// After a successful run, fold the executor's newly discovered memos
-/// into the cached plan (no-op when the plan already covered the run).
-pub(crate) fn harvest_plan<P: LinearProgram>(
-    exec: &mut DiamondExec<'_, P>,
-    key: PlanKey,
-    cached: Option<Arc<DiamondPlan>>,
-) {
-    let found = exec.drain_discoveries();
-    if found.is_empty() {
-        return;
-    }
-    let mut merged = match cached {
-        Some(arc) => (*arc).clone(),
-        None => DiamondPlan::default(),
-    };
-    merged.absorb(found);
-    let bytes = merged.approx_bytes();
-    plan_cache().insert(key, Arc::new(merged), bytes);
-}
 
 /// Simulate `steps` guest steps of `M_1(n, n, m)` on the uniprocessor
 /// `M_1(n, 1, m)`, with preconditions checked.  Reads `opts.leaf` (the
@@ -103,9 +45,7 @@ pub fn try_simulate_dnc1(
         tracer.ensure_procs(1);
         tracer.begin_stage("run");
         let mut exec = DiamondExec::new(spec, prog, steps, leaf_h);
-        let (key, cached) = adopt_plan(&mut exec, spec.n, spec.m, steps, leaf_h);
         let (mem, values) = exec.run(init)?;
-        harvest_plan(&mut exec, key, cached);
         let guest_time = linear_guest_time(spec, prog, steps);
         let meter = exec.ram.meter;
         Ok(bulk_report(

@@ -23,8 +23,6 @@
 //! ("the access to a single variable is replaced by the access to the
 //! entire private memory of an individual processor").
 
-use std::sync::Arc;
-
 use bsmp_machine::FxHashMap;
 
 use bsmp_geometry::{ClippedDiamond, Diamond, IRect, Pt2};
@@ -43,55 +41,11 @@ use crate::zone::ZoneAlloc;
 type ShapeKey = (i64, i64, i64, i64, i64);
 
 /// Memoized Γ of one diamond shape, as offsets from the centre.
-#[derive(Clone)]
 struct GammaPattern {
     /// Emission order (see [`DiamondExec::gamma`]) — ingest follows it.
     emit: Vec<(i64, i64)>,
     /// The same offsets sorted — `(dt, dx)` order equals `(t, x)` order.
     sorted: Vec<(i64, i64)>,
-}
-
-/// The frozen, shareable plan of one `(n, T, m, leaf_h)` configuration:
-/// every shape memo a [`DiamondExec`] builds while decomposing the dag.
-/// Pure geometry — independent of the guest program, its input, the
-/// cost model, and the fault plan — so one plan serves every future run
-/// of the same shape (via [`bsmp_machine::plan_cache`]) and all `p`
-/// per-tile executors of the two-regime engine.  An executor consults
-/// its plan first and falls back to its private memos, so a plan that
-/// is merely *partial* still short-circuits whatever it covers.
-#[derive(Clone, Default)]
-pub struct DiamondPlan {
-    space: FxHashMap<ShapeKey, (usize, usize)>,
-    gamma: FxHashMap<ShapeKey, GammaPattern>,
-    sib_want: FxHashMap<(ShapeKey, u8), Vec<(i64, i64)>>,
-}
-
-impl DiamondPlan {
-    /// No memos at all (nothing was discovered beyond the plan).
-    pub fn is_empty(&self) -> bool {
-        self.space.is_empty() && self.gamma.is_empty() && self.sib_want.is_empty()
-    }
-
-    /// Merge another plan's memos in (theirs win on collision — values
-    /// for one key are identical by determinism, so this is moot).
-    pub fn absorb(&mut self, other: DiamondPlan) {
-        self.space.extend(other.space);
-        self.gamma.extend(other.gamma);
-        self.sib_want.extend(other.sib_want);
-    }
-
-    /// Rough heap size, for the plan cache's byte accounting.
-    pub fn approx_bytes(&self) -> usize {
-        let key_bytes = std::mem::size_of::<ShapeKey>() + 16;
-        let mut b = self.space.len() * (key_bytes + 16);
-        for g in self.gamma.values() {
-            b += key_bytes + 96 + (g.emit.len() + g.sorted.len()) * 16;
-        }
-        for w in self.sib_want.values() {
-            b += key_bytes + 40 + w.len() * 16;
-        }
-        b
-    }
 }
 
 /// Per-depth scratch buffers for [`DiamondExec::exec_node`]: every
@@ -111,7 +65,9 @@ struct LevelBufs {
     cols: Vec<i64>,
 }
 
-/// The recursive executor.  One instance per simulation run.
+/// The recursive executor.  One instance per simulation run; its shape
+/// memos (`space_memo`, `gamma_memo`, `sib_want_memo`) are private to
+/// that run, so the executor holds no state beyond its arguments.
 pub struct DiamondExec<'a, P: LinearProgram> {
     prog: &'a P,
     /// Array length.
@@ -140,12 +96,6 @@ pub struct DiamondExec<'a, P: LinearProgram> {
     /// gamma points the kid computes or borrows), as sorted `(dt, dx)`
     /// offsets from the *parent's* centre, per kid index.
     sib_want_memo: FxHashMap<(ShapeKey, u8), Vec<(i64, i64)>>,
-    /// Shared frozen memos from a previous run of the same shape (see
-    /// [`DiamondPlan`]).  Consulted before the private memos above; the
-    /// private maps then hold only *discoveries* — shapes the plan did
-    /// not cover — which [`drain_discoveries`](Self::drain_discoveries)
-    /// harvests to grow the cached plan.
-    plan: Option<Arc<DiamondPlan>>,
     /// Reusable leaf scratch (points / preboundary of the current leaf);
     /// avoids two heap allocations per executable diamond.
     leaf_pts: Vec<Pt2>,
@@ -153,7 +103,7 @@ pub struct DiamondExec<'a, P: LinearProgram> {
     /// Per-recursion-depth scratch buffers (see [`LevelBufs`]).
     levels: Vec<LevelBufs>,
     /// Diamonds with `h ≤ leaf_h` are executed naively.
-    pub leaf_h: i64,
+    leaf_h: i64,
     /// Plan-time charge table covering the leaf scratch band: the
     /// execute loop's operand reads and result writes take their
     /// `1 + f(x)` from here (counted in `table_hits`) instead of
@@ -192,30 +142,12 @@ impl<'a, P: LinearProgram> DiamondExec<'a, P> {
             space_memo: FxHashMap::default(),
             gamma_memo: FxHashMap::default(),
             sib_want_memo: FxHashMap::default(),
-            plan: None,
             leaf_pts: Vec::new(),
             leaf_gamma: Vec::new(),
             levels: Vec::new(),
             leaf_h: leaf_h.max(1),
             table,
             oracle: None,
-        }
-    }
-
-    /// Adopt a frozen plan from a previous run of the same
-    /// `(n, T, m, leaf_h)` shape.  Must be set before `run`.
-    pub fn set_plan(&mut self, plan: Arc<DiamondPlan>) {
-        self.plan = Some(plan);
-    }
-
-    /// Take every memo this executor built *beyond* its plan.  Empty
-    /// when the plan already covered all shapes encountered.  Call
-    /// after the run; the executor's memos are left empty.
-    pub fn drain_discoveries(&mut self) -> DiamondPlan {
-        DiamondPlan {
-            space: std::mem::take(&mut self.space_memo),
-            gamma: std::mem::take(&mut self.gamma_memo),
-            sib_want: std::mem::take(&mut self.sib_want_memo),
         }
     }
 
@@ -265,13 +197,6 @@ impl<'a, P: LinearProgram> DiamondExec<'a, P> {
 
     fn gamma_pattern(&mut self, u: &ClippedDiamond) -> &GammaPattern {
         let key = self.shape_key(u);
-        if self
-            .plan
-            .as_ref()
-            .is_some_and(|pl| pl.gamma.contains_key(&key))
-        {
-            return &self.plan.as_ref().unwrap().gamma[&key];
-        }
         // Single hash probe on the (dominant) hit path; the miss path
         // scans with captured copies of the dag bounds so the entry's
         // mutable borrow of the memo doesn't conflict.
@@ -391,9 +316,6 @@ impl<'a, P: LinearProgram> DiamondExec<'a, P> {
     /// and the key's clamp covers their wall distances).
     fn space_and_zmax(&mut self, u: &ClippedDiamond) -> (usize, usize) {
         let key = self.shape_key(u);
-        if let Some(&v) = self.plan.as_ref().and_then(|pl| pl.space.get(&key)) {
-            return v;
-        }
         if let Some(&v) = self.space_memo.get(&key) {
             return v;
         }
@@ -558,12 +480,7 @@ impl<'a, P: LinearProgram> DiamondExec<'a, P> {
             b.want_kid.clear();
             let relevant =
                 |q: Pt2, me: &Self, kg: &[Pt2]| me.in_exec(&kid, q) || kg.binary_search(&q).is_ok();
-            if let Some(offs) = self
-                .plan
-                .as_ref()
-                .and_then(|pl| pl.sib_want.get(&(key, i as u8)))
-                .or_else(|| self.sib_want_memo.get(&(key, i as u8)))
-            {
+            if let Some(offs) = self.sib_want_memo.get(&(key, i as u8)) {
                 b.want_kid.extend(
                     offs.iter()
                         .map(|&(dt, dx)| Pt2::new(u.d.cx + dx, u.d.ct + dt)),
