@@ -58,7 +58,7 @@ fn main() {
         }
     }
     // m > 1 (non-power-of-two density: exercises the reciprocal-exact
-    // chain mode and exec1's column-state staging).
+    // chain mode and execd's pillar-state staging at D = 1).
     {
         let (n, p, m, t) = (128u64, 4u64, 3usize, 32i64);
         let prog = FirPipeline::new(m, (0..n).map(|i| (i * 7 + 1) % 1024).collect());

@@ -1,11 +1,11 @@
 //! A fast, deterministic hasher for the executor hot paths.
 //!
-//! The separator executors (`exec1`, `execd`, `multi1`/`multi2`) key
-//! their liveness and placement maps by small lattice points and
-//! integer ids.  `std`'s default SipHash is DoS-resistant but costs a
-//! full keyed permutation per lookup; these maps never see untrusted
-//! keys, so a multiply-xor hash in the FxHash family is the right
-//! trade.  **Determinism discipline**: map iteration order is never
+//! The separator executor (`execd`) and its multiprocessor drivers
+//! (`multi1`/`multi2`) key their liveness and placement maps by small
+//! lattice points and integer ids.  `std`'s default SipHash is
+//! DoS-resistant but costs a full keyed permutation per lookup; these
+//! maps never see untrusted keys, so a multiply-xor hash in the FxHash
+//! family is the right trade.  **Determinism discipline**: map iteration order is never
 //! allowed to reach the cost meters — every charging path sorts its
 //! key set first (see DESIGN.md §15) — so swapping the hasher cannot
 //! perturb model outputs.

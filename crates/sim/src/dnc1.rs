@@ -1,5 +1,6 @@
 //! **Theorems 2 and 3** — divide-and-conquer uniprocessor simulation of
-//! the linear array, built on the [`crate::exec1`] executor.
+//! the linear array, built on the [`crate::execd`] executor at `D = 1`
+//! (its cells are the Figure-1 diamonds).
 //!
 //! * Theorem 2 (`m = 1`): leaf diamonds of radius 1, slowdown
 //!   `O(n log n)`.
@@ -8,12 +9,13 @@
 //!   `O(n · min(n, m log(n/m)))`.  For `m ≥ n` the whole computation is
 //!   one executable diamond — the naive regime.
 
+use bsmp_geometry::Diamond;
 use bsmp_hram::Word;
 use bsmp_machine::{linear_guest_time, LinearProgram, MachineSpec};
 use bsmp_trace::{RunMeta, Tracer};
 
 use crate::error::SimError;
-use crate::exec1::DiamondExec;
+use crate::execd::CellExec;
 use crate::report::SimReport;
 use crate::{bulk_report, check_uniprocessor, EngineKind, RunOpts};
 
@@ -44,7 +46,8 @@ pub fn try_simulate_dnc1(
         check_uniprocessor(EngineKind::Dnc1, spec, prog.m(), init.len())?;
         tracer.ensure_procs(1);
         tracer.begin_stage("run");
-        let mut exec = DiamondExec::new(spec, prog, steps, leaf_h);
+        let n = spec.n as i64;
+        let mut exec = CellExec::<Diamond, _, 1>::new(n, spec.access_fn(), prog, steps, leaf_h);
         let (mem, values) = exec.run(init)?;
         let guest_time = linear_guest_time(spec, prog, steps);
         let meter = exec.ram.meter;

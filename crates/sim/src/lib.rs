@@ -17,10 +17,9 @@
 //! |-------------|------------------------------------------------------|
 //! | [`naive1`]  | Proposition 1 / §4.2 naive, `d = 1`, any `p`         |
 //! | [`naive2`]  | Proposition 1 naive, `d = 2`, any square `p`         |
-//! | [`exec1`]   | Proposition 2 executor over diamond separators       |
+//! | [`execd`]   | Proposition 2 executor over product cells, `d = 1, 2, 3` |
 //! | [`dnc1`]    | Theorems 2 & 3 (uniprocessor D&C, `d = 1`)           |
 //! | [`multi1`]  | Theorem 4 (two-regime multiprocessor, `d = 1`)       |
-//! | [`execd`]   | Proposition 2 executor over product cells, `d = 2, 3` |
 //! | [`dnc2`]    | Theorem 5 (uniprocessor D&C, `d = 2`)                |
 //! | [`multi2`]  | Theorem 1 `d = 2` (two-regime, cost-accounted)       |
 //! | [`dnc3`]    | Section 6 conjecture (uniprocessor D&C and naive, `d = 3`) |
@@ -42,7 +41,6 @@ pub mod engine;
 pub mod error;
 pub mod event1;
 pub mod event2;
-pub mod exec1;
 pub mod execd;
 pub mod multi1;
 pub mod multi2;

@@ -23,7 +23,8 @@
 //! * **Regime 2** — a `D(ps)` tile splits into `2p - 1` rows of `D(s)`
 //!   diamonds.  Aligned rows sit inside strips: each diamond is executed
 //!   by its strip's processor with the full Theorem-3 recursion (the
-//!   per-processor [`DiamondExec`]).  Offset rows straddle strip
+//!   per-processor [`CellExec`] at `D = 1`; the processors' executors
+//!   share one set of shape plans).  Offset rows straddle strip
 //!   boundaries: the *cooperating mode* splits such a diamond
 //!   recursively — off-center children go wholly to the left/right
 //!   processor, the central chain of leaf diamonds is executed
@@ -44,8 +45,8 @@
 use bsmp_machine::{FxHashMap, FxHashSet};
 
 use bsmp_faults::{FaultEnv, FaultSession};
-use bsmp_geometry::{diamond_cover, ClippedDiamond, IRect, Pt2};
-use bsmp_hram::Word;
+use bsmp_geometry::{diamond_cover, ClippedDiamond, Diamond, IRect, Pt2};
+use bsmp_hram::{AccessFn, Word};
 use bsmp_machine::{
     lease_scratch, linear_guest_time, CoreKind, EventQueue, LinearProgram, MachineSpec,
     ScratchLease, StageClock,
@@ -53,7 +54,7 @@ use bsmp_machine::{
 use bsmp_trace::{EngineKind, RunMeta, Tracer};
 
 use crate::error::SimError;
-use crate::exec1::DiamondExec;
+use crate::execd::{CellExec, CellPlans};
 use crate::report::SimReport;
 use crate::zone::ZoneAlloc;
 use crate::{settle_scenario, stage_totals, RunOpts};
@@ -224,7 +225,10 @@ struct Engine<'a, P: LinearProgram> {
     hop: f64,
     cbox: IRect,
     /// Per-processor executor (owns that processor's H-RAM).
-    execs: Vec<DiamondExec<'a, P>>,
+    execs: Vec<CellExec<'a, Diamond, P, 1>>,
+    /// The run's shape plans, lent to whichever executor runs a piece
+    /// (see [`CellExec::swap_plans`]).
+    plans: CellPlans<1>,
     prog: &'a P,
     /// Ground-truth words for every live dag value (addresses are
     /// tracked in `placed`/`home`).
@@ -249,7 +253,6 @@ struct Engine<'a, P: LinearProgram> {
     /// Regime-1 cascade levels `log₂(n/(p·s))`.
     levels: u32,
     preprocessing_time: f64,
-    debug_ctx: String,
     session: FaultSession,
     tracer: Tracer,
     core: CoreKind,
@@ -299,22 +302,29 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         let cbox = IRect::new(0, n as i64, 1, steps + 1);
 
         // Per-processor layout: probe the worst-case inner-tile footprint.
-        let pseudo = MachineSpec::new(1, spec.n, 1, spec.m);
+        // Each processor runs the Theorem-3 recursion on its own H-RAM,
+        // metered like the uniprocessor host's; the probe's shape plans
+        // become the run's shared set.
+        let access = AccessFn::new(1, spec.m);
         let leaf_h = (m as i64 / 2).max(1);
-        let mut probe = DiamondExec::new(&pseudo, prog, steps, leaf_h);
-        let interior = ClippedDiamond::new(
-            bsmp_geometry::Diamond::new((n / 2) as i64, (steps / 2).max(1), (s / 2) as i64),
-            cbox,
-        );
+        let new_exec = || CellExec::new(n as i64, access, prog, steps, leaf_h);
+        let mut probe = new_exec();
+        let interior = Diamond::new((n / 2) as i64, (steps / 2).max(1), (s / 2) as i64);
         let tile_space = probe.space(&interior) * 2 + 64;
+        let mut plans = CellPlans::default();
+        probe.swap_plans(&mut plans);
         let transit_cap = 8 * s * m + 48 * s + 1024;
         let home_cap = 16 * (n / p).max(s) + 8 * s + 512;
         let transit_base = tile_space;
         let home_base = transit_base + transit_cap;
         let strip_home_base = home_base + home_cap;
 
-        let execs: Vec<DiamondExec<'a, P>> = (0..p)
-            .map(|_| DiamondExec::new(&pseudo, prog, steps, leaf_h))
+        let execs = (0..p)
+            .map(|_| {
+                let mut e = new_exec();
+                e.cover(strip_home_base + n / p * m);
+                e
+            })
             .collect();
         let home_zones = (0..p)
             .map(|_| ZoneAlloc::new(home_base, home_cap))
@@ -343,6 +353,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
             hop: spec.neighbor_distance(),
             cbox,
             execs,
+            plans,
             prog,
             vals: FxHashMap::default(),
             placed: FxHashMap::default(),
@@ -358,7 +369,6 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
             strip_home_base,
             levels,
             preprocessing_time: 0.0,
-            debug_ctx: String::new(),
             session,
             tracer: Tracer::off(),
             core: opts.core,
@@ -607,66 +617,44 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         out
     }
 
-    /// The in-dag preboundary of a piece (values needed before running
-    /// it).
-    fn gamma(&self, piece: &ClippedDiamond) -> Vec<Pt2> {
-        // Row-strip form of the per-point `preds()` scan: row t's
-        // members [a, b] pull [a−1, b+1] at t−1; whatever the piece
-        // doesn't own of that span (its rows are contiguous intervals)
-        // is preboundary.  Rows are disjoint, so no dedup set is needed.
-        let n = self.n as i64;
-        let mut v: Vec<Pt2> = Vec::new();
-        piece.for_each_row(|t, a, b| {
-            let tp = t - 1;
-            if tp < 0 {
-                return;
-            }
-            let lo = (a - 1).max(0);
-            let hi = (b + 1).min(n - 1);
-            // Empty own-row sentinel subtracts nothing from [lo, hi].
-            let (c, d) = piece.row_range(tp).unwrap_or((hi + 1, hi));
-            for x in lo..=hi.min(c - 1) {
-                v.push(Pt2::new(x, tp));
-            }
-            for x in (d + 1).max(lo)..=hi {
-                v.push(Pt2::new(x, tp));
-            }
-        });
-        v.sort();
-        v
-    }
-
     /// Execute one (whole) `D(·)` piece on processor `pr` via the full
-    /// Theorem-3 recursion, staging its inputs first.
+    /// Theorem-3 recursion, lending that processor's executor the run's
+    /// shared shape plans meanwhile.
     fn run_piece_on(&mut self, pr: usize, piece: &ClippedDiamond) -> Result<(), SimError> {
         if piece.points_count() == 0 {
             return Ok(());
         }
+        self.execs[pr].swap_plans(&mut self.plans);
+        let res = self.exec_piece(pr, piece);
+        self.execs[pr].swap_plans(&mut self.plans);
+        res
+    }
+
+    /// [`run_piece_on`](Self::run_piece_on)'s body: stage the piece's
+    /// inputs, run the recursion, harvest its outputs.
+    fn exec_piece(&mut self, pr: usize, piece: &ClippedDiamond) -> Result<(), SimError> {
         self.tmark(pr, piece.points_count() as u64, 0);
-        self.debug_ctx = format!("piece {:?} on proc {pr}", piece.d);
-        // Stage preboundary values.  Each piece gets *private* copies of
-        // its preboundary (the recursion consumes and frees them); the
-        // canonical placement in `placed`/`home` is untouched.
-        let g: Vec<Pt2> = self.gamma(piece);
+        // Stage preboundary values (Γ from the shape plan, sorted).  Each
+        // piece gets *private* copies of its preboundary (the recursion
+        // consumes and frees them); the canonical placement in
+        // `placed`/`home` is untouched.  The copies, in Γ order, are the
+        // recursion's sorted value directory.
+        let g = self.execs[pr].gamma(&piece.d);
         let mut seeds = Vec::with_capacity(g.len());
-        for pt in &g {
-            let addr = self.stage_value(*pt, pr)?;
+        for &(t, [x]) in &g {
+            let addr = self.stage_value(Pt2::new(x, t), pr)?;
             let w = self.execs[pr].ram.peek(addr);
             let copy = self.transit_zones[pr].alloc();
             let _ = self.execs[pr].ram.read(addr);
             self.execs[pr].ram.write(copy, w);
-            seeds.push((*pt, copy));
+            seeds.push(((t, [x]), copy));
         }
         // Columns and their staged states.  The recursion relocates the
         // per-column blocks; we write them back to the strip block after
         // the piece completes so the staging area stays canonical.
-        let b = piece.d.bbox().intersect(&self.cbox);
         let mut state_seeds = Vec::new();
         if self.m > 1 {
-            for x in b.x0.max(0)..b.x1.min(self.n as i64) {
-                if !piece_has_column(piece, x, &self.cbox) {
-                    continue;
-                }
+            for [x] in self.execs[pr].pillars(&piece.d) {
                 let j = self.strip_of_col(x);
                 let (owner, base) = *self.staged_state.get(&j).ok_or(SimError::Internal {
                     what: "piece column's strip not staged",
@@ -687,19 +675,16 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         // `outbound` emits in time-major order — sorted and duplicate-free,
         // exactly what `exec` wants.
         let out_pts = self.outbound(piece);
-        debug_assert!(out_pts.windows(2).all(|w| w[0] < w[1]));
+        let want: Vec<_> = out_pts.iter().map(|q| (q.t, [q.x])).collect();
+        debug_assert!(want.windows(2).all(|w| w[0] < w[1]));
         {
             let exec = &mut self.execs[pr];
             exec.clear_seeds();
             for (x, addr, _) in &state_seeds {
-                exec.seed_state(*x, *addr);
+                exec.seed_state([*x], *addr);
             }
         }
-        // The staged preboundary copies become the recursion's value
-        // directory (sorting is host bookkeeping — the staging charges
-        // above already happened in Γ emission order).
-        seeds.sort_unstable();
-        let space = self.execs[pr].space(piece);
+        let space = self.execs[pr].space(&piece.d);
         if space > self.tile_space {
             return Err(SimError::Internal {
                 what: "tile footprint exceeds the tile budget",
@@ -708,7 +693,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         // Parent zone: the transit zone (park results there).
         let mut zone = std::mem::replace(&mut self.transit_zones[pr], ZoneAlloc::new(0, 0));
         let mut out_addrs = Vec::with_capacity(out_pts.len());
-        let exec_res = self.execs[pr].exec(piece, &out_pts, &mut zone, &seeds, &mut out_addrs);
+        let exec_res = self.execs[pr].exec(&piece.d, &want, &mut zone, &seeds, &mut out_addrs);
         self.transit_zones[pr] = zone;
         exec_res?;
         if out_addrs.len() != out_pts.len() {
@@ -730,7 +715,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         // release the recursion's parked blocks.
         if self.m > 1 {
             for (x, _, home_addr) in &state_seeds {
-                let parked = self.execs[pr].state_addr(*x).ok_or(SimError::Internal {
+                let parked = self.execs[pr].state_addr([*x]).ok_or(SimError::Internal {
                     what: "piece column state not parked",
                 })?;
                 self.execs[pr]
@@ -857,7 +842,6 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
     /// Execute one `D(ps)` tile: Regime-1 gather, the `2p-1` Regime-2
     /// stage rows, Regime-1 scatter.
     fn run_tile(&mut self, tile: &ClippedDiamond) -> Result<(), SimError> {
-        self.debug_ctx = format!("tile {:?}", tile.d);
         let ps = (self.p * self.s) as i64;
         // --- Gather stage: stage all strips the tile touches.
         self.begin_stage("gather");
@@ -1153,20 +1137,6 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
             core_fallback: None,
         }
     }
-}
-
-/// Does `piece` execute at least one vertex in column `x`?
-fn piece_has_column(piece: &ClippedDiamond, x: i64, cbox: &IRect) -> bool {
-    let k = (x - piece.d.cx).abs();
-    let lo = (piece.d.ct - piece.d.h + k + 1)
-        .max(cbox.t0)
-        .max(piece.clip.t0);
-    let hi = (piece.d.ct + piece.d.h - k)
-        .min(cbox.t1 - 1)
-        .min(piece.clip.t1 - 1);
-    let xlo = piece.clip.x0.max(cbox.x0);
-    let xhi = piece.clip.x1.min(cbox.x1);
-    x >= xlo && x < xhi && lo <= hi
 }
 
 #[cfg(test)]
