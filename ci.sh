@@ -6,6 +6,14 @@ cd "$(dirname "$0")"
 
 echo "==> cargo build --release"
 cargo build --release --workspace
+# Informational, not a gate: the size ROADMAP tracks — every source file
+# under crates/*/src counted up to its first top-level `#[cfg(test)]`.
+NONTEST="$(find crates/*/src -name '*.rs' -exec awk '
+    FNR == 1 { skip = 0 }
+    /^#\[cfg\(test\)\]/ { skip = 1 }
+    !skip { n++ }
+    END { print n + 0 }' {} + | awk '{ s += $1 } END { print s }')"
+echo "non-test lines crates/*/src: $NONTEST"
 
 echo "==> cargo test -q"
 cargo test -q --workspace

@@ -199,7 +199,7 @@ pub fn run_engine_suite(threads: usize, iters: u32) -> Vec<PerfCase> {
     }
 
     // ---- d = 1, event core (sparse frontier, one-hot token) ----
-    // The calendar-queue core pays per *active* point, so a one-hot
+    // The event core pays per *active* point, so a one-hot
     // TokenShift dag that nominally spans n·T points runs in
     // milliseconds at n = 2^16 and 2^20 — the million-node M_1 target.
     // Reports (and hence host_time) stay bit-identical to dense at

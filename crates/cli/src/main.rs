@@ -15,8 +15,9 @@
 //! * `--threads <N>` — host OS threads for the stage-parallel engines
 //!   (0 = auto-detect; model costs are identical for every value);
 //! * `--core dense|event` — execution core for the demo runs: the dense
-//!   stage loop or the discrete-event sparse core (model costs are
-//!   bit-identical; only wall-clock and footprint change);
+//!   stage loop or the discrete-event sparse core of the naive engines
+//!   (the others have one loop; model costs are bit-identical; only
+//!   wall-clock and footprint change);
 //! * `--slow <ν>` — run a faulted demo sweep with a uniform link
 //!   slowdown ν ≥ 1 before the experiment tables;
 //! * `--fault-seed <s>` — seed for the demo sweep's jitter/loss/crash

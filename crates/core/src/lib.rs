@@ -195,9 +195,10 @@ impl Simulation {
     /// Choose the execution core: the dense stage loop
     /// ([`CoreKind::Dense`], the default) or the discrete-event sparse
     /// core ([`CoreKind::Event`]) whose per-stage work is proportional
-    /// to the active points.  Reports are bit-identical across cores;
-    /// engines fall back to the dense loop when a run does not satisfy
-    /// the event-core preconditions.
+    /// to the active points.  Only the naive engines have an event core;
+    /// they fall back to the dense loop when a run does not satisfy the
+    /// event-core preconditions.  Reports are bit-identical across
+    /// cores.
     pub fn core(mut self, core: CoreKind) -> Self {
         self.core = core;
         self

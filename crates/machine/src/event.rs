@@ -1,15 +1,5 @@
-//! Discrete-event scheduling for the sparse execution core.
-//!
-//! The host engines are bulk-synchronous: every quantity they meter is
-//! keyed by a *stage number* (a guest step for the naive engines, a
-//! diamond/cell center time for the multi engines).  A calendar queue
-//! over those keys is therefore the natural event structure: O(1)
-//! schedule, O(1) bucket pop, and — because the engines emit work in
-//! non-decreasing key order — draining the calendar replays exactly the
-//! dense iteration order, which is what keeps the event core's meters
-//! bit-identical to the dense core's (DESIGN.md §16).
-
-use std::collections::VecDeque;
+//! The execution-core selector: the dense stage loop or the sparse
+//! event core (DESIGN.md §16).
 
 /// Which execution core an engine should use.
 ///
@@ -18,9 +8,12 @@ use std::collections::VecDeque;
 /// * [`CoreKind::Event`] — the discrete-event core: per-stage work is
 ///   proportional to the *active* points (plus O(p) bookkeeping), with
 ///   quiescent regions represented by their closed form until touched.
-///   Reports are bit-identical to the dense core; engines fall back to
-///   the dense loop when a run does not satisfy the event-core
-///   preconditions (see `bsmp_sim::event1`).
+///   Reports are bit-identical to the dense core.
+///
+/// Only the naive engines (naive1, naive2) have an event core; they
+/// fall back to the dense loop when a run does not satisfy its
+/// preconditions (see `bsmp_sim::event1`).  Every other engine has one
+/// loop and ignores the choice.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CoreKind {
     /// Dense stage loop over all `n` nodes (the default).
@@ -50,99 +43,6 @@ impl std::fmt::Display for CoreKind {
     }
 }
 
-/// A calendar (bucket) event queue keyed by stage number.
-///
-/// Buckets are a dense window `[base, base + buckets.len())` of stage
-/// keys; scheduling below/above the window grows it at either end.
-/// Within a bucket, events drain in insertion (FIFO) order, so a
-/// producer that emits work in non-decreasing key order is replayed
-/// verbatim by repeated [`EventQueue::pop_stage`] calls.
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    buckets: VecDeque<Vec<E>>,
-    base: i64,
-    events: usize,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    pub fn new() -> Self {
-        EventQueue {
-            buckets: VecDeque::new(),
-            base: 0,
-            events: 0,
-        }
-    }
-
-    /// Number of scheduled (not yet drained) events.
-    pub fn len(&self) -> usize {
-        self.events
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.events == 0
-    }
-
-    /// Schedule `ev` at stage `stage`.
-    pub fn schedule(&mut self, stage: i64, ev: E) {
-        if self.buckets.is_empty() {
-            self.base = stage;
-        }
-        while stage < self.base {
-            self.buckets.push_front(Vec::new());
-            self.base -= 1;
-        }
-        let idx = (stage - self.base) as usize;
-        while idx >= self.buckets.len() {
-            self.buckets.push_back(Vec::new());
-        }
-        self.buckets[idx].push(ev);
-        self.events += 1;
-    }
-
-    /// The earliest stage holding at least one event.
-    pub fn peek_stage(&self) -> Option<i64> {
-        self.buckets
-            .iter()
-            .position(|b| !b.is_empty())
-            .map(|i| self.base + i as i64)
-    }
-
-    /// Pop the earliest non-empty bucket: `(stage, events)` in FIFO
-    /// order, or `None` when the queue is empty.
-    pub fn pop_stage(&mut self) -> Option<(i64, Vec<E>)> {
-        while let Some(front) = self.buckets.front() {
-            if front.is_empty() {
-                self.buckets.pop_front();
-                self.base += 1;
-            } else {
-                break;
-            }
-        }
-        let bucket = self.buckets.pop_front()?;
-        let stage = self.base;
-        self.base += 1;
-        self.events -= bucket.len();
-        Some((stage, bucket))
-    }
-
-    /// Resident footprint in bytes (buckets + event payloads), for the
-    /// `bench --mem` probe.
-    pub fn bytes(&self) -> usize {
-        let payload: usize = self
-            .buckets
-            .iter()
-            .map(|b| b.capacity() * std::mem::size_of::<E>())
-            .sum();
-        payload + self.buckets.capacity() * std::mem::size_of::<Vec<E>>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,43 +54,5 @@ mod tests {
         assert_eq!(CoreKind::parse("banana"), None);
         assert_eq!(CoreKind::default(), CoreKind::Dense);
         assert_eq!(CoreKind::Event.to_string(), "event");
-    }
-
-    #[test]
-    fn drains_in_stage_order_fifo_within_bucket() {
-        let mut q = EventQueue::new();
-        q.schedule(3, "c1");
-        q.schedule(1, "a1");
-        q.schedule(3, "c2");
-        q.schedule(2, "b1");
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.peek_stage(), Some(1));
-        assert_eq!(q.pop_stage(), Some((1, vec!["a1"])));
-        assert_eq!(q.pop_stage(), Some((2, vec!["b1"])));
-        assert_eq!(q.pop_stage(), Some((3, vec!["c1", "c2"])));
-        assert_eq!(q.pop_stage(), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn negative_and_sparse_keys_work() {
-        let mut q = EventQueue::new();
-        q.schedule(10, 1u32);
-        q.schedule(-5, 2);
-        q.schedule(0, 3);
-        assert_eq!(q.pop_stage(), Some((-5, vec![2])));
-        assert_eq!(q.pop_stage(), Some((0, vec![3])));
-        assert_eq!(q.pop_stage(), Some((10, vec![1])));
-        assert_eq!(q.pop_stage(), None);
-    }
-
-    #[test]
-    fn reusable_after_drain() {
-        let mut q = EventQueue::new();
-        q.schedule(7, 'x');
-        assert_eq!(q.pop_stage(), Some((7, vec!['x'])));
-        q.schedule(2, 'y');
-        assert_eq!(q.pop_stage(), Some((2, vec!['y'])));
-        assert!(q.bytes() < 1024);
     }
 }

@@ -14,10 +14,8 @@
 //! * [`stage`] — the bulk-synchronous parallel clock used by host
 //!   simulations (`T_p = Σ_stages max_proc cost`), with a
 //!   fault-injection entry point ([`StageClock::add_stage_faulted`]);
-//! * [`event`] — the discrete-event scheduling layer: the
-//!   [`CoreKind`] selector and the calendar [`EventQueue`] keyed by
-//!   stage number that the sparse engines drain in dense-identical
-//!   order;
+//! * [`event`] — the [`CoreKind`] selector: the dense stage loop or the
+//!   sparse event core;
 //! * [`sparse`] — lazily materialised node state ([`SparseState`]:
 //!   copy-on-write pages over the initial image) and the activity
 //!   [`Frontier`] that makes a stage's work proportional to its active
@@ -42,7 +40,7 @@ pub mod spec;
 pub mod stage;
 
 pub use cache::{CacheStats, PlanCache, PlanKey};
-pub use event::{CoreKind, EventQueue};
+pub use event::CoreKind;
 pub use guest::{
     linear_guest_time, mesh_guest_time, run_linear, run_mesh, run_volume, volume_guest_time,
     GuestRun,

@@ -10,17 +10,15 @@
 //! and materialises a page only when a node inside it first changes, so
 //! the resident footprint tracks the touched region, not `n`.
 //!
-//! [`Frontier`] is the activity side: a calendar queue of candidate
-//! nodes keyed by the stage at which they must be re-evaluated.  A node
-//! is scheduled for stage `t + 1` exactly when one of its neighborhood
-//! members changed at stage `t`; everything else is quiescent and is
-//! neither visited nor stored.
+//! [`Frontier`] is the activity side: the candidate nodes of the next
+//! stage.  A node is marked for stage `t + 1` exactly when one of its
+//! neighborhood members changed at stage `t`; everything else is
+//! quiescent and is neither visited nor stored.
 //!
 //! Neither structure touches the cost model: the engines meter stages
 //! from input-independent charge streams (DESIGN.md §16), so how values
 //! are stored cannot change any meter.
 
-use crate::event::EventQueue;
 use bsmp_hram::Word;
 
 /// Words per copy-on-write page.
@@ -100,49 +98,37 @@ impl<'a> SparseState<'a> {
     }
 }
 
-/// Activity frontier: candidate nodes per stage, deduplicated at drain.
+/// Activity frontier: the next stage's candidate nodes, deduplicated
+/// at drain.
 #[derive(Debug, Default)]
 pub struct Frontier {
-    queue: EventQueue<usize>,
+    next: Vec<usize>,
 }
 
 impl Frontier {
     pub fn new() -> Self {
-        Frontier {
-            queue: EventQueue::new(),
-        }
+        Frontier::default()
     }
 
-    /// Schedule node `v` for re-evaluation at `stage`.  Duplicates are
-    /// fine; [`Frontier::drain`] collapses them.
+    /// Mark node `v` for re-evaluation at the next stage.  Duplicates
+    /// are fine; [`Frontier::drain`] collapses them.
     #[inline]
-    pub fn mark(&mut self, stage: i64, v: usize) {
-        self.queue.schedule(stage, v);
+    pub fn mark(&mut self, v: usize) {
+        self.next.push(v);
     }
 
-    /// The candidate set for `stage`, ascending and deduplicated.
-    /// Returns an empty set when nothing is scheduled at `stage`;
-    /// buckets are consumed in order, so `stage` must not go backwards.
-    pub fn drain(&mut self, stage: i64) -> Vec<usize> {
-        match self.queue.peek_stage() {
-            Some(s) if s == stage => {
-                let (_, mut nodes) = self.queue.pop_stage().expect("peeked bucket");
-                nodes.sort_unstable();
-                nodes.dedup();
-                nodes
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    /// Scheduled (undrained) candidate count.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
+    /// Take the marked set, ascending and deduplicated (empty when
+    /// nothing was marked since the last drain).
+    pub fn drain(&mut self) -> Vec<usize> {
+        let mut nodes = std::mem::take(&mut self.next);
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes
     }
 
     /// Resident footprint in bytes.
     pub fn bytes(&self) -> usize {
-        self.queue.bytes()
+        self.next.capacity() * std::mem::size_of::<usize>()
     }
 }
 
@@ -192,14 +178,13 @@ mod tests {
     #[test]
     fn frontier_dedups_and_sorts() {
         let mut f = Frontier::new();
-        f.mark(2, 5);
-        f.mark(2, 3);
-        f.mark(2, 5);
-        f.mark(2, 4);
-        f.mark(3, 9);
-        assert_eq!(f.pending(), 5);
-        assert_eq!(f.drain(2), vec![3, 4, 5]);
-        assert_eq!(f.drain(3), vec![9]);
-        assert_eq!(f.drain(4), Vec::<usize>::new());
+        f.mark(5);
+        f.mark(3);
+        f.mark(5);
+        f.mark(4);
+        assert_eq!(f.drain(), vec![3, 4, 5]);
+        f.mark(9);
+        assert_eq!(f.drain(), vec![9]);
+        assert_eq!(f.drain(), Vec::<usize>::new());
     }
 }

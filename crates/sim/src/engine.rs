@@ -29,8 +29,8 @@ pub struct RunOpts {
     pub plan: FaultPlan,
     /// Host-thread budget.  Read by naive1 and naive2 (both cores).
     pub exec: ExecPolicy,
-    /// Execution core: the dense stage loop or the discrete-event
-    /// calendar.  Read by naive1, naive2, multi1 and multi2.
+    /// Execution core: the dense stage loop or the sparse event core.
+    /// Read by naive1 and naive2; the other engines have one loop.
     pub core: CoreKind,
     /// Leaf radius of the divide-and-conquer recursion; `None` selects
     /// the paper's executable diamonds/cells of radius `max(m/2, 1)`.

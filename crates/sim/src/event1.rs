@@ -43,7 +43,7 @@ pub struct EventCoreStats {
     /// Guest nodes.
     pub nodes: usize,
     /// Peak resident bytes of the core's state (copy-on-write pages +
-    /// page table + frontier queue + write buffer).  The borrowed
+    /// page table + frontier buffer + write buffer).  The borrowed
     /// initial image and the final report are not core state.
     pub peak_bytes: usize,
     /// Largest per-stage candidate set.
@@ -313,7 +313,7 @@ pub(crate) fn try_simulate_naive1_event(
                     eval(v);
                 }
             } else {
-                for v in frontier.drain(t) {
+                for v in frontier.drain() {
                     active += 1;
                     eval(v);
                 }
@@ -322,11 +322,11 @@ pub(crate) fn try_simulate_naive1_event(
         for &(v, out) in &writes {
             state.set(v, out);
             if v > 0 {
-                frontier.mark(t + 1, v - 1);
+                frontier.mark(v - 1);
             }
-            frontier.mark(t + 1, v);
+            frontier.mark(v);
             if v + 1 < n {
-                frontier.mark(t + 1, v + 1);
+                frontier.mark(v + 1);
             }
         }
 

@@ -27,25 +27,10 @@ use bsmp_machine::{lease_scratch, Frontier, MachineSpec, MeshProgram, SparseStat
 use bsmp_trace::{EngineKind, RunMeta, Tracer};
 
 use crate::error::SimError;
-use crate::event1::EventCoreStats;
 use crate::naive2::try_simulate_naive2_impl;
 use crate::report::SimReport;
 use crate::RunOpts;
 use crate::{settle_scenario, stage_totals};
-
-/// Run the event core fault-free and report its resident footprint
-/// alongside the simulation report (the `bench --mem` probe).
-pub fn naive2_event_footprint(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-) -> Result<(SimReport, EventCoreStats), SimError> {
-    let mut stats = EventCoreStats::default();
-    let (opts, off) = (RunOpts::default(), &mut Tracer::off());
-    let rep = try_simulate_naive2_event(spec, prog, init, steps, opts, off, Some(&mut stats))?;
-    Ok((rep, stats))
-}
 
 /// Per-side-class replica of one processor's dense meter trajectory.
 struct SideClass {
@@ -59,7 +44,6 @@ struct SideClass {
 /// The dense naive2 stage loop ([`crate::naive2::try_simulate_naive2`])
 /// on the event core.  Bit-identical report and trace; falls back to the
 /// dense loop when the run does not satisfy the core's preconditions.
-/// `stats` receives the core's footprint (the `bench --mem` probe).
 pub(crate) fn try_simulate_naive2_event(
     spec: &MachineSpec,
     prog: &impl MeshProgram,
@@ -67,7 +51,6 @@ pub(crate) fn try_simulate_naive2_event(
     steps: i64,
     opts: RunOpts,
     tracer: &mut Tracer,
-    mut stats: Option<&mut EventCoreStats>,
 ) -> Result<SimReport, SimError> {
     let (plan, exec) = (&opts.plan, opts.exec);
     if spec.d != 2 {
@@ -108,11 +91,6 @@ pub(crate) fn try_simulate_naive2_event(
         } else {
             "clock-reading program (quiescence unsound)"
         };
-        if let Some(st) = stats.as_deref_mut() {
-            st.nodes = n;
-            st.used_event_core = false;
-            st.fallback = Some(reason);
-        }
         let mut rep = try_simulate_naive2_impl(spec, prog, init, steps, opts, tracer, false)?;
         rep.core_fallback = Some(reason);
         return Ok(rep);
@@ -187,10 +165,6 @@ pub(crate) fn try_simulate_naive2_event(
     let mut state = SparseState::new(init);
     let mut frontier = Frontier::new();
     let mut writes: Vec<(usize, Word)> = Vec::new();
-    if let Some(st) = stats.as_deref_mut() {
-        st.nodes = n;
-        st.used_event_core = true;
-    }
 
     // The shared access chain: the dense kernel's register accumulator,
     // continued across stages.  At m = 1 the touched block address of
@@ -274,7 +248,6 @@ pub(crate) fn try_simulate_naive2_event(
 
         // Values on the von Neumann neighborhood: gather-then-write.
         writes.clear();
-        let mut active = 0usize;
         {
             let bd = prog.boundary();
             let mut eval = |v: usize| {
@@ -294,13 +267,11 @@ pub(crate) fn try_simulate_naive2_event(
                 }
             };
             if t == 1 {
-                active = n;
                 for v in 0..n {
                     eval(v);
                 }
             } else {
-                for v in frontier.drain(t) {
-                    active += 1;
+                for v in frontier.drain() {
                     eval(v);
                 }
             }
@@ -308,18 +279,18 @@ pub(crate) fn try_simulate_naive2_event(
         for &(v, out) in &writes {
             state.set(v, out);
             let (i, j) = (v % side, v / side);
-            frontier.mark(t + 1, v);
+            frontier.mark(v);
             if i > 0 {
-                frontier.mark(t + 1, v - 1);
+                frontier.mark(v - 1);
             }
             if i + 1 < side {
-                frontier.mark(t + 1, v + 1);
+                frontier.mark(v + 1);
             }
             if j > 0 {
-                frontier.mark(t + 1, v - side);
+                frontier.mark(v - side);
             }
             if j + 1 < side {
-                frontier.mark(t + 1, v + side);
+                frontier.mark(v + side);
             }
         }
 
@@ -333,15 +304,6 @@ pub(crate) fn try_simulate_naive2_event(
         }
         clock.add_stage_faulted(&scratch.per_proc, &scratch.per_comm, &mut session)?;
         tracer.end_stage(stage_totals(&clock, &session.stats), threads);
-
-        if let Some(st) = stats.as_deref_mut() {
-            let resident = state.bytes_resident()
-                + frontier.bytes()
-                + writes.capacity() * std::mem::size_of::<(usize, Word)>();
-            st.peak_bytes = st.peak_bytes.max(resident);
-            st.peak_active = st.peak_active.max(active);
-            st.total_active += active as u64;
-        }
     }
     settle_scenario(&mut clock, &mut session, tracer, threads);
 

@@ -47,6 +47,7 @@ pub mod multi2;
 pub mod naive1;
 pub mod naive2;
 pub mod pipelined1;
+mod procs;
 pub mod report;
 mod sorted;
 pub mod zone;

@@ -44,20 +44,16 @@
 
 use bsmp_machine::{FxHashMap, FxHashSet};
 
-use bsmp_faults::{FaultEnv, FaultSession};
 use bsmp_geometry::{diamond_cover, ClippedDiamond, Diamond, IRect, Pt2};
 use bsmp_hram::{AccessFn, Word};
-use bsmp_machine::{
-    lease_scratch, linear_guest_time, CoreKind, EventQueue, LinearProgram, MachineSpec,
-    ScratchLease, StageClock,
-};
-use bsmp_trace::{EngineKind, RunMeta, Tracer};
+use bsmp_machine::{linear_guest_time, LinearProgram, MachineSpec};
+use bsmp_trace::{EngineKind, Tracer};
 
 use crate::error::SimError;
-use crate::execd::{CellExec, CellPlans};
+use crate::execd::CellExec;
+use crate::procs::ProcArray;
 use crate::report::SimReport;
-use crate::zone::ZoneAlloc;
-use crate::{settle_scenario, stage_totals, RunOpts};
+use crate::RunOpts;
 
 /// The strip rearrangement `π = π₂ ∘ π₁` of Section 4.2.
 pub mod rearrangement {
@@ -161,13 +157,9 @@ pub fn engine_strip(n: u64, m: u64, p: u64) -> Option<u64> {
 /// Simulate `steps` guest steps of `M_1(n, n, m)` on `M_1(n, p, m)` by
 /// the two-regime strip scheme, with preconditions checked.  Reads
 /// `opts.strip` (default: the admissible width closest to the paper's
-/// `s*`, see [`engine_strip`]), `opts.plan`, and `opts.core`: the dense
-/// tile loop, or the discrete-event calendar that drains `D(ps)` tiles
-/// by center time.  Reports are bit-identical across cores (the tile
-/// cover is emitted in non-decreasing center-time order, which the
-/// calendar replays verbatim).  The tracer observes every
-/// rearrangement/gather/row/scatter stage; a disabled tracer costs one
-/// `None` check per stage.
+/// `s*`, see [`engine_strip`]) and `opts.plan`.  The tracer observes
+/// every rearrangement/gather/row/scatter stage; a disabled tracer
+/// costs one `None` check per stage.
 pub fn try_simulate_multi1(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
@@ -184,16 +176,9 @@ pub fn try_simulate_multi1(
         });
     }
     opts.plan.validate()?;
-    let mut eng = Engine::new(spec, prog, steps, opts)?;
-    eng.tracer = std::mem::take(tracer);
-    eng.tracer.ensure_procs(spec.p as usize);
-    let outcome = eng.run(init);
-    if outcome.is_ok() {
-        settle_scenario(&mut eng.clock, &mut eng.session, &mut eng.tracer, 1);
-    }
-    let rep = outcome.map(|()| eng.finish(spec, prog, steps));
-    *tracer = std::mem::take(&mut eng.tracer);
-    rep
+    let mut eng = Engine::new(spec, prog, steps, opts, tracer)?;
+    eng.run(init)?;
+    Ok(eng.finish(spec, prog, steps))
 }
 
 /// [`try_simulate_multi1`] with default options; panics on invalid
@@ -222,13 +207,9 @@ struct Engine<'a, P: LinearProgram> {
     s: usize,
     q: usize,
     t_steps: i64,
-    hop: f64,
     cbox: IRect,
-    /// Per-processor executor (owns that processor's H-RAM).
-    execs: Vec<CellExec<'a, Diamond, P, 1>>,
-    /// The run's shape plans, lent to whichever executor runs a piece
-    /// (see [`CellExec::swap_plans`]).
-    plans: CellPlans<1>,
+    /// The processors; their node states are the strip homes.
+    host: ProcArray<'a, Diamond, P, 1>,
     prog: &'a P,
     /// Ground-truth words for every live dag value (addresses are
     /// tracked in `placed`/`home`).
@@ -238,28 +219,20 @@ struct Engine<'a, P: LinearProgram> {
     /// Persistent placement between tiles: value → (proc, addr in the
     /// value-home region).
     home: FxHashMap<Pt2, (usize, usize)>,
-    home_zones: Vec<ZoneAlloc>,
-    transit_zones: Vec<ZoneAlloc>,
     /// Per-strip staged state base during a tile (proc, addr), `m > 1`.
     staged_state: FxHashMap<usize, (usize, usize)>,
-    clock: StageClock,
-    /// Reusable stage buffers (snapshots + deltas), allocated once.
-    scratch: ScratchLease,
-    /// Layout constants (per processor).
-    tile_space: usize,
-    transit_base: usize,
-    transit_cap: usize,
-    strip_home_base: usize,
     /// Regime-1 cascade levels `log₂(n/(p·s))`.
     levels: u32,
-    preprocessing_time: f64,
-    session: FaultSession,
-    tracer: Tracer,
-    core: CoreKind,
 }
 
 impl<'a, P: LinearProgram> Engine<'a, P> {
-    fn new(spec: &MachineSpec, prog: &'a P, steps: i64, opts: RunOpts) -> Result<Self, SimError> {
+    fn new(
+        spec: &MachineSpec,
+        prog: &'a P,
+        steps: i64,
+        opts: RunOpts,
+        tracer: &'a mut Tracer,
+    ) -> Result<Self, SimError> {
         if spec.d != 1 {
             return Err(SimError::DimensionMismatch {
                 expected: 1,
@@ -301,48 +274,22 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         let q = n / s;
         let cbox = IRect::new(0, n as i64, 1, steps + 1);
 
-        // Per-processor layout: probe the worst-case inner-tile footprint.
         // Each processor runs the Theorem-3 recursion on its own H-RAM,
-        // metered like the uniprocessor host's; the probe's shape plans
-        // become the run's shared set.
+        // metered like the uniprocessor host's; the cell budget probes
+        // the worst-case inner-tile footprint.
         let access = AccessFn::new(1, spec.m);
         let leaf_h = (m as i64 / 2).max(1);
-        let new_exec = || CellExec::new(n as i64, access, prog, steps, leaf_h);
-        let mut probe = new_exec();
-        let interior = Diamond::new((n / 2) as i64, (steps / 2).max(1), (s / 2) as i64);
-        let tile_space = probe.space(&interior) * 2 + 64;
-        let mut plans = CellPlans::default();
-        probe.swap_plans(&mut plans);
-        let transit_cap = 8 * s * m + 48 * s + 1024;
-        let home_cap = 16 * (n / p).max(s) + 8 * s + 512;
-        let transit_base = tile_space;
-        let home_base = transit_base + transit_cap;
-        let strip_home_base = home_base + home_cap;
-
-        let execs = (0..p)
-            .map(|_| {
-                let mut e = new_exec();
-                e.cover(strip_home_base + n / p * m);
-                e
-            })
-            .collect();
-        let home_zones = (0..p)
-            .map(|_| ZoneAlloc::new(home_base, home_cap))
-            .collect();
-        let transit_zones = (0..p)
-            .map(|_| ZoneAlloc::new(transit_base, transit_cap))
-            .collect();
-        let levels = ((n as f64) / (p as f64 * s as f64)).log2().max(0.0).round() as u32;
-        let session = FaultSession::new(
+        let host = ProcArray::new(
+            spec,
             &opts.plan,
-            FaultEnv {
-                p,
-                hop: spec.neighbor_distance(),
-                checkpoint_words: spec.node_mem(),
-                proc_side: 1,
-            },
+            tracer,
+            || CellExec::new(n as i64, access, prog, steps, leaf_h),
+            &Diamond::new((n / 2) as i64, (steps / 2).max(1), (s / 2) as i64),
+            64,
+            8 * s * m + 48 * s + 1024,
+            16 * (n / p).max(s) + 8 * s + 512,
+            n / p * m,
         );
-
         Ok(Engine {
             n,
             p,
@@ -350,38 +297,15 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
             s,
             q,
             t_steps: steps,
-            hop: spec.neighbor_distance(),
             cbox,
-            execs,
-            plans,
+            host,
             prog,
             vals: FxHashMap::default(),
             placed: FxHashMap::default(),
             home: FxHashMap::default(),
-            home_zones,
-            transit_zones,
             staged_state: FxHashMap::default(),
-            clock: StageClock::new(),
-            scratch: lease_scratch(p),
-            tile_space,
-            transit_base,
-            transit_cap,
-            strip_home_base,
-            levels,
-            preprocessing_time: 0.0,
-            session,
-            tracer: Tracer::off(),
-            core: opts.core,
+            levels: ((n as f64) / (p as f64 * s as f64)).log2().max(0.0).round() as u32,
         })
-    }
-
-    /// Credit points/messages to processor `pr`'s tally slot (no-op when
-    /// tracing is disabled).
-    #[inline]
-    fn tmark(&self, pr: usize, points: u64, msgs: u64) {
-        if let Some(tl) = self.tracer.tally() {
-            tl.add(pr, points, msgs);
-        }
     }
 
     fn proc_of_strip(&self, j: usize) -> usize {
@@ -390,97 +314,61 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
 
     /// Local base address of strip `j`'s private-memory home block.
     fn strip_home(&self, j: usize) -> usize {
-        self.strip_home_base + rearrangement::local_slot_of(j, self.q, self.p) * self.s * self.m
+        self.host.state_base + rearrangement::local_slot_of(j, self.q, self.p) * self.s * self.m
     }
 
     fn strip_of_col(&self, x: i64) -> usize {
         (x as usize) / self.s
     }
 
-    /// Snapshot each processor's (total time, comm charge) into the
-    /// reusable scratch — marks the start of a stage.
-    fn begin_stage(&mut self, label: &str) {
-        self.tracer.begin_stage(label);
-        let scratch = &mut *self.scratch;
-        for ((time, comm), e) in scratch
-            .time_before
-            .iter_mut()
-            .zip(scratch.comm_before.iter_mut())
-            .zip(&self.execs)
-        {
-            *time = e.ram.time();
-            *comm = e.ram.meter.comm;
-        }
+    /// Strip `j`'s (processor, base) in the guest's natural layout:
+    /// slot `j`, before the rearrangement and after the run.
+    fn natural_home(&self, j: usize) -> (usize, usize) {
+        let seg = self.q / self.p;
+        (j / seg, self.host.state_base + (j % seg) * self.s * self.m)
     }
 
-    /// Close the stage opened by the matching [`begin_stage`](Self::begin_stage).
-    fn close_stage(&mut self) -> Result<(), SimError> {
-        let scratch = &mut *self.scratch;
-        for (((delta, comm), e), (t0, c0)) in scratch
-            .per_proc
-            .iter_mut()
-            .zip(scratch.per_comm.iter_mut())
-            .zip(&self.execs)
-            .zip(scratch.time_before.iter().zip(&scratch.comm_before))
-        {
-            *delta = e.ram.time() - t0;
-            *comm = e.ram.meter.comm - c0;
+    /// Move every strip from its natural home to its π-home (`to_pi`) or
+    /// back, as one charged stage.  All blocks are read out before any is
+    /// written (cycle-safe); each travels `s·m` words × hops.
+    fn move_strips(&mut self, label: &str, to_pi: bool) -> Result<(), SimError> {
+        self.host.begin_stage(label);
+        let sm = self.s * self.m;
+        let ends = |me: &Self, j| {
+            let pi = (me.proc_of_strip(j), me.strip_home(j));
+            if to_pi {
+                (me.natural_home(j), pi)
+            } else {
+                (pi, me.natural_home(j))
+            }
+        };
+        let mut buf: Vec<Vec<Word>> = Vec::with_capacity(self.q);
+        for j in 0..self.q {
+            let ((pr, base), _) = ends(self, j);
+            let ram = &mut self.host.execs[pr].ram;
+            buf.push((base..base + sm).map(|a| ram.read(a)).collect());
         }
-        self.clock.add_stage_faulted(
-            &self.scratch.per_proc,
-            &self.scratch.per_comm,
-            &mut self.session,
-        )?;
-        self.tracer
-            .end_stage(stage_totals(&self.clock, &self.session.stats), 1);
-        Ok(())
+        for (j, words) in buf.iter().enumerate() {
+            let ((src, _), (dst, base)) = ends(self, j);
+            self.host.send(src, dst, sm, src);
+            for (w, &word) in words.iter().enumerate() {
+                self.host.execs[dst].ram.write(base + w, word);
+            }
+        }
+        self.host.close_stage()
     }
 
     /// Lay out the guest image at the *natural* strip homes (uncharged:
     /// problem statement), then perform and charge the rearrangement.
     fn preprocess(&mut self, init: &[Word]) -> Result<(), SimError> {
-        // Natural placement: strip j at slot j.
-        let seg = self.q / self.p;
         let sm = self.s * self.m;
-        let home_base = self.strip_home_base;
-        let natural_home =
-            move |j: usize| -> (usize, usize) { (j / seg, home_base + (j % seg) * sm) };
         for j in 0..self.q {
-            let (pr, base) = natural_home(j);
+            let (pr, base) = self.natural_home(j);
             for w in 0..sm {
-                self.execs[pr].ram.poke(base + w, init[j * sm + w]);
+                self.host.execs[pr].ram.poke(base + w, init[j * sm + w]);
             }
         }
-        // Rearrangement stage: move every strip to its π-home.
-        self.begin_stage("rearrange");
-        // Stage via a scratch buffer in the transit region to avoid
-        // overwriting unmoved strips (cycle-safe: copy all out, then in).
-        let mut buf: Vec<Vec<Word>> = Vec::with_capacity(self.q);
-        for j in 0..self.q {
-            let (pr, base) = natural_home(j);
-            let mut b = Vec::with_capacity(sm);
-            for w in 0..sm {
-                b.push(self.execs[pr].ram.read(base + w));
-            }
-            buf.push(b);
-        }
-        for (j, bwords) in buf.iter().enumerate() {
-            let (src_p, _) = natural_home(j);
-            let dst_p = self.proc_of_strip(j);
-            let dst = self.strip_home(j);
-            let hops = (src_p as i64 - dst_p as i64).unsigned_abs() as f64;
-            if hops > 0.0 {
-                let c = sm as f64 * hops * self.hop;
-                self.execs[src_p].ram.meter.add_comm(c / 2.0);
-                self.execs[dst_p].ram.meter.add_comm(c / 2.0);
-                self.tmark(src_p, 0, sm as u64);
-            }
-            for (w, word) in bwords.iter().enumerate() {
-                self.execs[dst_p].ram.write(dst + w, *word);
-            }
-        }
-        self.close_stage()?;
-        self.preprocessing_time = self.clock.parallel_time;
+        self.move_strips("rearrange", true)?;
 
         // Seed the input-row values: value (x, 0) is the content of cell
         // (x, cell(x,0)) inside the strip home (no copy needed).
@@ -497,15 +385,15 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
     /// a tile: one staging relocation and one near-neighbor hop per
     /// halving level.
     fn cascade_charge(&mut self, pr: usize, words: usize) {
-        let ram = &mut self.execs[pr].ram;
+        let ram = &mut self.host.execs[pr].ram;
         for k in 0..self.levels {
             let stage_addr = (self.n * self.m) >> (k + 1).min(63);
             let c = 2.0 + 2.0 * ram.access.f(stage_addr / self.p.max(1));
             ram.meter.add_transfer(c * words as f64);
-            ram.meter.add_comm(words as f64 * self.hop);
+            ram.meter.add_comm(words as f64 * self.host.hop);
         }
         if self.levels > 0 {
-            self.tmark(pr, 0, words as u64 * self.levels as u64);
+            self.host.tmark(pr, 0, words as u64 * self.levels as u64);
         }
     }
 
@@ -518,14 +406,11 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
             }
             // Cross-seam exchange (cooperating mode): one word, charged
             // on both endpoints at the true processor distance.
-            let hops = (owner as i64 - pr as i64).unsigned_abs() as f64;
             let w = self.vals[&pt];
-            let _ = self.execs[owner].ram.read(addr);
-            self.execs[owner].ram.meter.add_comm(hops * self.hop / 2.0);
-            let dst = self.transit_zones[pr].alloc();
-            self.execs[pr].ram.meter.add_comm(hops * self.hop / 2.0);
-            self.tmark(pr, 0, 1);
-            self.execs[pr].ram.write(dst, w);
+            let _ = self.host.execs[owner].ram.read(addr);
+            self.host.send(owner, pr, 1, pr);
+            let dst = self.host.transit_zones[pr].alloc();
+            self.host.execs[pr].ram.write(dst, w);
             self.placed.insert(pt, (pr, dst));
             return Ok(dst);
         }
@@ -537,18 +422,13 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
             self.vals[&pt]
         } else {
             // Input-row value read straight out of the strip home.
-            self.execs[owner].ram.peek(addr)
+            self.host.execs[owner].ram.peek(addr)
         };
-        let _ = self.execs[owner].ram.read(addr);
+        let _ = self.host.execs[owner].ram.read(addr);
         self.cascade_charge(pr, 1);
-        if owner != pr {
-            let hops = (owner as i64 - pr as i64).unsigned_abs() as f64;
-            self.execs[owner].ram.meter.add_comm(hops * self.hop / 2.0);
-            self.execs[pr].ram.meter.add_comm(hops * self.hop / 2.0);
-            self.tmark(pr, 0, 1);
-        }
-        let dst = self.transit_zones[pr].alloc();
-        self.execs[pr].ram.write(dst, w);
+        self.host.send(owner, pr, 1, pr);
+        let dst = self.host.transit_zones[pr].alloc();
+        self.host.execs[pr].ram.write(dst, w);
         self.vals.insert(pt, w);
         self.placed.insert(pt, (pr, dst));
         Ok(dst)
@@ -563,8 +443,8 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         let pr = self.proc_of_strip(j);
         let sm = self.s * self.m;
         let src = self.strip_home(j);
-        let dst = self.transit_zones[pr].alloc_block(sm);
-        self.execs[pr].ram.relocate_block(src, dst, sm);
+        let dst = self.host.transit_zones[pr].alloc_block(sm);
+        self.host.execs[pr].ram.relocate_block(src, dst, sm);
         self.cascade_charge(pr, sm);
         self.staged_state.insert(j, (pr, dst));
     }
@@ -574,9 +454,9 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         if let Some((pr, base)) = self.staged_state.remove(&j) {
             let sm = self.s * self.m;
             let dst = self.strip_home(j);
-            self.execs[pr].ram.relocate_block(base, dst, sm);
+            self.host.execs[pr].ram.relocate_block(base, dst, sm);
             self.cascade_charge(pr, sm);
-            self.transit_zones[pr].free_block(base, sm);
+            self.host.transit_zones[pr].free_block(base, sm);
         }
     }
 
@@ -624,29 +504,29 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         if piece.points_count() == 0 {
             return Ok(());
         }
-        self.execs[pr].swap_plans(&mut self.plans);
+        self.host.swap_plans(pr);
         let res = self.exec_piece(pr, piece);
-        self.execs[pr].swap_plans(&mut self.plans);
+        self.host.swap_plans(pr);
         res
     }
 
     /// [`run_piece_on`](Self::run_piece_on)'s body: stage the piece's
     /// inputs, run the recursion, harvest its outputs.
     fn exec_piece(&mut self, pr: usize, piece: &ClippedDiamond) -> Result<(), SimError> {
-        self.tmark(pr, piece.points_count() as u64, 0);
+        self.host.tmark(pr, piece.points_count() as u64, 0);
         // Stage preboundary values (Γ from the shape plan, sorted).  Each
         // piece gets *private* copies of its preboundary (the recursion
         // consumes and frees them); the canonical placement in
         // `placed`/`home` is untouched.  The copies, in Γ order, are the
         // recursion's sorted value directory.
-        let g = self.execs[pr].gamma(&piece.d);
+        let g = self.host.execs[pr].gamma(&piece.d);
         let mut seeds = Vec::with_capacity(g.len());
         for &(t, [x]) in &g {
             let addr = self.stage_value(Pt2::new(x, t), pr)?;
-            let w = self.execs[pr].ram.peek(addr);
-            let copy = self.transit_zones[pr].alloc();
-            let _ = self.execs[pr].ram.read(addr);
-            self.execs[pr].ram.write(copy, w);
+            let w = self.host.execs[pr].ram.peek(addr);
+            let copy = self.host.transit_zones[pr].alloc();
+            let _ = self.host.execs[pr].ram.read(addr);
+            self.host.execs[pr].ram.write(copy, w);
             seeds.push(((t, [x]), copy));
         }
         // Columns and their staged states.  The recursion relocates the
@@ -654,7 +534,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         // the piece completes so the staging area stays canonical.
         let mut state_seeds = Vec::new();
         if self.m > 1 {
-            for [x] in self.execs[pr].pillars(&piece.d) {
+            for [x] in self.host.execs[pr].pillars(&piece.d) {
                 let j = self.strip_of_col(x);
                 let (owner, base) = *self.staged_state.get(&j).ok_or(SimError::Internal {
                     what: "piece column's strip not staged",
@@ -665,8 +545,10 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
                 );
                 // Private copy of the column block for the recursion.
                 let home_addr = base + (x as usize - j * self.s) * self.m;
-                let copy = self.transit_zones[pr].alloc_block(self.m);
-                self.execs[pr].ram.relocate_block(home_addr, copy, self.m);
+                let copy = self.host.transit_zones[pr].alloc_block(self.m);
+                self.host.execs[pr]
+                    .ram
+                    .relocate_block(home_addr, copy, self.m);
                 state_seeds.push((x, copy, home_addr));
             }
         }
@@ -677,54 +559,34 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         let out_pts = self.outbound(piece);
         let want: Vec<_> = out_pts.iter().map(|q| (q.t, [q.x])).collect();
         debug_assert!(want.windows(2).all(|w| w[0] < w[1]));
-        {
-            let exec = &mut self.execs[pr];
-            exec.clear_seeds();
-            for (x, addr, _) in &state_seeds {
-                exec.seed_state([*x], *addr);
-            }
-        }
-        let space = self.execs[pr].space(&piece.d);
-        if space > self.tile_space {
-            return Err(SimError::Internal {
-                what: "tile footprint exceeds the tile budget",
-            });
-        }
-        // Parent zone: the transit zone (park results there).
-        let mut zone = std::mem::replace(&mut self.transit_zones[pr], ZoneAlloc::new(0, 0));
-        let mut out_addrs = Vec::with_capacity(out_pts.len());
-        let exec_res = self.execs[pr].exec(&piece.d, &want, &mut zone, &seeds, &mut out_addrs);
-        self.transit_zones[pr] = zone;
-        exec_res?;
-        if out_addrs.len() != out_pts.len() {
-            return Err(SimError::Internal {
-                what: "piece output not parked",
-            });
-        }
+        let states = state_seeds.iter().map(|&(x, addr, _)| ([x], addr));
+        let out_addrs = self.host.exec(pr, &piece.d, &want, &seeds, states)?;
 
         // Harvest: record outbound values (they stay parked in transit).
         for (pt, addr) in out_pts.into_iter().zip(out_addrs) {
-            let w = self.execs[pr].ram.peek(addr);
+            let w = self.host.execs[pr].ram.peek(addr);
             self.vals.insert(pt, w);
             if let Some((old_pr, old_addr)) = self.placed.insert(pt, (pr, addr)) {
                 // Superseded stale placement (shouldn't generally happen).
-                self.transit_zones[old_pr].free_if_owned(old_addr);
+                self.host.transit_zones[old_pr].free_if_owned(old_addr);
             }
         }
         // Write the evolved column states back into the strip block and
         // release the recursion's parked blocks.
         if self.m > 1 {
             for (x, _, home_addr) in &state_seeds {
-                let parked = self.execs[pr].state_addr([*x]).ok_or(SimError::Internal {
-                    what: "piece column state not parked",
-                })?;
-                self.execs[pr]
+                let parked = self.host.execs[pr]
+                    .state_addr([*x])
+                    .ok_or(SimError::Internal {
+                        what: "piece column state not parked",
+                    })?;
+                self.host.execs[pr]
                     .ram
                     .relocate_block(parked, *home_addr, self.m);
-                self.transit_zones[pr].free_block(parked, self.m);
+                self.host.transit_zones[pr].free_block(parked, self.m);
             }
         }
-        self.execs[pr].clear_seeds();
+        self.host.execs[pr].clear_seeds();
         Ok(())
     }
 
@@ -774,11 +636,11 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
             return Ok(());
         }
         let cx = piece.d.cx;
-        let nominal = self.transit_base; // operands live in the transit band
+        let nominal = self.host.transit_base; // operands live in the transit band
         let out_set: FxHashSet<Pt2> = self.outbound(piece).into_iter().collect();
         for pt in &pts {
             let side = if pt.x < cx { pl } else { pr };
-            self.tmark(side, 1, 0);
+            self.host.tmark(side, 1, 0);
             // Operand fetches: previous values from `vals` (placed on
             // either side); charge a read at the transit band plus a hop
             // when the operand lives across the seam.
@@ -788,20 +650,15 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
                 }
                 let w = if qp.t == 0 {
                     let a = me.stage_value(qp, side)?;
-                    me.execs[side].ram.peek(a)
+                    me.host.execs[side].ram.peek(a)
                 } else {
                     *me.vals.get(&qp).ok_or(SimError::Internal {
                         what: "band-leaf operand missing",
                     })?
                 };
                 let owner = me.placed.get(&qp).map(|&(o, _)| o).unwrap_or(side);
-                let _ = me.execs[side].ram.read(nominal);
-                if owner != side {
-                    let hops = (owner as i64 - side as i64).unsigned_abs() as f64;
-                    me.execs[owner].ram.meter.add_comm(hops * me.hop / 2.0);
-                    me.execs[side].ram.meter.add_comm(hops * me.hop / 2.0);
-                    me.tmark(side, 0, 1);
-                }
+                let _ = me.host.execs[side].ram.read(nominal);
+                me.host.send(owner, side, 1, side);
                 Ok(w)
             };
             let prev = fetch(self, Pt2::new(pt.x, pt.t - 1))?;
@@ -811,7 +668,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
                 let j = self.strip_of_col(pt.x);
                 let (owner, base) = self.staged_state[&j];
                 assert_eq!(owner, side, "band vertex state must be on its own side");
-                self.execs[side].ram.read(
+                self.host.execs[side].ram.read(
                     base + (pt.x as usize - j * self.s) * self.m
                         + self.prog.cell(pt.x as usize, pt.t),
                 )
@@ -819,11 +676,11 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
                 prev
             };
             let out = self.prog.delta(pt.x as usize, pt.t, own, prev, left, right);
-            self.execs[side].ram.compute();
+            self.host.execs[side].ram.compute();
             if self.m > 1 {
                 let j = self.strip_of_col(pt.x);
                 let (_, base) = self.staged_state[&j];
-                self.execs[side].ram.write(
+                self.host.execs[side].ram.write(
                     base + (pt.x as usize - j * self.s) * self.m
                         + self.prog.cell(pt.x as usize, pt.t),
                     out,
@@ -831,8 +688,8 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
             }
             self.vals.insert(*pt, out);
             if out_set.contains(pt) {
-                let dst = self.transit_zones[side].alloc();
-                self.execs[side].ram.write(dst, out);
+                let dst = self.host.transit_zones[side].alloc();
+                self.host.execs[side].ram.write(dst, out);
                 self.placed.insert(*pt, (side, dst));
             }
         }
@@ -842,9 +699,8 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
     /// Execute one `D(ps)` tile: Regime-1 gather, the `2p-1` Regime-2
     /// stage rows, Regime-1 scatter.
     fn run_tile(&mut self, tile: &ClippedDiamond) -> Result<(), SimError> {
-        let ps = (self.p * self.s) as i64;
         // --- Gather stage: stage all strips the tile touches.
-        self.begin_stage("gather");
+        self.host.begin_stage("gather");
         let b = tile.d.bbox().intersect(&self.cbox);
         if b.is_empty() {
             return Ok(());
@@ -857,7 +713,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         for &j in &strips {
             self.stage_strip(j);
         }
-        self.close_stage()?;
+        self.host.close_stage()?;
 
         // --- Regime 2: rows of D(s) diamonds inside the tile.
         // The radius-s/2 tiling exactly refines the radius-ps/2 tiling
@@ -884,10 +740,9 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
                 _ => rows.push((d.d.ct, vec![within])),
             }
         }
-        let _ = ps;
         let mut prev_row_lo = i64::MIN;
         for (row_ct, row) in rows {
-            self.begin_stage("row");
+            self.host.begin_stage("row");
             // Free transit slots of values that no later piece (in this
             // tile or any other) can consume: everything below the
             // previous row's floor that does not escape the tile.
@@ -914,7 +769,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
                     let (pr2, addr) = self.placed.remove(&pt).ok_or(SimError::Internal {
                         what: "transit placement missing for a dead value",
                     })?;
-                    self.transit_zones[pr2].free_if_owned(addr);
+                    self.host.transit_zones[pr2].free_if_owned(addr);
                 }
             }
             prev_row_lo = row_lo;
@@ -938,12 +793,12 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
                     self.run_piece_on(self.proc_of_strip(j), &piece)?;
                 }
             }
-            self.close_stage()?;
+            self.host.close_stage()?;
         }
 
         // --- Scatter stage: return strips home; persist still-needed
         // boundary values; drop the rest.
-        self.begin_stage("scatter");
+        self.host.begin_stage("scatter");
         for &j in &strips {
             self.unstage_strip(j);
         }
@@ -955,13 +810,13 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
                 || pt.succs().iter().any(|sq| {
                     self.cbox.contains(*sq) && !self.vals.contains_key(sq) && !tile.contains(*sq)
                 });
-            self.transit_zones[pr].free_if_owned(addr);
+            self.host.transit_zones[pr].free_if_owned(addr);
             if needed && !self.home.contains_key(&pt) {
                 let w = self.vals[&pt];
-                let _ = self.execs[pr].ram.read(addr);
+                let _ = self.host.execs[pr].ram.read(addr);
                 self.cascade_charge(pr, 1);
-                let dst = self.home_zones[pr].alloc();
-                self.execs[pr].ram.write(dst, w);
+                let dst = self.host.home_zones[pr].alloc();
+                self.host.execs[pr].ram.write(dst, w);
                 self.home.insert(pt, (pr, dst));
             }
         }
@@ -981,15 +836,13 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
             // Input-row entries are views into the strip homes, not
             // allocated slots.
             if pt.t > 0 {
-                self.home_zones[pr].free(addr);
+                self.host.home_zones[pr].free(addr);
             }
         }
-        self.close_stage()?;
+        self.host.close_stage()?;
         // Fresh transit zones for the next tile (everything in them has
         // been scattered or dropped).
-        for z in &mut self.transit_zones {
-            *z = ZoneAlloc::new(self.transit_base, self.transit_cap);
-        }
+        self.host.reset_transit();
         Ok(())
     }
 
@@ -1000,96 +853,41 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         }
         let hp = ((self.p * self.s) / 2) as i64;
         let tiles = diamond_cover(self.cbox, hp, Pt2::new(0, 0));
-        match self.core {
-            CoreKind::Dense => {
-                for tile in tiles {
-                    self.run_tile(&tile)?;
-                }
-            }
-            CoreKind::Event => {
-                // Calendar drain keyed by tile center time.  The cover is
-                // sorted by (ct, cx) and buckets pop FIFO, so the drained
-                // sequence is exactly the dense iteration order — the
-                // meters stay bit-identical.
-                let mut cal = EventQueue::new();
-                for tile in tiles {
-                    cal.schedule(tile.d.ct, tile);
-                }
-                while let Some((_ct, batch)) = cal.pop_stage() {
-                    for tile in &batch {
-                        self.run_tile(tile)?;
-                    }
-                }
-            }
+        for tile in tiles {
+            self.run_tile(&tile)?;
         }
         // For m = 1 the node state *is* the value: write the final row
         // back into the strip homes (charged — the host must leave the
         // guest's memory as the guest would).
         if self.m == 1 {
-            self.begin_stage("writeback");
+            self.host.begin_stage("writeback");
             for x in 0..self.n {
                 let pt = Pt2::new(x as i64, self.t_steps);
                 let (pr, addr) = *self.home.get(&pt).ok_or(SimError::Internal {
                     what: "final value not homed",
                 })?;
                 let w = self.vals[&pt];
-                let _ = self.execs[pr].ram.read(addr);
+                let _ = self.host.execs[pr].ram.read(addr);
                 let j = self.strip_of_col(x as i64);
                 let hp_ = self.proc_of_strip(j);
-                if hp_ != pr {
-                    let hops = (hp_ as i64 - pr as i64).unsigned_abs() as f64;
-                    self.execs[pr].ram.meter.add_comm(hops * self.hop / 2.0);
-                    self.execs[hp_].ram.meter.add_comm(hops * self.hop / 2.0);
-                    self.tmark(pr, 0, 1);
-                }
+                self.host.send(pr, hp_, 1, pr);
                 let dst = self.strip_home(j) + (x - j * self.s);
-                self.execs[hp_].ram.write(dst, w);
+                self.host.execs[hp_].ram.write(dst, w);
             }
-            self.close_stage()?;
+            self.host.close_stage()?;
         }
 
         // Final un-rearrangement (restore the guest's natural layout).
-        self.begin_stage("restore");
-        let sm = self.s * self.m;
-        let seg = self.q / self.p;
-        let mut buf: Vec<Vec<Word>> = Vec::with_capacity(self.q);
-        for j in 0..self.q {
-            let pr = self.proc_of_strip(j);
-            let base = self.strip_home(j);
-            let mut bwords = Vec::with_capacity(sm);
-            for w in 0..sm {
-                bwords.push(self.execs[pr].ram.read(base + w));
-            }
-            buf.push(bwords);
-        }
-        for (j, bwords) in buf.iter().enumerate() {
-            let src_p = self.proc_of_strip(j);
-            let dst_p = j / seg;
-            let dst = self.strip_home_base + (j % seg) * sm;
-            let hops = (src_p as i64 - dst_p as i64).unsigned_abs() as f64;
-            if hops > 0.0 {
-                let c = sm as f64 * hops * self.hop;
-                self.execs[src_p].ram.meter.add_comm(c / 2.0);
-                self.execs[dst_p].ram.meter.add_comm(c / 2.0);
-                self.tmark(src_p, 0, sm as u64);
-            }
-            for (w, word) in bwords.iter().enumerate() {
-                self.execs[dst_p].ram.write(dst + w, *word);
-            }
-        }
-        self.close_stage()?;
-        Ok(())
+        self.move_strips("restore", false)
     }
 
-    fn finish(&mut self, spec: &MachineSpec, prog: &impl LinearProgram, steps: i64) -> SimReport {
+    fn finish(self, spec: &MachineSpec, prog: &impl LinearProgram, steps: i64) -> SimReport {
         let sm = self.s * self.m;
-        let seg = self.q / self.p;
         let mut mem = vec![0 as Word; self.n * self.m];
         for j in 0..self.q {
-            let pr = j / seg;
-            let base = self.strip_home_base + (j % seg) * sm;
+            let (pr, base) = self.natural_home(j);
             for w in 0..sm {
-                mem[j * sm + w] = self.execs[pr].ram.peek(base + w);
+                mem[j * sm + w] = self.host.execs[pr].ram.peek(base + w);
             }
         }
         let values: Vec<Word> = if steps == 0 {
@@ -1101,41 +899,9 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
                 .map(|x| self.vals[&Pt2::new(x as i64, steps)])
                 .collect()
         };
-        let meter = self
-            .execs
-            .iter()
-            .fold(bsmp_hram::CostMeter::new(), |acc, e| {
-                acc.merged(&e.ram.meter)
-            });
         let guest_time = linear_guest_time(spec, prog, steps);
-        self.tracer.finish_run(
-            RunMeta {
-                engine: EngineKind::Multi1,
-                d: 1,
-                n: spec.n,
-                m: spec.m,
-                p: spec.p,
-                steps: steps.max(0) as u64,
-            },
-            self.clock.parallel_time,
-            guest_time,
-        );
-        SimReport {
-            mem,
-            values,
-            host_time: self.clock.parallel_time,
-            guest_time,
-            meter,
-            space: self
-                .execs
-                .iter()
-                .map(|e| e.ram.high_water())
-                .max()
-                .unwrap_or(0),
-            stages: self.clock.stages,
-            faults: self.session.stats.clone(),
-            core_fallback: None,
-        }
+        self.host
+            .finish(EngineKind::Multi1, spec, steps, guest_time, mem, values)
     }
 }
 
@@ -1171,12 +937,13 @@ mod tests {
         let spec = MachineSpec::new(1, 64, 4, 1);
         let init = inputs::random_bits(41, 64);
         let prog = Eca::rule110();
-        let mut eng = Engine::new(&spec, &prog, 64, RunOpts::default()).unwrap();
-        eng.tile_space = 0;
+        let mut tracer = Tracer::off();
+        let mut eng = Engine::new(&spec, &prog, 64, RunOpts::default(), &mut tracer).unwrap();
+        eng.host.tile_space = 0;
         assert!(matches!(
             eng.run(&init),
             Err(SimError::Internal {
-                what: "tile footprint exceeds the tile budget"
+                what: "cell footprint exceeds the tile budget"
             })
         ));
     }

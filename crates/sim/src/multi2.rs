@@ -29,28 +29,21 @@
 
 use bsmp_machine::FxHashMap;
 
-use bsmp_faults::{FaultEnv, FaultPlan, FaultSession};
 use bsmp_geometry::{cell_cover, ClippedDomain2, Domain2, IBox, Pt3};
 use bsmp_hram::{AccessFn, Word};
-use bsmp_machine::{
-    lease_scratch, mesh_guest_time, CoreKind, EventQueue, MachineSpec, MeshProgram, ScratchLease,
-    StageClock,
-};
-use bsmp_trace::{EngineKind, RunMeta, Tracer};
+use bsmp_machine::{mesh_guest_time, MachineSpec, MeshProgram};
+use bsmp_trace::{EngineKind, Tracer};
 
 use crate::error::SimError;
-use crate::execd::{CellExec, CellPlans};
+use crate::execd::CellExec;
+use crate::procs::ProcArray;
 use crate::report::SimReport;
-use crate::zone::ZoneAlloc;
-use crate::{settle_scenario, stage_totals, RunOpts};
+use crate::RunOpts;
 
 /// Simulate `steps` guest steps of `M_2(n, n, m)` on `M_2(n, p, m)`
 /// by the block-banded honeycomb scheme, with preconditions checked.
-/// Reads `opts.plan` and `opts.core`: the dense cell loop or the
-/// discrete-event calendar that drains honeycomb cells by
-/// projection-center time sum.  Reports are bit-identical across
-/// cores.  The tracer observes each honeycomb stage row; the report is
-/// bit-identical either way.
+/// Reads `opts.plan`.  The tracer observes each honeycomb stage row;
+/// the report is bit-identical either way.
 pub fn try_simulate_multi2(
     spec: &MachineSpec,
     prog: &impl MeshProgram,
@@ -67,12 +60,9 @@ pub fn try_simulate_multi2(
         });
     }
     opts.plan.validate()?;
-    let mut eng = Engine2::new(spec, prog, steps, &opts.plan, opts.core)?;
-    eng.tracer = std::mem::take(tracer);
-    eng.tracer.ensure_procs(spec.p as usize);
-    let rep = eng.run(init).and_then(|()| eng.finish(spec, prog, steps));
-    *tracer = std::mem::take(&mut eng.tracer);
-    rep
+    let mut eng = Engine2::new(spec, prog, steps, opts, tracer)?;
+    eng.run(init)?;
+    Ok(eng.finish(spec, prog, steps))
 }
 
 /// [`try_simulate_multi2`] with default options; panics on invalid
@@ -100,25 +90,13 @@ struct Engine2<'a, P: MeshProgram> {
     b: usize,
     m: usize,
     t_steps: i64,
-    hop: f64,
     cbox: IBox,
-    execs: Vec<CellExec<'a, Domain2, P, 2>>,
-    /// Shape plans shared by all `execs` (lent to the executing one).
-    plans: CellPlans<2>,
+    /// The processors; processor `(I, J)`'s node states are its block.
+    host: ProcArray<'a, Domain2, P, 2>,
     prog: &'a P,
     vals: FxHashMap<Pt3, Word>,
     /// value → (proc, addr) in that proc's value-home zone.
     home: FxHashMap<Pt3, (usize, usize)>,
-    home_zones: Vec<ZoneAlloc>,
-    transit_zones: Vec<ZoneAlloc>,
-    clock: StageClock,
-    /// Reusable stage buffers (snapshots + deltas), allocated once.
-    scratch: ScratchLease,
-    session: FaultSession,
-    tracer: Tracer,
-    tile_space: usize,
-    state_base: usize,
-    core: CoreKind,
 }
 
 impl<'a, P: MeshProgram> Engine2<'a, P> {
@@ -126,8 +104,8 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         spec: &MachineSpec,
         prog: &'a P,
         steps: i64,
-        plan: &FaultPlan,
-        core: CoreKind,
+        opts: RunOpts,
+        tracer: &'a mut Tracer,
     ) -> Result<Self, SimError> {
         if spec.d != 2 {
             return Err(SimError::DimensionMismatch {
@@ -160,44 +138,21 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         // metered like the uniprocessor host's.
         let access = AccessFn::new(2, spec.m);
         let leaf = (m as i64 / 2).max(1);
-        let new_exec = || CellExec::new(side as i64, access, prog, steps, leaf);
-        let interior = Domain2::octahedron(
-            (side / 2) as i64,
-            (side / 2) as i64,
-            (steps / 2).max(1),
-            (b / 2).max(1) as i64,
-        );
-        let tile_space = new_exec().space(&interior) * 2 + 128;
-        let transit_cap = 8 * b * b * m + 32 * b * b + 1024;
-        let home_cap = 16 * b * b + 8 * b + 512;
-        let transit_base = tile_space;
-        let home_base = transit_base + transit_cap;
-        let state_base = home_base + home_cap;
-        let _ = transit_base;
-
-        let execs = (0..sp * sp)
-            .map(|_| {
-                let mut e = new_exec();
-                e.cover(state_base + b * b * m);
-                e
-            })
-            .collect();
-        let home_zones = (0..sp * sp)
-            .map(|_| ZoneAlloc::new(home_base, home_cap))
-            .collect();
-        let transit_zones = (0..sp * sp)
-            .map(|_| ZoneAlloc::new(transit_base, transit_cap))
-            .collect();
-
-        let hop = spec.neighbor_distance();
-        let session = FaultSession::new(
-            plan,
-            FaultEnv {
-                p: sp * sp,
-                hop,
-                checkpoint_words: spec.node_mem(),
-                proc_side: sp,
-            },
+        let host = ProcArray::new(
+            spec,
+            &opts.plan,
+            tracer,
+            || CellExec::new(side as i64, access, prog, steps, leaf),
+            &Domain2::octahedron(
+                (side / 2) as i64,
+                (side / 2) as i64,
+                (steps / 2).max(1),
+                (b / 2).max(1) as i64,
+            ),
+            128,
+            8 * b * b * m + 32 * b * b + 1024,
+            16 * b * b + 8 * b + 512,
+            b * b * m,
         );
         Ok(Engine2 {
             side,
@@ -205,22 +160,11 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
             b,
             m,
             t_steps: steps,
-            hop,
             cbox,
-            execs,
-            plans: CellPlans::default(),
+            host,
             prog,
             vals: FxHashMap::default(),
             home: FxHashMap::default(),
-            home_zones,
-            transit_zones,
-            clock: StageClock::new(),
-            scratch: lease_scratch(sp * sp),
-            session,
-            tracer: Tracer::off(),
-            tile_space,
-            state_base,
-            core,
         })
     }
 
@@ -231,67 +175,12 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         by * self.sp + bx
     }
 
-    /// Manhattan distance between two processors on the host grid.
-    fn proc_hops(&self, a: usize, c: usize) -> f64 {
-        let (ax, ay) = (a % self.sp, a / self.sp);
-        let (cx, cy) = (c % self.sp, c / self.sp);
-        ((ax as i64 - cx as i64).abs() + (ay as i64 - cy as i64).abs()) as f64
-    }
-
     /// Local home address of node `(x, y)`'s private-memory block on its
     /// own processor.
     fn state_home(&self, x: i64, y: i64) -> usize {
         let lx = (x as usize) % self.b;
         let ly = (y as usize) % self.b;
-        self.state_base + (ly * self.b + lx) * self.m
-    }
-
-    /// Credit `points` space-time points and `msgs` messages to
-    /// processor `pr` in the tracer's per-stage tally (no-op when off).
-    #[inline]
-    fn tmark(&self, pr: usize, points: u64, msgs: u64) {
-        if let Some(tl) = self.tracer.tally() {
-            tl.add(pr, points, msgs);
-        }
-    }
-
-    /// Snapshot each processor's (total time, comm charge) into the
-    /// reusable scratch — marks the start of a stage.
-    fn begin_stage(&mut self, label: &str) {
-        self.tracer.begin_stage(label);
-        let scratch = &mut *self.scratch;
-        for ((time, comm), e) in scratch
-            .time_before
-            .iter_mut()
-            .zip(scratch.comm_before.iter_mut())
-            .zip(&self.execs)
-        {
-            *time = e.ram.time();
-            *comm = e.ram.meter.comm;
-        }
-    }
-
-    /// Close the stage opened by the matching [`begin_stage`](Self::begin_stage).
-    fn close_stage(&mut self) -> Result<(), SimError> {
-        let scratch = &mut *self.scratch;
-        for (((delta, comm), e), (t0, c0)) in scratch
-            .per_proc
-            .iter_mut()
-            .zip(scratch.per_comm.iter_mut())
-            .zip(&self.execs)
-            .zip(scratch.time_before.iter().zip(&scratch.comm_before))
-        {
-            *delta = e.ram.time() - t0;
-            *comm = e.ram.meter.comm - c0;
-        }
-        self.clock.add_stage_faulted(
-            &self.scratch.per_proc,
-            &self.scratch.per_comm,
-            &mut self.session,
-        )?;
-        self.tracer
-            .end_stage(stage_totals(&self.clock, &self.session.stats), 1);
-        Ok(())
+        self.host.state_base + (ly * self.b + lx) * self.m
     }
 
     fn outbound(&self, piece: &ClippedDomain2) -> Vec<Pt3> {
@@ -318,17 +207,12 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         let w = if let Some(&w) = self.vals.get(&pt) {
             w
         } else {
-            self.execs[owner].ram.peek(addr)
+            self.host.execs[owner].ram.peek(addr)
         };
-        let _ = self.execs[owner].ram.read(addr);
-        if owner != pr {
-            let hops = self.proc_hops(owner, pr);
-            self.execs[owner].ram.meter.add_comm(hops * self.hop / 2.0);
-            self.execs[pr].ram.meter.add_comm(hops * self.hop / 2.0);
-            self.tmark(pr, 0, 1);
-        }
-        let dst = self.transit_zones[pr].alloc();
-        self.execs[pr].ram.write(dst, w);
+        let _ = self.host.execs[owner].ram.read(addr);
+        self.host.send(owner, pr, 1, pr);
+        let dst = self.host.transit_zones[pr].alloc();
+        self.host.execs[pr].ram.write(dst, w);
         Ok(dst)
     }
 
@@ -342,15 +226,15 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
             piece.cell.dx.cx.clamp(0, self.side as i64 - 1),
             piece.cell.dy.cx.clamp(0, self.side as i64 - 1),
         );
-        self.execs[pr].swap_plans(&mut self.plans);
+        self.host.swap_plans(pr);
         let res = self.run_cell_on(piece, pr);
-        self.execs[pr].swap_plans(&mut self.plans);
+        self.host.swap_plans(pr);
         res
     }
 
     fn run_cell_on(&mut self, piece: &ClippedDomain2, pr: usize) -> Result<(), SimError> {
         // Stage preboundary values (private copies, consumed by exec).
-        let g = self.execs[pr].gamma(&piece.cell);
+        let g = self.host.execs[pr].gamma(&piece.cell);
         let mut seeds = Vec::with_capacity(g.len());
         for &(t, [x, y]) in &g {
             let addr = self.stage_value(Pt3::new(x, y, t), pr)?;
@@ -358,26 +242,24 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         }
 
         // Stage pillar states (borrow foreign ones, charged).
-        let mut state_seeds: Vec<((i64, i64), usize, usize, usize)> = Vec::new();
+        let mut state_seeds = Vec::new();
         if self.m > 1 {
-            for [x, y] in self.execs[pr].pillars(&piece.cell) {
+            for [x, y] in self.host.execs[pr].pillars(&piece.cell) {
                 let hpr = self.proc_of_node(x, y);
                 let home_addr = self.state_home(x, y);
-                let copy = self.transit_zones[pr].alloc_block(self.m);
+                let copy = self.host.transit_zones[pr].alloc_block(self.m);
                 if hpr == pr {
-                    self.execs[pr].ram.relocate_block(home_addr, copy, self.m);
+                    self.host.execs[pr]
+                        .ram
+                        .relocate_block(home_addr, copy, self.m);
                 } else {
-                    let hops = self.proc_hops(hpr, pr);
-                    let c = self.m as f64 * hops * self.hop;
-                    self.execs[hpr].ram.meter.add_comm(c / 2.0);
-                    self.execs[pr].ram.meter.add_comm(c / 2.0);
-                    self.tmark(pr, 0, self.m as u64);
+                    self.host.send(hpr, pr, self.m, pr);
                     for cc in 0..self.m {
-                        let w = self.execs[hpr].ram.read(home_addr + cc);
-                        self.execs[pr].ram.write(copy + cc, w);
+                        let w = self.host.execs[hpr].ram.read(home_addr + cc);
+                        self.host.execs[pr].ram.write(copy + cc, w);
                     }
                 }
-                state_seeds.push(((x, y), copy, home_addr, hpr));
+                state_seeds.push(([x, y], copy, home_addr, hpr));
             }
         }
 
@@ -390,31 +272,9 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         let mut want: Vec<_> = out_pts.iter().map(|p| (p.t, [p.x, p.y])).collect();
         want.sort_unstable();
         debug_assert!(seeds.windows(2).all(|w| w[0].0 < w[1].0));
-        {
-            let exec = &mut self.execs[pr];
-            exec.clear_seeds();
-            for ((x, y), addr, _, _) in &state_seeds {
-                exec.seed_state([*x, *y], *addr);
-            }
-        }
-        let space = self.execs[pr].space(&piece.cell);
-        let mut zone = std::mem::replace(&mut self.transit_zones[pr], ZoneAlloc::new(0, 0));
-        let mut out_addrs = Vec::with_capacity(want.len());
-        let exec_res = if space > self.tile_space {
-            Err(SimError::Internal {
-                what: "cell footprint exceeds the tile budget",
-            })
-        } else {
-            self.execs[pr].exec(&piece.cell, &want, &mut zone, &seeds, &mut out_addrs)
-        };
-        self.transit_zones[pr] = zone;
-        exec_res?;
-        if out_addrs.len() != want.len() {
-            return Err(SimError::Internal {
-                what: "cell output not parked",
-            });
-        }
-        self.tmark(pr, piece.points_count() as u64, 0);
+        let states = state_seeds.iter().map(|&(x, addr, _, _)| (x, addr));
+        let out_addrs = self.host.exec(pr, &piece.cell, &want, &seeds, states)?;
+        self.host.tmark(pr, piece.points_count() as u64, 0);
 
         // Harvest outbound values: persist them at the *consumer-side*
         // home (the processor owning the value's node).
@@ -425,51 +285,43 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
                 .map_err(|_| SimError::Internal {
                     what: "cell output not parked",
                 })?;
-            let w = self.execs[pr].ram.peek(addr);
-            let _ = self.execs[pr].ram.read(addr);
-            self.transit_zones[pr].free_if_owned(addr);
+            let w = self.host.execs[pr].ram.peek(addr);
+            let _ = self.host.execs[pr].ram.read(addr);
+            self.host.transit_zones[pr].free_if_owned(addr);
             self.vals.insert(pt, w);
             let hpr = self.proc_of_node(pt.x, pt.y);
-            if hpr != pr {
-                let hops = self.proc_hops(hpr, pr);
-                self.execs[pr].ram.meter.add_comm(hops * self.hop / 2.0);
-                self.execs[hpr].ram.meter.add_comm(hops * self.hop / 2.0);
-                self.tmark(pr, 0, 1);
-            }
+            self.host.send(pr, hpr, 1, pr);
             if let Some((opr, oaddr)) = self.home.get(&pt).copied() {
-                self.home_zones[opr].free(oaddr);
+                self.host.home_zones[opr].free(oaddr);
             }
-            let dst = self.home_zones[hpr].alloc();
-            self.execs[hpr].ram.write(dst, w);
+            let dst = self.host.home_zones[hpr].alloc();
+            self.host.execs[hpr].ram.write(dst, w);
             self.home.insert(pt, (hpr, dst));
         }
 
         // Return borrowed states.
         if self.m > 1 {
-            for ((x, y), copy, home_addr, hpr) in state_seeds {
-                let parked = self.execs[pr]
-                    .state_addr([x, y])
+            for (x, _, home_addr, hpr) in state_seeds {
+                let parked = self.host.execs[pr]
+                    .state_addr(x)
                     .ok_or(SimError::Internal {
                         what: "pillar state not parked",
                     })?;
                 if hpr == pr {
-                    self.execs[pr].ram.relocate_block(parked, home_addr, self.m);
+                    self.host.execs[pr]
+                        .ram
+                        .relocate_block(parked, home_addr, self.m);
                 } else {
-                    let hops = self.proc_hops(hpr, pr);
-                    let c = self.m as f64 * hops * self.hop;
-                    self.execs[hpr].ram.meter.add_comm(c / 2.0);
-                    self.execs[pr].ram.meter.add_comm(c / 2.0);
-                    self.tmark(pr, 0, self.m as u64);
+                    self.host.send(hpr, pr, self.m, pr);
                     for cc in 0..self.m {
-                        let w = self.execs[pr].ram.read(parked + cc);
-                        self.execs[hpr].ram.write(home_addr + cc, w);
+                        let w = self.host.execs[pr].ram.read(parked + cc);
+                        self.host.execs[hpr].ram.write(home_addr + cc, w);
                     }
                 }
-                self.transit_zones[pr].free_block(parked, self.m);
-                let _ = copy;
+                self.host.transit_zones[pr].free_block(parked, self.m);
             }
         }
-        self.execs[pr].clear_seeds();
+        self.host.execs[pr].clear_seeds();
         Ok(())
     }
 
@@ -482,7 +334,7 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
                 let pr = self.proc_of_node(x as i64, y as i64);
                 let base = self.state_home(x as i64, y as i64);
                 for c in 0..m {
-                    self.execs[pr]
+                    self.host.execs[pr]
                         .ram
                         .poke(base + c, init[(y * side + x) * m + c]);
                 }
@@ -498,46 +350,37 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         let hb = (self.b / 2).max(1) as i64;
         let cells = cell_cover(self.cbox, hb, Pt3::new(0, 0, 0));
         // Stage rows: group by the projection-center time sum.
-        self.begin_stage("cells");
-        match self.core {
-            CoreKind::Dense => {
-                let mut last_key = i64::MIN;
-                for cell in cells {
-                    let key = cell.cell.dx.ct + cell.cell.dy.ct;
-                    if key != last_key && last_key != i64::MIN {
-                        self.close_stage()?;
-                        self.begin_stage("cells");
-                        self.gc(key / 2 - 2 * hb)?;
-                    }
-                    last_key = key;
-                    self.run_cell(&cell)?;
-                }
+        self.host.begin_stage("cells");
+        let mut last_key = i64::MIN;
+        for cell in cells {
+            let key = cell.cell.dx.ct + cell.cell.dy.ct;
+            if key != last_key && last_key != i64::MIN {
+                self.host.close_stage()?;
+                self.host.begin_stage("cells");
+                self.gc(key / 2 - 2 * hb)?;
             }
-            CoreKind::Event => {
-                // Calendar drain keyed by the projection-center time sum.
-                // The cover is sorted by (key, dx.cx, dy.cx) and buckets
-                // pop FIFO, so each popped bucket is exactly one dense
-                // stage row in the dense order — meters stay
-                // bit-identical.
-                let mut cal = EventQueue::new();
-                for cell in cells {
-                    cal.schedule(cell.cell.dx.ct + cell.cell.dy.ct, cell);
-                }
-                let mut first = true;
-                while let Some((key, row)) = cal.pop_stage() {
-                    if !first {
-                        self.close_stage()?;
-                        self.begin_stage("cells");
-                        self.gc(key / 2 - 2 * hb)?;
-                    }
-                    first = false;
-                    for cell in &row {
-                        self.run_cell(cell)?;
-                    }
-                }
-            }
+            last_key = key;
+            self.run_cell(&cell)?;
         }
-        self.close_stage()?;
+        self.host.close_stage()?;
+        // Final write-back for m = 1 (value is the state).
+        if m == 1 {
+            self.host.begin_stage("writeback");
+            for y in 0..side {
+                for x in 0..side {
+                    let pt = Pt3::new(x as i64, y as i64, self.t_steps);
+                    let (pr, addr) = *self.home.get(&pt).ok_or(SimError::Internal {
+                        what: "final value not homed",
+                    })?;
+                    let w = self.vals[&pt];
+                    let _ = self.host.execs[pr].ram.read(addr);
+                    let hpr = self.proc_of_node(x as i64, y as i64);
+                    let dst = self.state_home(x as i64, y as i64);
+                    self.host.execs[hpr].ram.write(dst, w);
+                }
+            }
+            self.host.close_stage()?;
+        }
         Ok(())
     }
 
@@ -554,45 +397,21 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
             let (pr, addr) = self.home.remove(&pt).ok_or(SimError::Internal {
                 what: "home placement missing for a dead value",
             })?;
-            self.home_zones[pr].free(addr);
+            self.host.home_zones[pr].free(addr);
         }
         Ok(())
     }
 
-    fn finish(
-        &mut self,
-        spec: &MachineSpec,
-        prog: &impl MeshProgram,
-        steps: i64,
-    ) -> Result<SimReport, SimError> {
+    fn finish(self, spec: &MachineSpec, prog: &impl MeshProgram, steps: i64) -> SimReport {
         let side = self.side;
         let m = self.m;
-        // Final write-back for m = 1 (value is the state).
-        if m == 1 && steps > 0 {
-            self.begin_stage("writeback");
-            for y in 0..side {
-                for x in 0..side {
-                    let pt = Pt3::new(x as i64, y as i64, steps);
-                    let (pr, addr) = *self.home.get(&pt).ok_or(SimError::Internal {
-                        what: "final value not homed",
-                    })?;
-                    let w = self.vals[&pt];
-                    let _ = self.execs[pr].ram.read(addr);
-                    let hpr = self.proc_of_node(x as i64, y as i64);
-                    let dst = self.state_home(x as i64, y as i64);
-                    self.execs[hpr].ram.write(dst, w);
-                }
-            }
-            self.close_stage()?;
-        }
-        settle_scenario(&mut self.clock, &mut self.session, &mut self.tracer, 1);
         let mut mem = vec![0 as Word; side * side * m];
         for y in 0..side {
             for x in 0..side {
                 let pr = self.proc_of_node(x as i64, y as i64);
                 let base = self.state_home(x as i64, y as i64);
                 for c in 0..m {
-                    mem[(y * side + x) * m + c] = self.execs[pr].ram.peek(base + c);
+                    mem[(y * side + x) * m + c] = self.host.execs[pr].ram.peek(base + c);
                 }
             }
         }
@@ -605,41 +424,9 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
                 .map(|v| self.vals[&Pt3::new((v % side) as i64, (v / side) as i64, steps)])
                 .collect()
         };
-        let meter = self
-            .execs
-            .iter()
-            .fold(bsmp_hram::CostMeter::new(), |acc, e| {
-                acc.merged(&e.ram.meter)
-            });
         let guest_time = mesh_guest_time(spec, prog, steps);
-        self.tracer.finish_run(
-            RunMeta {
-                engine: EngineKind::Multi2,
-                d: 2,
-                n: spec.n,
-                m: spec.m,
-                p: spec.p,
-                steps: steps.max(0) as u64,
-            },
-            self.clock.parallel_time,
-            guest_time,
-        );
-        Ok(SimReport {
-            mem,
-            values,
-            host_time: self.clock.parallel_time,
-            guest_time,
-            meter,
-            space: self
-                .execs
-                .iter()
-                .map(|e| e.ram.high_water())
-                .max()
-                .unwrap_or(0),
-            stages: self.clock.stages,
-            faults: self.session.stats.clone(),
-            core_fallback: None,
-        })
+        self.host
+            .finish(EngineKind::Multi2, spec, steps, guest_time, mem, values)
     }
 }
 
@@ -654,8 +441,9 @@ mod tests {
         let spec = MachineSpec::new(2, 64, 4, 1);
         let init = inputs::random_bits(42, 64);
         let prog = VonNeumannLife::fredkin();
-        let mut eng = Engine2::new(&spec, &prog, 16, &FaultPlan::none(), CoreKind::Dense).unwrap();
-        eng.tile_space = 0;
+        let mut tracer = Tracer::off();
+        let mut eng = Engine2::new(&spec, &prog, 16, RunOpts::default(), &mut tracer).unwrap();
+        eng.host.tile_space = 0;
         assert!(matches!(
             eng.run(&init),
             Err(SimError::Internal {

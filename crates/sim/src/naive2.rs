@@ -36,7 +36,7 @@ pub fn try_simulate_naive2(
     match opts.core {
         CoreKind::Dense => try_simulate_naive2_impl(spec, prog, init, steps, opts, tracer, false),
         CoreKind::Event => {
-            crate::event2::try_simulate_naive2_event(spec, prog, init, steps, opts, tracer, None)
+            crate::event2::try_simulate_naive2_event(spec, prog, init, steps, opts, tracer)
         }
     }
 }

@@ -1,11 +1,11 @@
-//! Dense/event core equivalence (DESIGN.md §16): the sparse calendar
-//! core must be **bit-identical** to the dense stage loops in every
-//! model-visible quantity.  The property is checked *after every
-//! stage* by running every prefix length `k = 0..=T` through both
+//! Dense/event core equivalence (DESIGN.md §16): the sparse event core
+//! of naive1/naive2 must be **bit-identical** to the dense stage loops
+//! in every model-visible quantity.  The property is checked *after
+//! every stage* by running every prefix length `k = 0..=T` through both
 //! cores — the state after stage `k` is exactly the output of the
-//! `k`-step run, so prefix equality is stage-by-stage equality —
-//! under no-fault and active fault plans and across host thread
-//! budgets {1, 2, 8}.
+//! `k`-step run, so prefix equality is stage-by-stage equality — under
+//! no-fault and active fault plans and across host thread budgets
+//! {1, 2, 8}.
 
 use bsmp::workloads::{inputs, Eca, TokenShift, VonNeumannLife};
 use bsmp::{CoreKind, FaultPlan, LinearProgram, SimReport, Simulation, Strategy, Word};
@@ -49,12 +49,11 @@ fn assert_bit_identical(a: &SimReport, b: &SimReport, tag: &str) {
     assert_eq!(a.faults, b.faults, "{tag}: faults");
 }
 
-/// Run one `(strategy, core)` configuration of the linear façade.
+/// Run the naive scheme on one core of the linear façade.
 #[allow(clippy::too_many_arguments)]
 fn run1(
     n: u64,
     p: u64,
-    strategy: Strategy,
     threads: usize,
     plan: &FaultPlan,
     core: CoreKind,
@@ -63,7 +62,7 @@ fn run1(
     steps: i64,
 ) -> SimReport {
     Simulation::linear(n, p, 1)
-        .strategy(strategy)
+        .strategy(Strategy::Naive)
         .threads(threads)
         .faults(*plan)
         .core(core)
@@ -83,7 +82,6 @@ fn naive1_event_matches_dense_at_every_prefix() {
                     let dense = run1(
                         n,
                         p,
-                        Strategy::Naive,
                         threads,
                         plan,
                         CoreKind::Dense,
@@ -94,7 +92,6 @@ fn naive1_event_matches_dense_at_every_prefix() {
                     let event = run1(
                         n,
                         p,
-                        Strategy::Naive,
                         threads,
                         plan,
                         CoreKind::Event,
@@ -122,80 +119,17 @@ fn naive1_event_matches_dense_on_sparse_frontier() {
             for k in 0..=t {
                 let tag = format!("token threads={threads} k={k}");
                 let prog = TokenShift::new(0);
-                let dense = run1(
-                    n,
-                    p,
-                    Strategy::Naive,
-                    threads,
-                    plan,
-                    CoreKind::Dense,
-                    &prog,
-                    &init,
-                    k,
-                );
-                let event = run1(
-                    n,
-                    p,
-                    Strategy::Naive,
-                    threads,
-                    plan,
-                    CoreKind::Event,
-                    &prog,
-                    &init,
-                    k,
-                );
+                let dense = run1(n, p, threads, plan, CoreKind::Dense, &prog, &init, k);
+                let event = run1(n, p, threads, plan, CoreKind::Event, &prog, &init, k);
                 assert_bit_identical(&dense, &event, &tag);
             }
         }
     }
 }
 
-#[test]
-fn multi1_event_matches_dense_at_every_prefix() {
-    let (n, p, t) = (64u64, 4u64, 32i64);
-    let init = inputs::random_bits(37, n as usize);
-    for plan in &plans() {
-        for &threads in &THREADS {
-            for k in 0..=t {
-                let tag = format!("multi1 threads={threads} k={k}");
-                let dense = run1(
-                    n,
-                    p,
-                    Strategy::TwoRegime,
-                    threads,
-                    plan,
-                    CoreKind::Dense,
-                    &Eca::rule110(),
-                    &init,
-                    k,
-                );
-                let event = run1(
-                    n,
-                    p,
-                    Strategy::TwoRegime,
-                    threads,
-                    plan,
-                    CoreKind::Event,
-                    &Eca::rule110(),
-                    &init,
-                    k,
-                );
-                assert_bit_identical(&dense, &event, &tag);
-            }
-        }
-    }
-}
-
-fn run2(
-    strategy: Strategy,
-    threads: usize,
-    plan: &FaultPlan,
-    core: CoreKind,
-    init: &[Word],
-    steps: i64,
-) -> SimReport {
+fn run2(threads: usize, plan: &FaultPlan, core: CoreKind, init: &[Word], steps: i64) -> SimReport {
     Simulation::mesh(256, 16, 1)
-        .strategy(strategy)
+        .strategy(Strategy::Naive)
         .threads(threads)
         .faults(*plan)
         .core(core)
@@ -211,24 +145,10 @@ fn naive2_event_matches_dense_at_every_prefix() {
         for &threads in &THREADS {
             for k in 0..=t {
                 let tag = format!("naive2 threads={threads} k={k}");
-                let dense = run2(Strategy::Naive, threads, plan, CoreKind::Dense, &init, k);
-                let event = run2(Strategy::Naive, threads, plan, CoreKind::Event, &init, k);
+                let dense = run2(threads, plan, CoreKind::Dense, &init, k);
+                let event = run2(threads, plan, CoreKind::Event, &init, k);
                 assert_bit_identical(&dense, &event, &tag);
             }
-        }
-    }
-}
-
-#[test]
-fn multi2_event_matches_dense_at_every_prefix() {
-    let t = 16i64;
-    let init = inputs::random_bits(52, 256);
-    for plan in &plans() {
-        for k in 0..=t {
-            let tag = format!("multi2 k={k}");
-            let dense = run2(Strategy::TwoRegime, 1, plan, CoreKind::Dense, &init, k);
-            let event = run2(Strategy::TwoRegime, 1, plan, CoreKind::Event, &init, k);
-            assert_bit_identical(&dense, &event, &tag);
         }
     }
 }
@@ -255,7 +175,6 @@ fn event_core_delegates_for_time_varying_programs() {
         let dense = run1(
             n,
             p,
-            Strategy::Naive,
             1,
             &FaultPlan::none(),
             CoreKind::Dense,
@@ -266,7 +185,6 @@ fn event_core_delegates_for_time_varying_programs() {
         let event = run1(
             n,
             p,
-            Strategy::Naive,
             1,
             &FaultPlan::none(),
             CoreKind::Event,

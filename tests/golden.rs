@@ -9,6 +9,10 @@
 //! id, so widening the coverage (more engines, shapes, plans or cores)
 //! only adds rows.
 //!
+//! Engines with an event core get an `/event` row beside each `/dense`
+//! row; it must match its twin field for field, and a run the event
+//! core delegates to the dense loop adds `fallback="<reason>"`.
+//!
 //! To re-bless after an intended model change:
 //! `BSMP_BLESS=1 cargo test --test golden` — the rewritten file then
 //! shows up as a reviewable diff.
@@ -16,7 +20,7 @@
 use bsmp::analytic::theorem1;
 use bsmp::certify_suite::{matrix, run_case_reported, MatrixCase};
 use bsmp::serve_suite::fingerprint;
-use bsmp::FaultPlan;
+use bsmp::{CoreKind, FaultPlan};
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -38,6 +42,9 @@ const EXTRA: [(&str, u8, u64, u64, u64, i64); 9] = [
     ("dnc3", 3, 343, 1, 1, 5),
     ("dnc2", 2, 100, 1, 1, 21),
 ];
+
+/// Engines with an event core (`RunOpts::core`).
+const EVENT_ENGINES: [&str; 2] = ["naive1", "naive2"];
 
 fn cases() -> Vec<MatrixCase> {
     let mut v = matrix();
@@ -75,16 +82,20 @@ fn hex(x: f64) -> String {
     format!("{:#018x}", x.to_bits())
 }
 
-fn row(case: &MatrixCase, plan_name: &str, plan: &FaultPlan) -> String {
-    let (r, trace, cert) = run_case_reported(case, plan)
+fn row(case: &MatrixCase, plan_name: &str, plan: &FaultPlan, core: CoreKind) -> String {
+    let (r, trace, cert) = run_case_reported(case, plan, core)
         .unwrap_or_else(|e| panic!("{}/{}/{plan_name}: {e}", case.engine, case.regime));
     let s = &trace.summary;
+    let fallback = r
+        .core_fallback
+        .map(|why| format!(" fallback={why:?}"))
+        .unwrap_or_default();
     format!(
-        "{}/{}/{}/{}/{}/{}/{}/dense regime={} \
+        "{}/{}/{}/{}/{}/{}/{}/{core} regime={} \
          compute={} access={} transfer={} comm={} ops={} \
          host={} guest={} space={} stages={} mem={:#018x} values={:#018x} \
          tr_stages={} tr_points={} tr_messages={} tr_comm={} tr_injected={} \
-         tr_retries={} tr_outages={} tr_churn={} tr_backoffs={} verdict={:?}",
+         tr_retries={} tr_outages={} tr_churn={} tr_backoffs={} verdict={:?}{fallback}",
         case.engine,
         case.d,
         case.n,
@@ -121,12 +132,31 @@ fn id(line: &str) -> &str {
     line.split_whitespace().next().unwrap_or("")
 }
 
+/// A row's fields after the id, without the `fallback=` note.
+fn fields(line: &str) -> &str {
+    let rest = line.split_once(' ').map_or("", |(_, f)| f);
+    rest.split(" fallback=").next().unwrap_or(rest)
+}
+
 #[test]
 fn golden_fingerprints_match() {
     let mut got = Vec::new();
     for case in &cases() {
         for (name, plan) in plans() {
-            got.push(row(case, name, &plan));
+            let dense = row(case, name, &plan, CoreKind::Dense);
+            if EVENT_ENGINES.contains(&case.engine) {
+                let event = row(case, name, &plan, CoreKind::Event);
+                assert_eq!(
+                    fields(&event),
+                    fields(&dense),
+                    "event twin of {}",
+                    id(&dense)
+                );
+                got.push(dense);
+                got.push(event);
+            } else {
+                got.push(dense);
+            }
         }
     }
     if std::env::var("BSMP_BLESS").as_deref() == Ok("1") {
