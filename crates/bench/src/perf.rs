@@ -7,10 +7,9 @@
 //! (guest dag points simulated per second of host wall time, derived
 //! from the median iteration) alongside raw timings.  Cases flagged
 //! `gated` feed the 80% throughput regression gate in `ci.sh` — the
-//! tiled naive/pipelined engines at pool-gate-crossing scale, every
-//! dnc/multi engine, and the sparse event-core cases; every ungated
-//! case carries a comment at its definition saying why it stays out of
-//! the gate.  `table_hits` is the deterministic cost-table counter from
+//! tiled naive/pipelined engines at pool-gate-crossing scale and every
+//! dnc/multi engine; every ungated case carries a comment at its
+//! definition saying why it stays out of the gate.  `table_hits` is the deterministic cost-table counter from
 //! one probe run (nonzero wherever a leaf kernel serves charges from a
 //! plan-time cost table).  v3 adds the batch-server warm/cold suite
 //! ([`run_serve_suite`]): repeated-shape job traffic through
@@ -33,8 +32,8 @@ use bsmp::sim::{
     pipelined1::simulate_pipelined1,
 };
 use bsmp::trace::json::escape;
-use bsmp::workloads::{inputs, Eca, Parity3d, TokenShift, VonNeumannLife};
-use bsmp::{CoreKind, Simulation, Strategy};
+use bsmp::workloads::{inputs, Eca, Parity3d, VonNeumannLife};
+use bsmp::{Simulation, Strategy};
 
 use crate::timing::{measure, Measurement};
 
@@ -73,7 +72,7 @@ pub struct PerfCase {
     pub points: u64,
     /// Does this case feed the CI throughput regression gate?  True
     /// for the tiled engines at pool-gate-crossing scale (`q ≥ 256`,
-    /// p > 1), the dnc/multi engines, and the event-core cases.
+    /// p > 1) and the dnc/multi engines.
     pub gated: bool,
     /// Cost-table hits from one probe run (deterministic; nonzero
     /// wherever a leaf kernel meters through a plan-time cost table).
@@ -196,29 +195,6 @@ pub fn run_engine_suite(threads: usize, iters: u32) -> Vec<PerfCase> {
                 (r.host_time, r.meter.table_hits)
             },
         ));
-    }
-
-    // ---- d = 1, event core (sparse frontier, one-hot token) ----
-    // The event core pays per *active* point, so a one-hot
-    // TokenShift dag that nominally spans n·T points runs in
-    // milliseconds at n = 2^16 and 2^20 — the million-node M_1 target.
-    // Reports (and hence host_time) stay bit-identical to dense at
-    // every dense-reachable scale; only wall time differs.
-    for (name, n) in [
-        ("naive1ev_n65536_p16_T512", 1u64 << 16),
-        ("naive1ev_n1048576_p16_T512", 1u64 << 20),
-    ] {
-        let t = 512i64;
-        let mut hot = vec![0u64; n as usize];
-        hot[(n / 2) as usize] = 1;
-        let sim = Simulation::linear(n, 16, 1)
-            .strategy(Strategy::Naive)
-            .threads(threads)
-            .core(CoreKind::Event);
-        cases.push(case(name, n * t as u64, true, iters, move || {
-            let r = sim.run(&TokenShift::new(0), &hot, t).sim;
-            (r.host_time, r.meter.table_hits)
-        }));
     }
 
     // ---- d = 2, quick scale (continuity) ----
@@ -991,8 +967,8 @@ mod tests {
     #[test]
     fn engine_suite_runs_at_tiny_scale() {
         let cases = run_engine_suite(1, 1);
-        assert!(cases.len() >= 16, "all nine engines + event core");
-        assert!(cases.iter().filter(|c| c.gated).count() >= 11);
+        assert!(cases.len() >= 16, "all nine engines");
+        assert!(cases.iter().filter(|c| c.gated).count() >= 9);
         for c in &cases {
             assert!(c.m.mean_s.is_finite() && c.m.mean_s >= 0.0, "{}", c.name);
             assert!(c.m.min_s <= c.m.mean_s + 1e-12, "{}", c.name);

@@ -4,8 +4,8 @@
 //! Usage:
 //!
 //! ```text
-//! bsmp-repro [--quick] [--threads <N>] [--core dense|event] [--slow <ν>] [--fault-seed <u64>] [--faults <PLAN.json>] [--trace <PATH>] [--engine <NAME>] [E1 E4 ...]
-//! bsmp-repro bench [--out <PATH>] [--meta <STR>] [--threads <N>] [--iters <K>] [--trace-counters] [--certify] [--mem] [--against <BASELINE.json>]
+//! bsmp-repro [--quick] [--threads <N>] [--slow <ν>] [--fault-seed <u64>] [--faults <PLAN.json>] [--trace <PATH>] [--engine <NAME>] [E1 E4 ...]
+//! bsmp-repro bench [--out <PATH>] [--meta <STR>] [--threads <N>] [--iters <K>] [--trace-counters] [--certify] [--against <BASELINE.json>]
 //! bsmp-repro trace-validate <PATH>
 //! bsmp-repro trace-certify <PATH>
 //! bsmp-repro serve [--threads <N>] [--max-inflight <K>] [--plan-cache-bytes <B>]
@@ -14,10 +14,6 @@
 //! * `--quick` — the seconds-scale variant of every experiment;
 //! * `--threads <N>` — host OS threads for the stage-parallel engines
 //!   (0 = auto-detect; model costs are identical for every value);
-//! * `--core dense|event` — execution core for the demo runs: the dense
-//!   stage loop or the discrete-event sparse core of the naive engines
-//!   (the others have one loop; model costs are bit-identical; only
-//!   wall-clock and footprint change);
 //! * `--slow <ν>` — run a faulted demo sweep with a uniform link
 //!   slowdown ν ≥ 1 before the experiment tables;
 //! * `--fault-seed <s>` — seed for the demo sweep's jitter/loss/crash
@@ -39,9 +35,7 @@
 //!   the wall-clock baseline as JSON (default `BENCH_engines.json`);
 //!   with `--against <BASELINE.json>` the fresh points/sec figures are
 //!   gated against a committed baseline (exit 1 on a >20% regression on
-//!   any gated case); with `--mem` only the event-core footprint probe
-//!   runs: a million-node `naive1` run on the sparse core, reporting
-//!   peak resident bytes and bytes per guest node;
+//!   any gated case);
 //! * `trace-validate <PATH>` — parse a trace log and check every
 //!   structural invariant plus the Theorem-1 regime tag, then exit;
 //! * `trace-certify <PATH>` — everything `trace-validate` does, then
@@ -70,8 +64,8 @@
 
 use bsmp::serve_suite::stamp_regime;
 use bsmp::sim::engine;
-use bsmp::workloads::{inputs, Eca, Parity3d, TokenShift, VonNeumannLife};
-use bsmp::{CoreKind, EngineKind, FaultPlan, MachineSpec, RunOpts, Simulation, Strategy, Tracer};
+use bsmp::workloads::{inputs, Eca, Parity3d, VonNeumannLife};
+use bsmp::{EngineKind, FaultPlan, MachineSpec, RunOpts, Simulation, Strategy, Tracer};
 use bsmp_bench::{all_experiments, perf, Scale};
 
 struct Args {
@@ -81,7 +75,6 @@ struct Args {
     fault_seed: Option<u64>,
     faults_path: Option<String>,
     threads: usize,
-    core: CoreKind,
     bench: Option<BenchArgs>,
     trace_out: Option<String>,
     trace_engine: EngineKind,
@@ -101,7 +94,6 @@ struct BenchArgs {
     iters: u32,
     trace_counters: bool,
     certify: bool,
-    mem: bool,
     against: Option<String>,
 }
 
@@ -113,7 +105,6 @@ fn parse_args(raw: &[String], valid_ids: &[&str]) -> Result<Args, String> {
         fault_seed: None,
         faults_path: None,
         threads: 0,
-        core: CoreKind::Dense,
         bench: None,
         trace_out: None,
         trace_engine: EngineKind::Multi1,
@@ -130,11 +121,6 @@ fn parse_args(raw: &[String], valid_ids: &[&str]) -> Result<Args, String> {
                 args.threads = v
                     .parse()
                     .map_err(|_| format!("--threads: `{v}` is not a thread count"))?;
-            }
-            "--core" => {
-                let v = it.next().ok_or("--core requires `dense` or `event`")?;
-                args.core = CoreKind::parse(v)
-                    .ok_or_else(|| format!("--core: `{v}` is not a core (dense|event)"))?;
             }
             "--slow" => {
                 let v = it.next().ok_or("--slow requires a value (ν ≥ 1)")?;
@@ -212,7 +198,6 @@ fn parse_args(raw: &[String], valid_ids: &[&str]) -> Result<Args, String> {
                     iters: 5,
                     trace_counters: false,
                     certify: false,
-                    mem: false,
                     against: None,
                 });
             }
@@ -250,10 +235,6 @@ fn parse_args(raw: &[String], valid_ids: &[&str]) -> Result<Args, String> {
             "--certify" => match &mut args.bench {
                 Some(b) => b.certify = true,
                 None => return Err("--certify is only valid after `bench`".into()),
-            },
-            "--mem" => match &mut args.bench {
-                Some(b) => b.mem = true,
-                None => return Err("--mem is only valid after `bench`".into()),
             },
             "--against" => {
                 let v = it.next().ok_or("--against requires a baseline path")?;
@@ -295,16 +276,11 @@ fn load_plan(path: &str) -> Result<FaultPlan, String> {
 /// The `--slow`/`--fault-seed`/`--faults` demo: one TwoRegime run under
 /// the scenario plan, checked against the clean run, reported as a
 /// small markdown table.
-fn fault_sweep(
-    plan: &FaultPlan,
-    label: &str,
-    input_seed: u64,
-    core: CoreKind,
-) -> Result<(), bsmp::SimError> {
+fn fault_sweep(plan: &FaultPlan, label: &str, input_seed: u64) -> Result<(), bsmp::SimError> {
     let (n, p, steps) = (64u64, 4u64, 64i64);
     let init = inputs::random_bits(input_seed, n as usize);
     let prog = Eca::rule110();
-    let sim = Simulation::try_linear(n, p, 1)?.core(core);
+    let sim = Simulation::try_linear(n, p, 1)?;
     let base = sim
         .strategy(Strategy::TwoRegime)
         .try_run(&prog, &init, steps)?;
@@ -347,7 +323,6 @@ fn trace_demo(
     kind: EngineKind,
     plan: Option<&FaultPlan>,
     input_seed: u64,
-    core: CoreKind,
 ) -> Result<(), String> {
     // n = 64 guest nodes (a 4×4×4 cube at d = 3).  The dnc engines and
     // naive3 are uniprocessor; the d ≥ 2 demos run fewer steps because
@@ -362,11 +337,10 @@ fn trace_demo(
     let init = inputs::random_bits(input_seed, n as usize);
     let opts = RunOpts {
         plan: plan.copied().unwrap_or_default(),
-        core,
         ..RunOpts::default()
     };
     let mut tracer = Tracer::recording();
-    let rep = match kind.d() {
+    let run = match kind.d() {
         1 => {
             let spec = MachineSpec::new(1, n, p, 1);
             engine::run_linear(
@@ -384,15 +358,12 @@ fn trace_demo(
             engine::run_mesh(kind, &spec, &prog, &init, steps, opts, &mut tracer)
         }
         _ => engine::run_volume(kind, 4, &Parity3d, &init, steps, opts, &mut tracer),
-    }
-    .map_err(|e| e.to_string())?;
+    };
+    run.map_err(|e| e.to_string())?;
     let mut trace = tracer
         .take()
         .expect("recording tracer always yields a trace");
     stamp_regime(&mut trace, kind.d(), n, 1, p);
-    if let Some(reason) = rep.core_fallback {
-        println!("note: event core fell back to the dense stage loop: {reason}\n");
-    }
     bsmp::validate_trace(&trace)?;
     std::fs::write(path, trace.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
     println!(
@@ -404,36 +375,6 @@ fn trace_demo(
         trace.summary.locality_term,
         trace.summary.regime,
     );
-    Ok(())
-}
-
-/// The `bench --mem` probe: one million-node `naive1` run on the
-/// event core, reporting wall-clock, peak resident footprint, and
-/// bytes per guest node.  The output line is machine-parsable (ci.sh
-/// asserts a bytes-per-node budget on it).
-fn mem_probe() -> Result<(), bsmp::SimError> {
-    let n = 1u64 << 20;
-    let steps = 512i64;
-    let mut init = vec![0u64; n as usize];
-    init[(n / 2) as usize] = 1;
-    let spec = MachineSpec::new(1, n, 16, 1);
-    let t0 = std::time::Instant::now();
-    let (rep, st) =
-        bsmp::sim::event1::naive1_event_footprint(&spec, &TokenShift::new(0), &init, steps)?;
-    let wall = t0.elapsed().as_secs_f64();
-    println!(
-        "mem-probe naive1 n={n} T={steps} core=event used_event_core={} wall_s={wall:.3} \
-         peak_bytes={} bytes_per_node={:.3} peak_active={} total_active={} host_time={:.6e}",
-        st.used_event_core,
-        st.peak_bytes,
-        st.bytes_per_node(),
-        st.peak_active,
-        st.total_active,
-        rep.host_time,
-    );
-    if let Some(reason) = st.fallback {
-        println!("mem-probe fallback_reason={reason:?}");
-    }
     Ok(())
 }
 
@@ -510,8 +451,8 @@ fn main() {
         Err(msg) => {
             eprintln!("bsmp-repro: {msg}");
             eprintln!(
-                "usage: bsmp-repro [--quick] [--threads <N>] [--core dense|event] [--slow <ν>] [--fault-seed <u64>] [--faults <PLAN.json>] [--trace <PATH>] [--engine {}] [E1 E4 ...]\n\
-                 \x20      bsmp-repro bench [--out <PATH>] [--meta <STR>] [--threads <N>] [--iters <K>] [--trace-counters] [--certify] [--mem] [--against <BASELINE.json>]\n\
+                "usage: bsmp-repro [--quick] [--threads <N>] [--slow <ν>] [--fault-seed <u64>] [--faults <PLAN.json>] [--trace <PATH>] [--engine {}] [E1 E4 ...]\n\
+                 \x20      bsmp-repro bench [--out <PATH>] [--meta <STR>] [--threads <N>] [--iters <K>] [--trace-counters] [--certify] [--against <BASELINE.json>]\n\
                  \x20      bsmp-repro trace-validate <PATH>\n\
                  \x20      bsmp-repro trace-certify <PATH>\n\
                  \x20      bsmp-repro serve [--threads <N>] [--max-inflight <K>] [--plan-cache-bytes <B>]",
@@ -597,13 +538,6 @@ fn main() {
     }
 
     if let Some(bench) = &args.bench {
-        if bench.mem {
-            if let Err(e) = mem_probe() {
-                eprintln!("bsmp-repro: bench --mem: {e}");
-                std::process::exit(1);
-            }
-            return;
-        }
         let cases = perf::run_engine_suite(args.threads, bench.iters);
         let traces = if bench.trace_counters {
             perf::run_trace_counters(args.threads)
@@ -698,20 +632,14 @@ fn main() {
     }
 
     if let Some(path) = &args.trace_out {
-        if let Err(msg) = trace_demo(
-            path,
-            args.trace_engine,
-            plan.as_ref(),
-            input_seed,
-            args.core,
-        ) {
+        if let Err(msg) = trace_demo(path, args.trace_engine, plan.as_ref(), input_seed) {
             eprintln!("bsmp-repro: trace: {msg}");
             std::process::exit(1);
         }
     }
 
     if let Some(plan) = &plan {
-        if let Err(e) = fault_sweep(plan, &plan_label, input_seed, args.core) {
+        if let Err(e) = fault_sweep(plan, &plan_label, input_seed) {
             eprintln!("bsmp-repro: fault sweep failed: {e}");
             std::process::exit(1);
         }

@@ -18,12 +18,11 @@
 //! trace through [`bsmp_trace::certify::certify`].
 
 use bsmp_faults::FaultPlan;
-use bsmp_machine::CoreKind;
-use bsmp_sim::{RunOpts, SimError, SimReport};
+use bsmp_sim::{SimError, SimReport};
 use bsmp_trace::certify::{certify, Certificate};
 use bsmp_trace::{RunTrace, Tracer};
 
-use crate::serve_suite::{default_seed, run_shape_opts};
+use crate::serve_suite::{default_seed, run_shape};
 
 /// One (engine, regime) cell of the certification matrix.
 #[derive(Clone, Copy, Debug)]
@@ -121,28 +120,22 @@ pub fn matrix() -> Vec<MatrixCase> {
 /// certification *result*; only engine failures and uncertifiable
 /// traces are `Err`.
 pub fn run_case(case: &MatrixCase, plan: &FaultPlan) -> Result<(RunTrace, Certificate), SimError> {
-    run_case_reported(case, plan, CoreKind::Dense).map(|(_, trace, cert)| (trace, cert))
+    run_case_reported(case, plan).map(|(_, trace, cert)| (trace, cert))
 }
 
-/// [`run_case`] on the execution core `core`, returning the engine's
-/// [`SimReport`] alongside the trace and certificate — the batch
-/// server's twin-check path needs all three.  Dispatch goes through
-/// [`crate::serve_suite::run_shape_opts`], the single engine dispatcher
-/// shared with the server, so a matrix cell and the serve job of the
-/// same shape are bit-identical by construction.
+/// [`run_case`] returning the engine's [`SimReport`] alongside the
+/// trace and certificate — the batch server's twin-check path needs all
+/// three.  Dispatch goes through [`crate::serve_suite::run_shape`], the
+/// single engine dispatcher shared with the server, so a matrix cell
+/// and the serve job of the same shape are bit-identical by
+/// construction.
 pub fn run_case_reported(
     case: &MatrixCase,
     plan: &FaultPlan,
-    core: CoreKind,
 ) -> Result<(SimReport, RunTrace, Certificate), SimError> {
     let mut tracer = Tracer::recording();
     let seed = default_seed(case.n, case.m, case.p);
-    let opts = RunOpts {
-        plan: *plan,
-        core,
-        ..RunOpts::default()
-    };
-    let report = run_shape_opts(
+    let report = run_shape(
         case.engine,
         case.d,
         case.n,
@@ -150,7 +143,7 @@ pub fn run_case_reported(
         case.p,
         case.steps,
         seed,
-        opts,
+        plan,
         &mut tracer,
     )?;
     let mut trace = tracer.take().expect("recording tracer yields a trace");

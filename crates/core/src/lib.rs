@@ -81,8 +81,8 @@ pub mod serve_suite;
 pub use bsmp_faults::{FaultPlan, FaultStats, PlanParseError};
 pub use bsmp_hram::{CostModel, Word};
 pub use bsmp_machine::{
-    init_shared_pool, set_default_threads, CacheStats, CoreKind, ExecPolicy, LinearProgram,
-    MachineSpec, MeshProgram, SpecError,
+    init_shared_pool, set_default_threads, CacheStats, ExecPolicy, LinearProgram, MachineSpec,
+    MeshProgram, SpecError,
 };
 pub use bsmp_sim::{EngineKind, RunOpts, SimError, SimReport};
 pub use bsmp_trace::{RunTrace, Tracer};
@@ -113,7 +113,6 @@ pub struct Simulation {
     strategy: Strategy,
     faults: FaultPlan,
     exec: ExecPolicy,
-    core: CoreKind,
 }
 
 impl Simulation {
@@ -131,7 +130,6 @@ impl Simulation {
             strategy: Strategy::Auto,
             faults: FaultPlan::none(),
             exec: ExecPolicy::auto(),
-            core: CoreKind::Dense,
         })
     }
 
@@ -149,7 +147,6 @@ impl Simulation {
             strategy: Strategy::Auto,
             faults: FaultPlan::none(),
             exec: ExecPolicy::auto(),
-            core: CoreKind::Dense,
         })
     }
 
@@ -183,24 +180,6 @@ impl Simulation {
         } else {
             ExecPolicy::threads(n)
         };
-        self
-    }
-
-    /// Set the full host execution policy (see [`ExecPolicy`]).
-    pub fn exec(mut self, exec: ExecPolicy) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// Choose the execution core: the dense stage loop
-    /// ([`CoreKind::Dense`], the default) or the discrete-event sparse
-    /// core ([`CoreKind::Event`]) whose per-stage work is proportional
-    /// to the active points.  Only the naive engines have an event core;
-    /// they fall back to the dense loop when a run does not satisfy the
-    /// event-core preconditions.  Reports are bit-identical across
-    /// cores.
-    pub fn core(mut self, core: CoreKind) -> Self {
-        self.core = core;
         self
     }
 
@@ -263,7 +242,6 @@ impl Simulation {
         let opts = RunOpts {
             plan: self.faults,
             exec: self.exec,
-            core: self.core,
             ..RunOpts::default()
         };
         let sim = run(self.pick(), opts, tracer)?;
@@ -633,26 +611,6 @@ mod tests {
             r.sim.assert_matches(&serial.sim.mem, &serial.sim.values);
             assert_eq!(r.sim.host_time.to_bits(), serial.sim.host_time.to_bits());
             assert_eq!(r.sim.stages, serial.sim.stages);
-        }
-    }
-
-    #[test]
-    fn core_setting_is_cost_invariant() {
-        // The event core must report bit-identical model costs through
-        // the façade, for both the naive and two-regime schemes.
-        let init = inputs::random_bits(68, 64);
-        for strategy in [Strategy::Naive, Strategy::TwoRegime] {
-            let dense =
-                Simulation::linear(64, 4, 1)
-                    .strategy(strategy)
-                    .run(&Eca::rule110(), &init, 32);
-            let event = Simulation::linear(64, 4, 1)
-                .strategy(strategy)
-                .core(CoreKind::Event)
-                .run(&Eca::rule110(), &init, 32);
-            event.sim.assert_matches(&dense.sim.mem, &dense.sim.values);
-            assert_eq!(event.sim.host_time.to_bits(), dense.sim.host_time.to_bits());
-            assert_eq!(event.sim.stages, dense.sim.stages);
         }
     }
 

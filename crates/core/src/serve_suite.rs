@@ -87,30 +87,13 @@ pub fn run_shape(
     plan: &FaultPlan,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
+    let kind = EngineKind::parse(engine).ok_or(SimError::Internal {
+        what: "unknown engine",
+    })?;
     let opts = RunOpts {
         plan: *plan,
         ..RunOpts::default()
     };
-    run_shape_opts(engine, d, n, m, p, steps, seed, opts, tracer)
-}
-
-/// [`run_shape`] under explicit [`RunOpts`] (the golden runner picks
-/// the execution core here; serve jobs always run the default).
-#[allow(clippy::too_many_arguments)] // one flat shape tuple, by design
-pub fn run_shape_opts(
-    engine: &'static str,
-    d: u8,
-    n: u64,
-    m: u64,
-    p: u64,
-    steps: i64,
-    seed: u64,
-    opts: RunOpts,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    let kind = EngineKind::parse(engine).ok_or(SimError::Internal {
-        what: "unknown engine",
-    })?;
     match d {
         1 => {
             let spec = MachineSpec::try_new(1, n, p, m)?;
@@ -413,7 +396,6 @@ pub fn run_job(job: &JobSpec) -> Result<JobOutcome, SimError> {
                 space: c.space,
                 stages: c.stages,
                 faults: c.faults.clone(),
-                core_fallback: None,
             };
             let trace = if want_trace { c.trace.clone() } else { None };
             let cert = match (&trace, job.certify) {

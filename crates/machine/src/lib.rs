@@ -14,12 +14,6 @@
 //! * [`stage`] — the bulk-synchronous parallel clock used by host
 //!   simulations (`T_p = Σ_stages max_proc cost`), with a
 //!   fault-injection entry point ([`StageClock::add_stage_faulted`]);
-//! * [`event`] — the [`CoreKind`] selector: the dense stage loop or the
-//!   sparse event core;
-//! * [`sparse`] — lazily materialised node state ([`SparseState`]:
-//!   copy-on-write pages over the initial image) and the activity
-//!   [`Frontier`] that makes a stage's work proportional to its active
-//!   points;
 //! * [`pool`] — the persistent host execution layer: long-lived
 //!   [`StagePool`] workers that execute a stage's independent
 //!   per-processor tasks without per-stage thread spawns, plus the
@@ -30,17 +24,14 @@
 //!   executors' hot liveness/placement maps.
 
 pub mod cache;
-pub mod event;
 pub mod guest;
 pub mod hash;
 pub mod pool;
 pub mod program;
-pub mod sparse;
 pub mod spec;
 pub mod stage;
 
 pub use cache::{CacheStats, PlanCache, PlanKey};
-pub use event::CoreKind;
 pub use guest::{
     linear_guest_time, mesh_guest_time, run_linear, run_mesh, run_volume, volume_guest_time,
     GuestRun,
@@ -51,6 +42,5 @@ pub use pool::{
     DisjointSlice, ExecPolicy, PoolLease, ScratchLease, StagePanic, StagePool, StageScratch,
 };
 pub use program::{LinearProgram, MeshProgram, VolumeProgram};
-pub use sparse::{Frontier, SparseState};
 pub use spec::{MachineSpec, SpecError};
 pub use stage::StageClock;

@@ -47,16 +47,6 @@ pub trait LinearProgram: Sync {
     /// cell's current content, the node's own step-`t-1` value, and the
     /// two neighbor values from step `t-1`.
     fn delta(&self, v: usize, t: i64, own: Word, prev: Word, left: Word, right: Word) -> Word;
-
-    /// Declare that the program never reads the clock: `cell(v, t)` and
-    /// `delta(v, t, …)` must be independent of `t`.  A time-invariant
-    /// node whose operands are unchanged reproduces its previous value,
-    /// which is the quiescence property the event core's activity
-    /// frontier relies on (DESIGN.md §16).  Defaults to `false` (the
-    /// safe answer: the engines then keep the dense stage loop).
-    fn time_invariant(&self) -> bool {
-        false
-    }
 }
 
 /// A synchronous program for the mesh `M_2(n, n, m)`.
@@ -88,12 +78,6 @@ pub trait MeshProgram: Sync {
         south: Word,
         north: Word,
     ) -> Word;
-
-    /// See [`LinearProgram::time_invariant`]: `cell(i, j, t)` and
-    /// `delta(i, j, t, …)` must ignore `t`.  Defaults to `false`.
-    fn time_invariant(&self) -> bool {
-        false
-    }
 }
 
 /// A synchronous program for the 3-D mesh `M_3(n, n, m)` — the

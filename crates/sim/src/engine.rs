@@ -10,7 +10,7 @@
 
 use bsmp_faults::FaultPlan;
 use bsmp_hram::Word;
-use bsmp_machine::{CoreKind, ExecPolicy, LinearProgram, MachineSpec, MeshProgram, VolumeProgram};
+use bsmp_machine::{ExecPolicy, LinearProgram, MachineSpec, MeshProgram, VolumeProgram};
 use bsmp_trace::Tracer;
 
 pub use bsmp_trace::EngineKind;
@@ -18,20 +18,16 @@ pub use bsmp_trace::EngineKind;
 use crate::{dnc1, dnc2, dnc3, multi1, multi2, naive1, naive2, pipelined1, SimError, SimReport};
 
 /// Options of one engine run.  [`RunOpts::default`] is the paper's
-/// configuration: fault-free, auto-detected host threads, the dense
-/// core, the paper's leaf size and strip width.  An engine ignores the
-/// fields it does not read; model costs never depend on `exec` or
-/// `core`.
+/// configuration: fault-free, auto-detected host threads, the paper's
+/// leaf size and strip width.  An engine ignores the fields it does not
+/// read; model costs never depend on `exec`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunOpts {
     /// Fault scenario, validated at run time.  Read by every engine
     /// (the uniprocessor engines apply it to the run as one bulk stage).
     pub plan: FaultPlan,
-    /// Host-thread budget.  Read by naive1 and naive2 (both cores).
+    /// Host-thread budget.  Read by naive1 and naive2.
     pub exec: ExecPolicy,
-    /// Execution core: the dense stage loop or the sparse event core.
-    /// Read by naive1 and naive2; the other engines have one loop.
-    pub core: CoreKind,
     /// Leaf radius of the divide-and-conquer recursion; `None` selects
     /// the paper's executable diamonds/cells of radius `max(m/2, 1)`.
     /// Read by dnc1 and dnc2.

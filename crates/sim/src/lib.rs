@@ -39,8 +39,6 @@ pub mod dnc2;
 pub mod dnc3;
 pub mod engine;
 pub mod error;
-pub mod event1;
-pub mod event2;
 pub mod execd;
 pub mod multi1;
 pub mod multi2;
@@ -212,6 +210,5 @@ pub(crate) fn bulk_report(
         space: ram.high_water(),
         stages: 0,
         faults: bsmp_faults::FaultStats::default(),
-        core_fallback: None,
     }
 }

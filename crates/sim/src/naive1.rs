@@ -12,8 +12,8 @@
 use bsmp_faults::{FaultEnv, FaultSession};
 use bsmp_hram::{CostTable, Hram, Word};
 use bsmp_machine::{
-    lease_scratch, linear_guest_time, CoreKind, DisjointSlice, LinearProgram, MachineSpec,
-    PoolLease, StageClock,
+    lease_scratch, linear_guest_time, DisjointSlice, LinearProgram, MachineSpec, PoolLease,
+    StageClock,
 };
 use bsmp_trace::{EngineKind, RunMeta, Tracer};
 
@@ -23,13 +23,10 @@ use crate::RunOpts;
 use crate::{settle_scenario, stage_totals};
 
 /// Simulate `steps` guest steps of `M_1(n, n, m)` on `M_1(n, p, m)` by
-/// the naive method, with preconditions checked.  Reads `opts.plan`,
-/// `opts.exec` (the host-thread budget) and `opts.core`: the dense
-/// stage loop or the event-driven sparse core of [`crate::event1`], which
-/// falls back to the dense loop when its preconditions do not hold.
-/// The report and trace are bit-identical for every thread budget and
-/// core (see DESIGN.md §12); a disabled tracer costs one `None` check
-/// per stage.
+/// the naive method, with preconditions checked.  Reads `opts.plan` and
+/// `opts.exec` (the host-thread budget).  The report and trace are
+/// bit-identical for every thread budget (see DESIGN.md §12); a
+/// disabled tracer costs one `None` check per stage.
 pub fn try_simulate_naive1(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
@@ -38,12 +35,7 @@ pub fn try_simulate_naive1(
     opts: RunOpts,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
-    match opts.core {
-        CoreKind::Dense => try_simulate_naive1_impl(spec, prog, init, steps, opts, tracer, false),
-        CoreKind::Event => {
-            crate::event1::try_simulate_naive1_event(spec, prog, init, steps, opts, tracer, None)
-        }
-    }
+    try_simulate_naive1_impl(spec, prog, init, steps, opts, tracer, false)
 }
 
 /// [`try_simulate_naive1`] with default options; panics on invalid
@@ -65,10 +57,10 @@ pub fn simulate_naive1(
     .unwrap_or_else(|e| panic!("naive1: {e}"))
 }
 
-/// The pre-tiling per-point reference implementation on the dense core,
-/// kept as the oracle for the kernel bit-identity tests
-/// (`tests/kernels.rs`).  Reports 0 `table_hits`; every other field is
-/// bit-identical to the tiled path.
+/// The pre-tiling per-point reference implementation, kept as the
+/// oracle for the kernel bit-identity tests (`tests/kernels.rs`).
+/// Reports 0 `table_hits`; every other field is bit-identical to the
+/// tiled path.
 #[doc(hidden)]
 pub fn try_simulate_naive1_scalar(
     spec: &MachineSpec,
@@ -81,7 +73,7 @@ pub fn try_simulate_naive1_scalar(
     try_simulate_naive1_impl(spec, prog, init, steps, opts, tracer, true)
 }
 
-pub(crate) fn try_simulate_naive1_impl(
+fn try_simulate_naive1_impl(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
     init: &[Word],
@@ -536,7 +528,6 @@ pub(crate) fn try_simulate_naive1_impl(
         space: rams.iter().map(|r| r.high_water()).max().unwrap_or(0),
         stages: clock.stages,
         faults: session.into_stats(),
-        core_fallback: None,
     })
 }
 

@@ -7,8 +7,7 @@
 use bsmp_faults::{FaultEnv, FaultSession};
 use bsmp_hram::{CostTable, Hram, Word};
 use bsmp_machine::{
-    lease_scratch, mesh_guest_time, CoreKind, DisjointSlice, MachineSpec, MeshProgram, PoolLease,
-    StageClock,
+    lease_scratch, mesh_guest_time, DisjointSlice, MachineSpec, MeshProgram, PoolLease, StageClock,
 };
 use bsmp_trace::{EngineKind, RunMeta, Tracer};
 
@@ -18,13 +17,10 @@ use crate::RunOpts;
 use crate::{settle_scenario, stage_totals};
 
 /// Simulate `steps` guest steps of `M_2(n, n, m)` on `M_2(n, p, m)` by
-/// the naive method, with preconditions checked.  Reads `opts.plan`,
-/// `opts.exec` (the host-thread budget) and `opts.core`: the dense
-/// stage loop or the event-driven sparse core of [`crate::event2`], which
-/// falls back to the dense loop when its preconditions do not hold.
-/// The report and trace are bit-identical for every thread budget and
-/// core (see DESIGN.md §12); a disabled tracer costs one `None` check
-/// per stage.
+/// the naive method, with preconditions checked.  Reads `opts.plan` and
+/// `opts.exec` (the host-thread budget).  The report and trace are
+/// bit-identical for every thread budget (see DESIGN.md §12); a
+/// disabled tracer costs one `None` check per stage.
 pub fn try_simulate_naive2(
     spec: &MachineSpec,
     prog: &impl MeshProgram,
@@ -33,12 +29,7 @@ pub fn try_simulate_naive2(
     opts: RunOpts,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
-    match opts.core {
-        CoreKind::Dense => try_simulate_naive2_impl(spec, prog, init, steps, opts, tracer, false),
-        CoreKind::Event => {
-            crate::event2::try_simulate_naive2_event(spec, prog, init, steps, opts, tracer)
-        }
-    }
+    try_simulate_naive2_impl(spec, prog, init, steps, opts, tracer, false)
 }
 
 /// [`try_simulate_naive2`] with default options; panics on invalid
@@ -60,10 +51,10 @@ pub fn simulate_naive2(
     .unwrap_or_else(|e| panic!("naive2: {e}"))
 }
 
-/// The pre-tiling per-point reference implementation on the dense core,
-/// kept as the oracle for the kernel bit-identity tests
-/// (`tests/kernels.rs`).  Reports 0 `table_hits`; every other field is
-/// bit-identical to the tiled path.
+/// The pre-tiling per-point reference implementation, kept as the
+/// oracle for the kernel bit-identity tests (`tests/kernels.rs`).
+/// Reports 0 `table_hits`; every other field is bit-identical to the
+/// tiled path.
 #[doc(hidden)]
 pub fn try_simulate_naive2_scalar(
     spec: &MachineSpec,
@@ -76,7 +67,7 @@ pub fn try_simulate_naive2_scalar(
     try_simulate_naive2_impl(spec, prog, init, steps, opts, tracer, true)
 }
 
-pub(crate) fn try_simulate_naive2_impl(
+fn try_simulate_naive2_impl(
     spec: &MachineSpec,
     prog: &impl MeshProgram,
     init: &[Word],
@@ -467,7 +458,6 @@ pub(crate) fn try_simulate_naive2_impl(
         space: rams.iter().map(|r| r.high_water()).max().unwrap_or(0),
         stages: clock.stages,
         faults: session.into_stats(),
-        core_fallback: None,
     })
 }
 

@@ -159,7 +159,6 @@ pub fn try_simulate_pipelined1(
         space: n * m / p + 2 * q,
         stages: clock.stages,
         faults: session.into_stats(),
-        core_fallback: None,
     })
 }
 

@@ -258,7 +258,6 @@ impl<'a, C: ProductCell<D>, P: Guest<D>, const D: usize> ProcArray<'a, C, P, D> 
                 .unwrap_or(0),
             stages: self.clock.stages,
             faults: self.session.into_stats(),
-            core_fallback: None,
         }
     }
 }

@@ -30,12 +30,6 @@ pub struct SimReport {
     pub stages: u64,
     /// Fault accounting (all zeros under `FaultPlan::none()`).
     pub faults: FaultStats,
-    /// When the caller asked for the event core but the engine fell
-    /// back to the dense path, the delegation precondition that forced
-    /// it (`None` = no fallback).  Callers gating on the event core
-    /// (e.g. `bench --mem`) must check this rather than assuming the
-    /// requested core ran.
-    pub core_fallback: Option<&'static str>,
 }
 
 impl SimReport {
@@ -127,7 +121,6 @@ mod tests {
             space: 0,
             stages: 0,
             faults: FaultStats::default(),
-            core_fallback: None,
         }
     }
 

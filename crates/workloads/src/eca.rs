@@ -39,10 +39,6 @@ impl LinearProgram for Eca {
         let idx = ((l & 1) << 2) | ((own & 1) << 1) | (r & 1);
         Word::from((self.rule >> idx) & 1)
     }
-
-    fn time_invariant(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

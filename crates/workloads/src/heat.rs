@@ -43,10 +43,6 @@ impl MeshProgram for HeatDiffusion {
     ) -> Word {
         (4 * own + w + e + s + n) / 8
     }
-
-    fn time_invariant(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

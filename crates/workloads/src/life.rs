@@ -59,10 +59,6 @@ impl MeshProgram for VonNeumannLife {
         };
         Word::from((mask >> count) & 1)
     }
-
-    fn time_invariant(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

@@ -53,10 +53,6 @@ impl MeshProgram for PlaneWave {
             .wrapping_sub(n)
             .wrapping_add(prev)
     }
-
-    fn time_invariant(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

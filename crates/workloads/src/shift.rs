@@ -31,10 +31,6 @@ impl LinearProgram for TokenShift {
     fn delta(&self, _v: usize, _t: i64, _own: Word, _prev: Word, l: Word, _r: Word) -> Word {
         l
     }
-
-    fn time_invariant(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

@@ -4,14 +4,9 @@
 //!
 //! Host-side rewrites (memo tables, directories, buffers) must leave the
 //! model untouched; this test is the tool that proves it.  A row is one
-//! line: a case id (`engine/d/n/m/p/T/plan/core`) followed by
-//! `key=value` fields, floats as hex `f64::to_bits`.  Rows are keyed by
-//! id, so widening the coverage (more engines, shapes, plans or cores)
-//! only adds rows.
-//!
-//! Engines with an event core get an `/event` row beside each `/dense`
-//! row; it must match its twin field for field, and a run the event
-//! core delegates to the dense loop adds `fallback="<reason>"`.
+//! line: a case id (`engine/d/n/m/p/T/plan`) followed by `key=value`
+//! fields, floats as hex `f64::to_bits`.  Rows are keyed by id, so
+//! widening the coverage (more engines, shapes or plans) only adds rows.
 //!
 //! To re-bless after an intended model change:
 //! `BSMP_BLESS=1 cargo test --test golden` — the rewritten file then
@@ -20,7 +15,7 @@
 use bsmp::analytic::theorem1;
 use bsmp::certify_suite::{matrix, run_case_reported, MatrixCase};
 use bsmp::serve_suite::fingerprint;
-use bsmp::{CoreKind, FaultPlan};
+use bsmp::FaultPlan;
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -42,9 +37,6 @@ const EXTRA: [(&str, u8, u64, u64, u64, i64); 9] = [
     ("dnc3", 3, 343, 1, 1, 5),
     ("dnc2", 2, 100, 1, 1, 21),
 ];
-
-/// Engines with an event core (`RunOpts::core`).
-const EVENT_ENGINES: [&str; 2] = ["naive1", "naive2"];
 
 fn cases() -> Vec<MatrixCase> {
     let mut v = matrix();
@@ -82,20 +74,16 @@ fn hex(x: f64) -> String {
     format!("{:#018x}", x.to_bits())
 }
 
-fn row(case: &MatrixCase, plan_name: &str, plan: &FaultPlan, core: CoreKind) -> String {
-    let (r, trace, cert) = run_case_reported(case, plan, core)
+fn row(case: &MatrixCase, plan_name: &str, plan: &FaultPlan) -> String {
+    let (r, trace, cert) = run_case_reported(case, plan)
         .unwrap_or_else(|e| panic!("{}/{}/{plan_name}: {e}", case.engine, case.regime));
     let s = &trace.summary;
-    let fallback = r
-        .core_fallback
-        .map(|why| format!(" fallback={why:?}"))
-        .unwrap_or_default();
     format!(
-        "{}/{}/{}/{}/{}/{}/{}/{core} regime={} \
+        "{}/{}/{}/{}/{}/{}/{} regime={} \
          compute={} access={} transfer={} comm={} ops={} \
          host={} guest={} space={} stages={} mem={:#018x} values={:#018x} \
          tr_stages={} tr_points={} tr_messages={} tr_comm={} tr_injected={} \
-         tr_retries={} tr_outages={} tr_churn={} tr_backoffs={} verdict={:?}{fallback}",
+         tr_retries={} tr_outages={} tr_churn={} tr_backoffs={} verdict={:?}",
         case.engine,
         case.d,
         case.n,
@@ -132,31 +120,12 @@ fn id(line: &str) -> &str {
     line.split_whitespace().next().unwrap_or("")
 }
 
-/// A row's fields after the id, without the `fallback=` note.
-fn fields(line: &str) -> &str {
-    let rest = line.split_once(' ').map_or("", |(_, f)| f);
-    rest.split(" fallback=").next().unwrap_or(rest)
-}
-
 #[test]
 fn golden_fingerprints_match() {
     let mut got = Vec::new();
     for case in &cases() {
         for (name, plan) in plans() {
-            let dense = row(case, name, &plan, CoreKind::Dense);
-            if EVENT_ENGINES.contains(&case.engine) {
-                let event = row(case, name, &plan, CoreKind::Event);
-                assert_eq!(
-                    fields(&event),
-                    fields(&dense),
-                    "event twin of {}",
-                    id(&dense)
-                );
-                got.push(dense);
-                got.push(event);
-            } else {
-                got.push(dense);
-            }
+            got.push(row(case, name, &plan));
         }
     }
     if std::env::var("BSMP_BLESS").as_deref() == Ok("1") {

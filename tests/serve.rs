@@ -19,7 +19,7 @@ use std::sync::OnceLock;
 use bsmp::certify_suite::{matrix, run_case_reported, MatrixCase};
 use bsmp::serve_suite::{fingerprint, parse_job, serve, ServeOptions};
 use bsmp::trace::json::{parse, Val};
-use bsmp::{CoreKind, FaultPlan, SimError, SimReport};
+use bsmp::{FaultPlan, SimError, SimReport};
 
 /// One crash at stage 0 on processor 0 plus recovery accounting — valid
 /// for every engine shape in the matrix (uniprocessor engines included,
@@ -74,7 +74,7 @@ fn run_twin(case: &MatrixCase, faulted: bool) -> Twin {
     } else {
         FaultPlan::none()
     };
-    let (report, _, cert) = run_case_reported(case, &plan, CoreKind::Dense).expect("twin runs");
+    let (report, _, cert) = run_case_reported(case, &plan).expect("twin runs");
     if !faulted {
         assert_eq!(cert.verdict.to_string(), "Certified", "{}", case.engine);
     }
