@@ -239,3 +239,200 @@ fn invalid_plans_are_rejected_not_panicked() {
         );
     }
 }
+
+/// Parity3d with a second (unused) private cell: a volume program of
+/// the wrong density for the `m = 1` volume engines.
+struct TwoCellVolume;
+
+impl bsmp::machine::VolumeProgram for TwoCellVolume {
+    fn m(&self) -> usize {
+        2
+    }
+
+    fn delta(
+        &self,
+        x: usize,
+        y: usize,
+        z: usize,
+        t: i64,
+        own: bsmp::Word,
+        prev: bsmp::Word,
+        nb: [bsmp::Word; 6],
+    ) -> bsmp::Word {
+        bsmp::workloads::Parity3d.delta(x, y, z, t, own, prev, nb)
+    }
+}
+
+/// Every engine refuses each malformed input with the same typed
+/// `SimError`: a spec of the wrong dimension, a program of the wrong
+/// density, a short initial image and, where they apply, an indivisible
+/// `p` or mesh side, or `p > 1` on a uniprocessor engine.
+#[test]
+fn malformed_inputs_get_the_same_typed_error_on_every_engine() {
+    use bsmp::machine::VolumeProgram;
+    use bsmp::SimError::*;
+    use bsmp::{SimError, Word};
+
+    let off = &mut Tracer::off();
+    let opts = RunOpts::default();
+    let (eca, wave2) = (Eca::rule90(), bsmp::workloads::CyclicWave::new(2));
+    let life = VonNeumannLife::fredkin();
+    let bits = |len: usize| inputs::random_bits(98, len);
+    for kind in EngineKind::ALL {
+        let uni = matches!(
+            kind,
+            EngineKind::Dnc1 | EngineKind::Dnc2 | EngineKind::Naive3 | EngineKind::Dnc3
+        );
+        let p = if uni { 1 } else { 4 };
+        let mut cases: Vec<(&str, Result<SimReport, SimError>, SimError)> = Vec::new();
+        let dim = |got| DimensionMismatch {
+            expected: kind.d(),
+            got,
+        };
+        match kind.d() {
+            1 => {
+                // `two` picks the two-cell program over the one-cell one.
+                let run = |spec: &MachineSpec, two: bool, init: &[Word]| {
+                    let off = &mut Tracer::off();
+                    if two {
+                        engine::run_linear(kind, spec, &wave2, init, 8, opts, off)
+                    } else {
+                        engine::run_linear(kind, spec, &eca, init, 8, opts, off)
+                    }
+                };
+                let spec = MachineSpec::new(1, 64, p, 1);
+                let (one, two) = (false, true);
+                cases.push((
+                    "dimension",
+                    run(&MachineSpec::new(2, 64, p, 1), one, &bits(64)),
+                    dim(2),
+                ));
+                cases.push((
+                    "density",
+                    run(&spec, two, &bits(128)),
+                    DensityMismatch {
+                        spec_m: 1,
+                        prog_m: 2,
+                    },
+                ));
+                cases.push((
+                    "init",
+                    run(&spec, one, &bits(63)),
+                    InitLength {
+                        expected: 64,
+                        got: 63,
+                    },
+                ));
+                let spec3 = MachineSpec::new(1, 64, 3, 1);
+                match kind {
+                    EngineKind::Naive1 | EngineKind::Pipelined1 => cases.push((
+                        "indivisible p",
+                        run(&spec3, one, &bits(64)),
+                        IndivisibleProcessors { n: 64, p: 3 },
+                    )),
+                    EngineKind::Multi1 => cases.push((
+                        "indivisible p",
+                        run(&spec3, one, &bits(64)),
+                        NoAdmissibleStrip { n: 64, m: 1, p: 3 },
+                    )),
+                    _ => cases.push((
+                        "p > 1",
+                        run(&MachineSpec::new(1, 64, 4, 1), one, &bits(64)),
+                        UniprocessorOnly {
+                            engine: kind.name(),
+                            p: 4,
+                        },
+                    )),
+                }
+            }
+            2 => {
+                let spec = MachineSpec::new(2, 64, p, 1);
+                let run = |spec: &MachineSpec, init: &[Word]| {
+                    engine::run_mesh(kind, spec, &life, init, 4, opts, &mut Tracer::off())
+                };
+                cases.push((
+                    "dimension",
+                    run(&MachineSpec::new(1, 64, p, 1), &bits(64)),
+                    dim(1),
+                ));
+                cases.push((
+                    "density",
+                    run(&MachineSpec::new(2, 64, p, 2), &bits(64)),
+                    DensityMismatch {
+                        spec_m: 2,
+                        prog_m: 1,
+                    },
+                ));
+                cases.push((
+                    "init",
+                    run(&spec, &bits(63)),
+                    InitLength {
+                        expected: 64,
+                        got: 63,
+                    },
+                ));
+                if uni {
+                    cases.push((
+                        "p > 1",
+                        run(&MachineSpec::new(2, 64, 4, 1), &bits(64)),
+                        UniprocessorOnly {
+                            engine: kind.name(),
+                            p: 4,
+                        },
+                    ));
+                } else {
+                    cases.push((
+                        "indivisible mesh side",
+                        run(&MachineSpec::new(2, 36, 16, 1), &bits(36)),
+                        IndivisibleMeshSide {
+                            side: 6,
+                            proc_side: 4,
+                        },
+                    ));
+                }
+            }
+            _ => {
+                let parity = bsmp::workloads::Parity3d;
+                assert_eq!(parity.m(), 1);
+                cases.push((
+                    "dimension",
+                    engine::run_linear(
+                        kind,
+                        &MachineSpec::new(1, 27, 1, 1),
+                        &eca,
+                        &bits(27),
+                        3,
+                        opts,
+                        off,
+                    ),
+                    DimensionMismatch {
+                        expected: 3,
+                        got: 1,
+                    },
+                ));
+                cases.push((
+                    "density",
+                    engine::run_volume(kind, 3, &TwoCellVolume, &bits(54), 3, opts, off),
+                    DensityMismatch {
+                        spec_m: 1,
+                        prog_m: 2,
+                    },
+                ));
+                cases.push((
+                    "init",
+                    engine::run_volume(kind, 3, &parity, &bits(26), 3, opts, off),
+                    InitLength {
+                        expected: 27,
+                        got: 26,
+                    },
+                ));
+            }
+        }
+        for (what, got, want) in cases {
+            match got {
+                Err(e) => assert_eq!(e, want, "{}: {what}", kind.name()),
+                Ok(_) => panic!("{}: {what} must be refused", kind.name()),
+            }
+        }
+    }
+}
