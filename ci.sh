@@ -100,11 +100,13 @@ grep -q '"plan_cache"' "$SMOKE" || {
 }
 
 echo "==> serve smoke (bsmp-repro serve: batch protocol + warm plan cache)"
-# One server process, five requests: a malformed line and an unknown
+# One server process, six requests: a malformed line and an unknown
 # engine must each yield a typed error line without killing the batch,
 # and the repeated dnc1 shape must be answered warm (capsule hit) with
 # nonzero plan-cache hits in the summary.  --max-inflight 1 keeps the
-# cold run strictly before its warm repeat.
+# cold run strictly before its warm repeat.  The traced naive1 job is
+# large enough to engage the stage pool; without --threads that pool
+# has one thread, and every stage must say so.
 SERVE_OUT="$SCRATCH/serve_smoke.ndjson"
 cargo run --release -q -p bsmp-cli -- serve --max-inflight 1 > "$SERVE_OUT" <<'EOF'
 {"id": 1, "engine": "dnc1", "n": 64, "m": 16, "steps": 64}
@@ -112,12 +114,13 @@ this line is not a json request
 {"id": 3, "engine": "warp9", "n": 64, "steps": 64}
 {"id": 4, "engine": "dnc1", "n": 64, "m": 16, "steps": 64, "seed": 99}
 {"id": 5, "engine": "multi2", "n": 256, "m": 4, "p": 4, "steps": 16, "certify": true}
+{"id": 6, "engine": "naive1", "n": 4096, "p": 16, "steps": 4, "trace": true}
 EOF
 [ "$(grep -c '"kind": "bad_request"' "$SERVE_OUT")" -eq 2 ] || {
     echo "serve smoke FAILED: want exactly 2 typed bad_request lines" >&2
     exit 1
 }
-[ "$(grep -c '"ok": true' "$SERVE_OUT")" -eq 3 ] || {
+[ "$(grep -c '"ok": true' "$SERVE_OUT")" -eq 4 ] || {
     echo "serve smoke FAILED: the malformed lines killed healthy jobs" >&2
     exit 1
 }
@@ -131,6 +134,11 @@ grep -q '"verdict": "Certified"' "$SERVE_OUT" || {
 }
 grep -q '"summary": true.*"plan_cache": {"hits": [1-9]' "$SERVE_OUT" || {
     echo "serve smoke FAILED: summary reports zero plan-cache hits" >&2
+    exit 1
+}
+WORKERS="$(grep '"id": 6, "ok": true' "$SERVE_OUT" | grep -o '"workers": [0-9]*' | sort | uniq -c | tr -s ' ')"
+[ "$WORKERS" = ' 4 "workers": 1' ] || {
+    echo "serve smoke FAILED: want 4 naive1 stages on 1 worker, got: $WORKERS" >&2
     exit 1
 }
 

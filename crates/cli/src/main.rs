@@ -51,8 +51,11 @@
 //!   `bsmp-serve/v1` job requests from stdin until EOF, run them
 //!   concurrently over the shared stage pool and cost-capsule cache,
 //!   and write one JSON result line per job (completion order) plus a
-//!   final summary line to stdout.  `--max-inflight <K>` bounds the in-flight
-//!   window (default 8; the reader blocks, giving stdin backpressure);
+//!   final summary line to stdout.  `--threads <N>` sizes that stage
+//!   pool (default: one thread, so stages run on the calling job's
+//!   thread and traces report `"workers": 1`); `--max-inflight <K>`
+//!   bounds the in-flight window (default 8; the reader blocks, giving
+//!   stdin backpressure);
 //!   `--plan-cache-bytes <B>` caps that cache's byte budget.  A
 //!   malformed request yields a typed `bad_request` line and never
 //!   kills the server, so `serve` exits 0 whenever the batch ran to
@@ -513,8 +516,9 @@ fn main() {
         if let Some(bytes) = serve.plan_cache_bytes {
             bsmp::plan_cache().set_capacity(bytes);
         }
-        // One persistent stage pool shared by every concurrent job; the
-        // re-entrant engines lease scratch arenas from it per request.
+        // One persistent stage pool shared by every concurrent job; each
+        // job keeps its own per-run stage buffers, so engines stay
+        // re-entrant.  Without --threads the pool has one thread.
         bsmp::init_shared_pool(args.threads);
         let input = std::io::BufReader::new(std::io::stdin());
         let stdout = std::io::stdout();
@@ -553,7 +557,7 @@ fn main() {
         // -shape dnc/multi traffic, cold (cleared plan cache) vs warm
         // (pre-seeded).  The warm/cold ratio floor is a CI gate.
         let serves = perf::run_serve_suite(8);
-        let doc = perf::to_json_full(&cases, &traces, &certs, &serves, args.threads, &bench.meta);
+        let doc = perf::to_json(&cases, &traces, &certs, &serves, args.threads, &bench.meta);
         if let Err(e) = perf::validate_json(&doc) {
             eprintln!("bsmp-repro: bench produced a malformed document: {e}");
             std::process::exit(1);

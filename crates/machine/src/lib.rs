@@ -17,9 +17,9 @@
 //! * [`pool`] — the persistent host execution layer: long-lived
 //!   [`StagePool`] workers that execute a stage's independent
 //!   per-processor tasks without per-stage thread spawns, plus the
-//!   reusable [`StageScratch`] buffers and the [`ExecPolicy`] thread
-//!   budget.  Model time is unaffected by host threading (each task
-//!   returns its own metered cost into its own slot);
+//!   [`ExecPolicy`] thread budget.  Model time is unaffected by host
+//!   threading (each task returns its own metered cost into its own
+//!   slot);
 //! * [`hash`] — the deterministic multiply-xor hasher behind the
 //!   executors' hot liveness/placement maps.
 
@@ -38,8 +38,8 @@ pub use guest::{
 };
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use pool::{
-    available_threads, init_shared_pool, lease_scratch, set_default_threads, shared_pool,
-    DisjointSlice, ExecPolicy, PoolLease, ScratchLease, StagePanic, StagePool, StageScratch,
+    available_threads, init_shared_pool, set_default_threads, shared_pool, DisjointSlice,
+    ExecPolicy, PoolLease, StagePanic, StagePool,
 };
 pub use program::{LinearProgram, MeshProgram, VolumeProgram};
 pub use spec::{MachineSpec, SpecError};

@@ -28,7 +28,6 @@
 //! pool exists, which keeps one-shot CLI runs exactly as before.
 
 use std::marker::PhantomData;
-use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -473,10 +472,11 @@ impl PoolLease {
         PoolLease::Owned(StagePool::new(1))
     }
 
-    /// This lease's thread budget.
+    /// The threads this lease's stages run on: its budget, capped by
+    /// the shared pool's size.
     pub fn threads(&self) -> usize {
         match self {
-            PoolLease::Shared { cap, .. } => *cap,
+            PoolLease::Shared { pool, cap } => (*cap).min(pool.threads()),
             PoolLease::Owned(pool) => pool.threads(),
         }
     }
@@ -493,105 +493,6 @@ impl PoolLease {
             PoolLease::Shared { pool, cap } => pool.run_stage_capped(n, *cap, out, task),
             PoolLease::Owned(pool) => pool.run_stage(n, out, task),
         }
-    }
-}
-
-/// Reusable per-stage buffers: the four `Θ(p)` vectors every stage-driven
-/// engine needs (costs, communication deltas, and the pre-stage
-/// time/comm snapshots), allocated once per run instead of once per
-/// stage.
-#[derive(Clone, Debug)]
-pub struct StageScratch {
-    /// Per-processor stage cost (the `per_proc` fed to the clock).
-    pub per_proc: Vec<f64>,
-    /// Per-processor communication component of the stage cost.
-    pub per_comm: Vec<f64>,
-    /// Meter `comm` snapshot at stage start.
-    pub comm_before: Vec<f64>,
-    /// Meter time snapshot at stage start.
-    pub time_before: Vec<f64>,
-}
-
-impl StageScratch {
-    pub fn new(p: usize) -> Self {
-        StageScratch {
-            per_proc: vec![0.0; p],
-            per_comm: vec![0.0; p],
-            comm_before: vec![0.0; p],
-            time_before: vec![0.0; p],
-        }
-    }
-
-    /// Resize every buffer to `p` slots and zero them — the state
-    /// [`StageScratch::new`] would give, reusing the allocations.
-    fn reset(&mut self, p: usize) {
-        for v in [
-            &mut self.per_proc,
-            &mut self.per_comm,
-            &mut self.comm_before,
-            &mut self.time_before,
-        ] {
-            v.clear();
-            v.resize(p, 0.0);
-        }
-    }
-}
-
-/// Free-list of [`StageScratch`] arenas a long-lived server recycles
-/// across requests: checkout via [`lease_scratch`], automatic return on
-/// drop, capped so a burst of concurrent jobs cannot pin memory forever.
-struct ScratchArena {
-    free: Mutex<Vec<StageScratch>>,
-}
-
-/// Parked arenas beyond this are dropped instead of returned.
-const ARENA_MAX_PARKED: usize = 64;
-
-static SCRATCH_ARENA: ScratchArena = ScratchArena {
-    free: Mutex::new(Vec::new()),
-};
-
-/// A per-request scratch arena: dereferences to [`StageScratch`], and
-/// returns the buffers to the process-wide free list when dropped.
-pub struct ScratchLease {
-    scratch: Option<StageScratch>,
-}
-
-impl Deref for ScratchLease {
-    type Target = StageScratch;
-    fn deref(&self) -> &StageScratch {
-        self.scratch.as_ref().expect("scratch present until drop")
-    }
-}
-
-impl DerefMut for ScratchLease {
-    fn deref_mut(&mut self) -> &mut StageScratch {
-        self.scratch.as_mut().expect("scratch present until drop")
-    }
-}
-
-impl Drop for ScratchLease {
-    fn drop(&mut self) {
-        if let Some(s) = self.scratch.take() {
-            let mut free = SCRATCH_ARENA.free.lock().unwrap();
-            if free.len() < ARENA_MAX_PARKED {
-                free.push(s);
-            }
-        }
-    }
-}
-
-/// Check a zeroed `p`-slot [`StageScratch`] out of the process-wide
-/// arena (allocating a fresh one only when the free list is empty).
-/// Each lease is exclusively owned by its request — engines hold no
-/// buffers of their own between runs, which is what makes every
-/// `try_simulate_*` path re-entrant.
-pub fn lease_scratch(p: usize) -> ScratchLease {
-    let parked = SCRATCH_ARENA.free.lock().unwrap().pop();
-    let mut scratch = parked.unwrap_or_else(|| StageScratch::new(p));
-    scratch.reset(p);
-    ScratchLease {
-        scratch: Some(scratch),
     }
 }
 
@@ -724,15 +625,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_sizes() {
-        let s = StageScratch::new(6);
-        assert_eq!(s.per_proc.len(), 6);
-        assert_eq!(s.per_comm.len(), 6);
-        assert_eq!(s.comm_before.len(), 6);
-        assert_eq!(s.time_before.len(), 6);
-    }
-
-    #[test]
     fn concurrent_callers_share_one_pool() {
         // Two jobs hammer the same pool from different threads; every
         // stage of each job must come back bit-identical to its serial
@@ -780,22 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_lease_recycles_zeroed() {
-        {
-            let mut lease = lease_scratch(4);
-            lease.per_proc[2] = 7.5;
-            lease.comm_before[0] = 1.0;
-        }
-        // Whatever we get back (possibly the same buffers) is zeroed and
-        // sized to the new request.
-        let lease = lease_scratch(6);
-        assert_eq!(lease.per_proc, vec![0.0; 6]);
-        assert_eq!(lease.comm_before, vec![0.0; 6]);
-        let small = lease_scratch(2);
-        assert_eq!(small.per_proc.len(), 2);
-    }
-
-    #[test]
     fn owned_lease_without_shared_pool() {
         // Tests must not initialize the process-wide pool (other tests
         // assert per-run behavior), so only the fallback path is
@@ -809,5 +685,19 @@ mod tests {
         lease.run_stage(8, &mut out, |i| i as f64).unwrap();
         assert_eq!(out, (0..8).map(|i| i as f64).collect::<Vec<_>>());
         assert_eq!(PoolLease::serial().threads(), 1);
+    }
+
+    #[test]
+    fn shared_lease_reports_the_threads_that_run() {
+        // A one-thread shared pool runs every stage on the caller alone,
+        // whatever budget the lease asked for.
+        let pool: &'static StagePool = Box::leak(Box::new(StagePool::new(1)));
+        let lease = PoolLease::Shared { pool, cap: 4 };
+        assert_eq!(lease.threads(), 1);
+        let mut out = vec![0.0; 8];
+        lease.run_stage(8, &mut out, |i| i as f64).unwrap();
+        assert_eq!(out, (0..8).map(|i| i as f64).collect::<Vec<_>>());
+        let wide: &'static StagePool = Box::leak(Box::new(StagePool::new(3)));
+        assert_eq!(PoolLease::Shared { pool: wide, cap: 2 }.threads(), 2);
     }
 }

@@ -7,21 +7,14 @@
 //! Parallel model time is therefore `T_p = Σ_stages max_proc cost`.
 //!
 //! [`StageClock`] tracks that sum (and the total *busy* work, for
-//! efficiency metrics); [`run_stage`] optionally executes the
-//! per-processor work of one stage on real threads — model time stays
-//! deterministic because each worker returns its own model cost.
-//! [`StageClock::add_stage_faulted`] routes a stage's costs through a
-//! [`FaultSession`] first, so fault injection happens at the single
-//! point where stage costs enter the clock.
-//!
-//! Engines that run many stages should hold a persistent
-//! [`StagePool`] instead of calling
-//! [`run_stage`], which stands up (and tears down) a fresh pool per
-//! call and survives only as a compatibility shim.
+//! efficiency metrics).  [`StageClock::add_stage_faulted`] routes a
+//! stage's costs through a [`FaultSession`] first, so fault injection
+//! happens at the single point where stage costs enter the clock.  The
+//! per-processor work of a stage runs on a persistent
+//! [`StagePool`](crate::pool::StagePool); model time stays deterministic
+//! because each worker returns its own model cost.
 
 use bsmp_faults::{FaultSession, ScenarioExhausted};
-
-use crate::pool::{available_threads, DisjointSlice, StagePool};
 
 /// Deterministic parallel-time accumulator.
 #[derive(Clone, Debug, Default)]
@@ -92,13 +85,6 @@ impl StageClock {
         }
     }
 
-    /// Close a stage in which a single processor worked alone.
-    pub fn add_serial_stage(&mut self, cost: f64) {
-        self.parallel_time += cost;
-        self.busy_time += cost;
-        self.stages += 1;
-    }
-
     /// Parallel efficiency over `p` processors (`≤ 1`).
     pub fn efficiency(&self, p: u64) -> f64 {
         if self.parallel_time == 0.0 {
@@ -106,36 +92,6 @@ impl StageClock {
         }
         self.busy_time / (p as f64 * self.parallel_time)
     }
-}
-
-/// Execute one stage's per-processor work items, each returning its model
-/// cost, and return the costs in processor order.
-///
-/// With `parallel = true` the closures run on a throwaway
-/// [`StagePool`] (wall-clock speed-up only; model time is unaffected).
-/// Work items must be independent — exactly the property stages have by
-/// construction.  Compatibility wrapper: engines with many stages keep
-/// one pool for the whole run instead.
-pub fn run_stage<W>(works: Vec<W>, parallel: bool) -> Vec<f64>
-where
-    W: FnOnce() -> f64 + Send,
-{
-    let n = works.len();
-    if !parallel || n <= 1 {
-        return works.into_iter().map(|w| w()).collect();
-    }
-    let mut out = vec![0.0f64; n];
-    let mut works: Vec<Option<W>> = works.into_iter().map(Some).collect();
-    let slots = DisjointSlice::new(&mut works);
-    let pool = StagePool::new(available_threads().min(n));
-    pool.run_stage(n, &mut out, |i| {
-        // Safety: index i is claimed by exactly one thread.
-        unsafe { slots.get_mut(i) }
-            .take()
-            .expect("work item taken twice")()
-    })
-    .unwrap_or_else(|e| panic!("{e}"));
-    out
 }
 
 #[cfg(test)]
@@ -160,22 +116,6 @@ mod tests {
         assert!((c.efficiency(2) - 1.0).abs() < 1e-12);
         c.add_stage(&[6.0, 0.0]);
         assert!(c.efficiency(2) < 1.0);
-    }
-
-    #[test]
-    fn run_stage_sequential_and_parallel_agree() {
-        let mk = || (0..8).map(|i| move || (i as f64) * 1.5).collect::<Vec<_>>();
-        let a = run_stage(mk(), false);
-        let b = run_stage(mk(), true);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn serial_stage_counts_fully() {
-        let mut c = StageClock::new();
-        c.add_serial_stage(7.0);
-        assert_eq!(c.parallel_time, 7.0);
-        assert_eq!(c.busy_time, 7.0);
     }
 
     #[test]

@@ -12,12 +12,13 @@
 use bsmp_geometry::Diamond;
 use bsmp_hram::Word;
 use bsmp_machine::{linear_guest_time, LinearProgram, MachineSpec};
-use bsmp_trace::{RunMeta, Tracer};
+use bsmp_trace::Tracer;
 
 use crate::error::SimError;
 use crate::execd::CellExec;
+use crate::procs::{run_uniprocessor, StageHost};
 use crate::report::SimReport;
-use crate::{bulk_report, check_uniprocessor, EngineKind, RunOpts};
+use crate::{EngineKind, RunOpts};
 
 /// Simulate `steps` guest steps of `M_1(n, n, m)` on the uniprocessor
 /// `M_1(n, 1, m)`, with preconditions checked.  Reads `opts.leaf` (the
@@ -33,27 +34,21 @@ pub fn try_simulate_dnc1(
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
     let leaf_h = opts.leaf.unwrap_or((prog.m() as i64 / 2).max(1));
-    let meta = RunMeta {
-        engine: EngineKind::Dnc1,
-        d: 1,
-        n: spec.n,
-        m: spec.m,
-        p: 1,
-        steps: steps.max(0) as u64,
-    };
-    let (hop, words) = (spec.neighbor_distance(), spec.node_mem());
-    crate::run_uniprocessor(meta, hop, words, &opts.plan, tracer, |tracer| {
-        check_uniprocessor(EngineKind::Dnc1, spec, prog.m(), init.len())?;
-        tracer.ensure_procs(1);
-        tracer.begin_stage("run");
+    let host = StageHost::for_spec(
+        EngineKind::Dnc1,
+        spec,
+        steps,
+        prog.m(),
+        init.len(),
+        &opts.plan,
+        tracer,
+    )?;
+    let guest_time = linear_guest_time(spec, prog, steps);
+    run_uniprocessor(host, guest_time, || {
         let n = spec.n as i64;
         let mut exec = CellExec::<Diamond, _, 1>::new(n, spec.access_fn(), prog, steps, leaf_h);
         let (mem, values) = exec.run(init)?;
-        let guest_time = linear_guest_time(spec, prog, steps);
-        let meter = exec.ram.meter;
-        Ok(bulk_report(
-            meta, mem, values, &exec.ram, meter, guest_time, tracer,
-        ))
+        Ok((mem, values, exec.ram))
     })
 }
 

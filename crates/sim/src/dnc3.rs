@@ -5,15 +5,17 @@
 //! verified in the tests and experiment E11c, against the naive
 //! `O(n^{4/3})` (Proposition 1 with d = 3).
 
+use bsmp_faults::FaultEnv;
 use bsmp_geometry::Domain3;
-use bsmp_hram::{AccessFn, CostMeter, CostTable, Word};
+use bsmp_hram::{AccessFn, CostTable, Hram, Word};
 use bsmp_machine::{volume_guest_time, VolumeProgram};
 use bsmp_trace::{RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::execd::CellExec;
+use crate::procs::{run_uniprocessor, StageHost};
 use crate::report::SimReport;
-use crate::{bulk_report, EngineKind, RunOpts};
+use crate::{EngineKind, RunOpts};
 
 /// Simulate `steps` guest steps of `M_3(n, n, 1)` (side `n^{1/3}`) on
 /// the uniprocessor `M_3(n, 1, 1)` via the 4-D separator recursion,
@@ -27,20 +29,13 @@ pub fn try_simulate_dnc3(
     opts: RunOpts,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
-    let meta = volume_meta(EngineKind::Dnc3, side, steps);
-    let n = meta.n;
-    crate::run_uniprocessor(meta, side as f64, n, &opts.plan, tracer, |tracer| {
-        check_volume(prog, init, n as usize)?;
-        tracer.ensure_procs(1);
-        tracer.begin_stage("run");
+    let host = volume_host(EngineKind::Dnc3, side, prog, init, steps, opts, tracer)?;
+    let guest_time = volume_guest_time(side, 1, prog, steps);
+    run_uniprocessor(host, guest_time, || {
         let access = AccessFn::new(3, 1);
         let mut exec = CellExec::<Domain3, _, 3>::new(side as i64, access, prog, steps, 1);
         let (mem, values) = exec.run(init)?;
-        let guest_time = volume_guest_time(side, 1, prog, steps);
-        let meter = exec.ram.meter;
-        Ok(bulk_report(
-            meta, mem, values, &exec.ram, meter, guest_time, tracer,
-        ))
+        Ok((mem, values, exec.ram))
     })
 }
 
@@ -75,15 +70,7 @@ pub fn try_simulate_naive3(
     opts: RunOpts,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
-    let n = (side * side * side) as u64;
-    crate::run_uniprocessor(
-        volume_meta(EngineKind::Naive3, side, steps),
-        side as f64,
-        n,
-        &opts.plan,
-        tracer,
-        |tracer| try_simulate_naive3_impl(side, prog, init, steps, tracer, false),
-    )
+    run_naive3(side, prog, init, steps, opts, tracer, false)
 }
 
 /// [`try_simulate_naive3`] with default options; panics on invalid
@@ -115,53 +102,67 @@ pub fn try_simulate_naive3_scalar(
     init: &[Word],
     steps: i64,
 ) -> Result<SimReport, SimError> {
-    try_simulate_naive3_impl(side, prog, init, steps, &mut Tracer::off(), true)
+    let off = &mut Tracer::off();
+    run_naive3(side, prog, init, steps, RunOpts::default(), off, true)
 }
 
-/// The trace header of a `d = 3` uniprocessor run.
-fn volume_meta(kind: EngineKind, side: usize, steps: i64) -> RunMeta {
-    RunMeta {
-        engine: kind,
-        d: 3,
-        n: (side * side * side) as u64,
-        m: 1,
-        p: 1,
-        steps: steps.max(0) as u64,
-    }
-}
-
-/// The volume engines' preconditions: unit density and an initial
-/// image of one word per node.
-fn check_volume(prog: &impl VolumeProgram, init: &[Word], n: usize) -> Result<(), SimError> {
-    if prog.m() != 1 {
-        return Err(SimError::DensityMismatch {
-            spec_m: 1,
-            prog_m: prog.m() as u64,
-        });
-    }
-    if init.len() != n {
-        return Err(SimError::InitLength {
-            expected: n,
-            got: init.len(),
-        });
-    }
-    Ok(())
-}
-
-fn try_simulate_naive3_impl(
+fn run_naive3(
     side: usize,
     prog: &impl VolumeProgram,
     init: &[Word],
     steps: i64,
+    opts: RunOpts,
     tracer: &mut Tracer,
     force_scalar: bool,
 ) -> Result<SimReport, SimError> {
+    let host = volume_host(EngineKind::Naive3, side, prog, init, steps, opts, tracer)?;
+    let guest_time = volume_guest_time(side, 1, prog, steps);
+    run_uniprocessor(host, guest_time, || {
+        Ok(naive3_kernel(side, prog, init, steps, force_scalar))
+    })
+}
+
+/// The host of a `d = 3` uniprocessor run of side `side`: the checked
+/// inputs, `opts.plan`, and the trace header.
+fn volume_host<'t>(
+    kind: EngineKind,
+    side: usize,
+    prog: &impl VolumeProgram,
+    init: &[Word],
+    steps: i64,
+    opts: RunOpts,
+    tracer: &'t mut Tracer,
+) -> Result<StageHost<'t>, SimError> {
+    let n = (side * side * side) as u64;
+    let meta = RunMeta {
+        engine: kind,
+        d: 3,
+        n,
+        m: 1,
+        p: 1,
+        steps: steps.max(0) as u64,
+    };
+    let env = FaultEnv {
+        p: 1,
+        hop: side as f64,
+        checkpoint_words: n,
+        proc_side: 1,
+    };
+    StageHost::new(meta, env, prog.m(), init.len(), &opts.plan, tracer)
+}
+
+/// The naive `d = 3` step loop on one H-RAM of side³ nodes: the final
+/// memory image, the values, and the metered H-RAM.
+fn naive3_kernel(
+    side: usize,
+    prog: &impl VolumeProgram,
+    init: &[Word],
+    steps: i64,
+    force_scalar: bool,
+) -> (Vec<Word>, Vec<Word>, Hram) {
     let n = side * side * side;
-    check_volume(prog, init, n)?;
-    tracer.ensure_procs(1);
-    tracer.begin_stage("run");
     let access = AccessFn::new(3, 1);
-    let mut ram = bsmp_hram::Hram::new(access, 3 * n);
+    let mut ram = Hram::new(access, 3 * n);
     // Layout: value row A at [0, n), row B at [n, 2n).
     for (v, w) in init.iter().enumerate() {
         ram.poke(v, *w);
@@ -321,17 +322,7 @@ fn try_simulate_naive3_impl(
         std::mem::swap(&mut row_prev, &mut row_next);
     }
 
-    let mem = prev.clone();
-    let meter = {
-        let mut m = CostMeter::new();
-        m.add_compute(0.0);
-        ram.meter.merged(&m)
-    };
-    let guest_time = volume_guest_time(side, 1, prog, steps);
-    let meta = volume_meta(EngineKind::Naive3, side, steps);
-    Ok(bulk_report(
-        meta, mem, prev, &ram, meter, guest_time, tracer,
-    ))
+    (prev.clone(), prev, ram)
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ use bsmp_trace::{EngineKind, Tracer};
 
 use crate::error::SimError;
 use crate::execd::CellExec;
-use crate::procs::ProcArray;
+use crate::procs::{ProcArray, StageHost};
 use crate::report::SimReport;
 use crate::RunOpts;
 
@@ -168,15 +168,7 @@ pub fn try_simulate_multi1(
     opts: RunOpts,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
-    let expected = spec.n as usize * prog.m();
-    if init.len() != expected {
-        return Err(SimError::InitLength {
-            expected,
-            got: init.len(),
-        });
-    }
-    opts.plan.validate()?;
-    let mut eng = Engine::new(spec, prog, steps, opts, tracer)?;
+    let mut eng = Engine::new(spec, prog, init.len(), steps, opts, tracer)?;
     eng.run(init)?;
     Ok(eng.finish(spec, prog, steps))
 }
@@ -226,28 +218,27 @@ struct Engine<'a, P: LinearProgram> {
 }
 
 impl<'a, P: LinearProgram> Engine<'a, P> {
+    /// Check the inputs (an `init_len`-word image) and lay out the host.
     fn new(
         spec: &MachineSpec,
         prog: &'a P,
+        init_len: usize,
         steps: i64,
         opts: RunOpts,
         tracer: &'a mut Tracer,
     ) -> Result<Self, SimError> {
-        if spec.d != 1 {
-            return Err(SimError::DimensionMismatch {
-                expected: 1,
-                got: spec.d,
-            });
-        }
+        let host = StageHost::for_spec(
+            EngineKind::Multi1,
+            spec,
+            steps,
+            prog.m(),
+            init_len,
+            &opts.plan,
+            tracer,
+        )?;
         let n = spec.n as usize;
         let p = spec.p as usize;
         let m = prog.m();
-        if m as u64 != spec.m {
-            return Err(SimError::DensityMismatch {
-                spec_m: spec.m,
-                prog_m: m as u64,
-            });
-        }
         let s = match opts.strip {
             Some(s) => {
                 let su = s as usize;
@@ -281,8 +272,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         let leaf_h = (m as i64 / 2).max(1);
         let host = ProcArray::new(
             spec,
-            &opts.plan,
-            tracer,
+            host,
             || CellExec::new(n as i64, access, prog, steps, leaf_h),
             &Diamond::new((n / 2) as i64, (steps / 2).max(1), (s / 2) as i64),
             64,
@@ -900,8 +890,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
                 .collect()
         };
         let guest_time = linear_guest_time(spec, prog, steps);
-        self.host
-            .finish(EngineKind::Multi1, spec, steps, guest_time, mem, values)
+        self.host.finish(guest_time, mem, values)
     }
 }
 
@@ -938,7 +927,7 @@ mod tests {
         let init = inputs::random_bits(41, 64);
         let prog = Eca::rule110();
         let mut tracer = Tracer::off();
-        let mut eng = Engine::new(&spec, &prog, 64, RunOpts::default(), &mut tracer).unwrap();
+        let mut eng = Engine::new(&spec, &prog, 64, 64, RunOpts::default(), &mut tracer).unwrap();
         eng.host.tile_space = 0;
         assert!(matches!(
             eng.run(&init),

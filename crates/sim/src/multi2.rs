@@ -36,7 +36,7 @@ use bsmp_trace::{EngineKind, Tracer};
 
 use crate::error::SimError;
 use crate::execd::CellExec;
-use crate::procs::ProcArray;
+use crate::procs::{ProcArray, StageHost};
 use crate::report::SimReport;
 use crate::RunOpts;
 
@@ -52,15 +52,7 @@ pub fn try_simulate_multi2(
     opts: RunOpts,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
-    let expected = spec.n as usize * prog.m();
-    if init.len() != expected {
-        return Err(SimError::InitLength {
-            expected,
-            got: init.len(),
-        });
-    }
-    opts.plan.validate()?;
-    let mut eng = Engine2::new(spec, prog, steps, opts, tracer)?;
+    let mut eng = Engine2::new(spec, prog, init.len(), steps, opts, tracer)?;
     eng.run(init)?;
     Ok(eng.finish(spec, prog, steps))
 }
@@ -100,38 +92,28 @@ struct Engine2<'a, P: MeshProgram> {
 }
 
 impl<'a, P: MeshProgram> Engine2<'a, P> {
+    /// Check the inputs (an `init_len`-word image) and lay out the host.
     fn new(
         spec: &MachineSpec,
         prog: &'a P,
+        init_len: usize,
         steps: i64,
         opts: RunOpts,
         tracer: &'a mut Tracer,
     ) -> Result<Self, SimError> {
-        if spec.d != 2 {
-            return Err(SimError::DimensionMismatch {
-                expected: 2,
-                got: spec.d,
-            });
-        }
+        let host = StageHost::for_spec(
+            EngineKind::Multi2,
+            spec,
+            steps,
+            prog.m(),
+            init_len,
+            &opts.plan,
+            tracer,
+        )?;
         let side = spec.mesh_side() as usize;
         let sp = spec.proc_side() as usize;
         let m = prog.m();
-        if m as u64 != spec.m {
-            return Err(SimError::DensityMismatch {
-                spec_m: spec.m,
-                prog_m: m as u64,
-            });
-        }
-        if !side.is_multiple_of(sp) {
-            return Err(SimError::IndivisibleMeshSide {
-                side: side as u64,
-                proc_side: sp as u64,
-            });
-        }
         let b = side / sp;
-        if b < 2 {
-            return Err(SimError::BlockTooSmall { block: b as u64 });
-        }
         let cbox = IBox::new(0, side as i64, 0, side as i64, 1, steps + 1);
 
         // Each processor runs the Theorem-5 recursion on its own H-RAM,
@@ -140,8 +122,7 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         let leaf = (m as i64 / 2).max(1);
         let host = ProcArray::new(
             spec,
-            &opts.plan,
-            tracer,
+            host,
             || CellExec::new(side as i64, access, prog, steps, leaf),
             &Domain2::octahedron(
                 (side / 2) as i64,
@@ -425,8 +406,7 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
                 .collect()
         };
         let guest_time = mesh_guest_time(spec, prog, steps);
-        self.host
-            .finish(EngineKind::Multi2, spec, steps, guest_time, mem, values)
+        self.host.finish(guest_time, mem, values)
     }
 }
 
@@ -442,7 +422,7 @@ mod tests {
         let init = inputs::random_bits(42, 64);
         let prog = VonNeumannLife::fredkin();
         let mut tracer = Tracer::off();
-        let mut eng = Engine2::new(&spec, &prog, 16, RunOpts::default(), &mut tracer).unwrap();
+        let mut eng = Engine2::new(&spec, &prog, 64, 16, RunOpts::default(), &mut tracer).unwrap();
         eng.host.tile_space = 0;
         assert!(matches!(
             eng.run(&init),

@@ -12,14 +12,14 @@
 //! of `Θ(p·(n/p)^{1/d})` in-flight requests (quantified in
 //! `bsmp_analytic::extensions`).
 
-use bsmp_faults::{FaultEnv, FaultSession};
 use bsmp_hram::{CostMeter, Word};
-use bsmp_machine::{lease_scratch, linear_guest_time, LinearProgram, MachineSpec, StageClock};
-use bsmp_trace::{EngineKind, RunMeta, Tracer};
+use bsmp_machine::{linear_guest_time, LinearProgram, MachineSpec};
+use bsmp_trace::{EngineKind, Tracer};
 
 use crate::error::SimError;
+use crate::procs::StageHost;
 use crate::report::SimReport;
-use crate::{settle_scenario, stage_totals, RunOpts};
+use crate::RunOpts;
 
 /// Naive simulation of `M_1(n, n, m)` on a pipelined-memory
 /// `M_1(n, p, m)` host, with preconditions checked.  Reads `opts.plan`;
@@ -33,61 +33,31 @@ pub fn try_simulate_pipelined1(
     opts: RunOpts,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
+    let mut host = StageHost::for_spec(
+        EngineKind::Pipelined1,
+        spec,
+        steps,
+        prog.m(),
+        init.len(),
+        &opts.plan,
+        tracer,
+    )?;
     let n = spec.n as usize;
     let p = spec.p as usize;
     let m = prog.m();
-    if spec.d != 1 {
-        return Err(SimError::DimensionMismatch {
-            expected: 1,
-            got: spec.d,
-        });
-    }
-    if m as u64 != spec.m {
-        return Err(SimError::DensityMismatch {
-            spec_m: spec.m,
-            prog_m: m as u64,
-        });
-    }
-    if init.len() != n * m {
-        return Err(SimError::InitLength {
-            expected: n * m,
-            got: init.len(),
-        });
-    }
-    if !n.is_multiple_of(p) {
-        return Err(SimError::IndivisibleProcessors {
-            n: spec.n,
-            p: spec.p,
-        });
-    }
-    let plan = &opts.plan;
-    plan.validate()?;
     let q = n / p;
     let access = spec.access_fn();
     let hop = spec.neighbor_distance();
-    let mut session = FaultSession::new(
-        plan,
-        FaultEnv {
-            p,
-            hop,
-            checkpoint_words: spec.node_mem(),
-            proc_side: 1,
-        },
-    );
 
     // Functional state (plain vectors; the pipelined cost is computed
     // per batch, not per access).
     let mut mem = init.to_vec();
     let mut prev: Vec<Word> = (0..n).map(|v| mem[v * m + prog.cell(v, 0)]).collect();
     let mut next = vec![0 as Word; n];
-    let mut clock = StageClock::new();
     let mut meter = CostMeter::new();
 
-    let mut scratch = lease_scratch(p);
-    tracer.ensure_procs(p);
     for t in 1..=steps {
-        tracer.begin_stage("step");
-        let tally = tracer.tally();
+        host.begin_stage("step", []);
         for pi in 0..p {
             // The step's batch: one private-cell read + one write per
             // hosted node, plus the value-row traffic (2 reads + 1 write
@@ -123,43 +93,18 @@ pub fn try_simulate_pipelined1(
                 comm += 2.0 * hop;
                 msgs += 2;
             }
-            if let Some(tl) = tally {
-                tl.add(pi, q as u64, msgs);
-            }
+            host.tally(pi, q as u64, msgs);
             meter.add_transfer(local);
             meter.add_comm(comm);
-            scratch.per_proc[pi] = local + comm;
-            scratch.per_comm[pi] = comm;
+            host.cost[pi] = local + comm;
+            host.comm[pi] = comm;
         }
-        clock.add_stage_faulted(&scratch.per_proc, &scratch.per_comm, &mut session)?;
-        tracer.end_stage(stage_totals(&clock, &session.stats), 1);
+        host.close_stage(1, [])?;
         std::mem::swap(&mut prev, &mut next);
     }
-    settle_scenario(&mut clock, &mut session, tracer, 1);
 
     let guest_time = linear_guest_time(spec, prog, steps);
-    tracer.finish_run(
-        RunMeta {
-            engine: EngineKind::Pipelined1,
-            d: 1,
-            n: spec.n,
-            m: spec.m,
-            p: spec.p,
-            steps: steps.max(0) as u64,
-        },
-        clock.parallel_time,
-        guest_time,
-    );
-    Ok(SimReport {
-        mem,
-        values: prev,
-        host_time: clock.parallel_time,
-        guest_time,
-        meter,
-        space: n * m / p + 2 * q,
-        stages: clock.stages,
-        faults: session.into_stats(),
-    })
+    Ok(host.finish(mem, prev, guest_time, meter, n * m / p + 2 * q))
 }
 
 /// [`try_simulate_pipelined1`] with default options; panics on invalid

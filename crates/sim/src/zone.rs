@@ -113,11 +113,6 @@ impl ZoneAlloc {
         }
     }
 
-    /// Highest address usable by this zone, exclusive.
-    pub fn limit(&self) -> usize {
-        self.base + self.cap
-    }
-
     pub fn peak(&self) -> usize {
         self.peak
     }
