@@ -271,6 +271,7 @@ pub fn run_engine_suite(threads: usize, iters: u32) -> Vec<PerfCase> {
     // ---- d = 3 ----
     {
         let init3 = inputs::random_bits(6, 16 * 16 * 16);
+        let spec16 = MachineSpec::new(3, 16 * 16 * 16, 1, 1);
         // Not gated: the serial volume reference; dnc3_12c_T12 below is
         // the d = 3 engine whose regression the gate must catch, and a
         // 16³ naive sweep is short enough to be timer-noise bound.
@@ -280,13 +281,14 @@ pub fn run_engine_suite(threads: usize, iters: u32) -> Vec<PerfCase> {
             false,
             iters,
             || {
-                let r = simulate_naive3(16, &Parity3d, &init3, 16);
+                let r = simulate_naive3(&spec16, &Parity3d, &init3, 16);
                 (r.host_time, r.meter.table_hits)
             },
         ));
         let init3b = inputs::random_bits(7, 12 * 12 * 12);
+        let spec12 = MachineSpec::new(3, 12 * 12 * 12, 1, 1);
         cases.push(case("dnc3_12c_T12", 12 * 12 * 12 * 12, true, iters, || {
-            let r = simulate_dnc3(12, &Parity3d, &init3b, 12);
+            let r = simulate_dnc3(&spec12, &Parity3d, &init3b, 12);
             (r.host_time, r.meter.table_hits)
         }));
     }

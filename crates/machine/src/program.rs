@@ -110,9 +110,75 @@ pub trait VolumeProgram: Sync {
     ) -> Word;
 }
 
+/// A guest program of the `D`-dimensional mesh, whichever of the three
+/// program traits it was written against: the direct runner
+/// ([`crate::guest`]) and the simulation engines call programs through
+/// this one view.
+pub trait Guest<const D: usize> {
+    fn m(&self) -> usize;
+    fn boundary(&self) -> Word;
+    fn cell(&self, x: [usize; D], t: i64) -> usize;
+    /// `nb[i]` holds the neighbours at `x_i − 1` and `x_i + 1`.
+    fn delta(&self, x: [usize; D], t: i64, own: Word, prev: Word, nb: [[Word; 2]; D]) -> Word;
+}
+
+impl<P: LinearProgram> Guest<1> for P {
+    fn m(&self) -> usize {
+        LinearProgram::m(self)
+    }
+    fn boundary(&self) -> Word {
+        LinearProgram::boundary(self)
+    }
+    fn cell(&self, [x]: [usize; 1], t: i64) -> usize {
+        LinearProgram::cell(self, x, t)
+    }
+    fn delta(
+        &self,
+        [x]: [usize; 1],
+        t: i64,
+        own: Word,
+        prev: Word,
+        [[l, r]]: [[Word; 2]; 1],
+    ) -> Word {
+        LinearProgram::delta(self, x, t, own, prev, l, r)
+    }
+}
+
+impl<P: MeshProgram> Guest<2> for P {
+    fn m(&self) -> usize {
+        MeshProgram::m(self)
+    }
+    fn boundary(&self) -> Word {
+        MeshProgram::boundary(self)
+    }
+    fn cell(&self, [x, y]: [usize; 2], t: i64) -> usize {
+        MeshProgram::cell(self, x, y, t)
+    }
+    fn delta(&self, [x, y]: [usize; 2], t: i64, own: Word, prev: Word, nb: [[Word; 2]; 2]) -> Word {
+        let [[west, east], [south, north]] = nb;
+        MeshProgram::delta(self, x, y, t, own, prev, west, east, south, north)
+    }
+}
+
+impl<P: VolumeProgram> Guest<3> for P {
+    fn m(&self) -> usize {
+        VolumeProgram::m(self)
+    }
+    fn boundary(&self) -> Word {
+        VolumeProgram::boundary(self)
+    }
+    fn cell(&self, [x, y, z]: [usize; 3], t: i64) -> usize {
+        VolumeProgram::cell(self, x, y, z, t)
+    }
+    fn delta(&self, x: [usize; 3], t: i64, own: Word, prev: Word, nb: [[Word; 2]; 3]) -> Word {
+        let [[a, b], [c, d], [e, f]] = nb;
+        VolumeProgram::delta(self, x[0], x[1], x[2], t, own, prev, [a, b, c, d, e, f])
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::{LinearProgram, Word};
 
     struct Xor;
     impl LinearProgram for Xor {

@@ -8,23 +8,32 @@ use bsmp_hram::{AccessFn, CostModel};
 /// Rejected machine parameters (Definition 2 preconditions).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpecError {
-    /// Engines support layout dimensions 1 and 2 only.
+    /// Engines support layout dimensions 1, 2 and 3 only.
     UnsupportedDimension { d: u8 },
     /// `n ≥ 1` and `m ≥ 1` are required.
     ZeroExtent { n: u64, m: u64 },
     /// `1 ≤ p ≤ n` is required.
     ProcessorsOutOfRange { n: u64, p: u64 },
-    /// `d = 2` requires `n` to be a perfect square.
-    VolumeNotSquare { n: u64 },
-    /// `d = 2` requires `p` to be a perfect square.
-    ProcessorsNotSquare { p: u64 },
+    /// `n` must be a perfect `d`-th power (a square mesh, a cube).
+    VolumeNotPower { d: u8, n: u64 },
+    /// `p` must be a perfect `d`-th power.
+    ProcessorsNotPower { d: u8, p: u64 },
+}
+
+/// "square" or "cube": the perfect power a `d`-dimensional side needs.
+fn power_name(d: u8) -> &'static str {
+    if d == 2 {
+        "square"
+    } else {
+        "cube"
+    }
 }
 
 impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             SpecError::UnsupportedDimension { d } => {
-                write!(f, "engines support d ∈ {{1, 2}}, got d = {d}")
+                write!(f, "engines support d ∈ {{1, 2, 3}}, got d = {d}")
             }
             SpecError::ZeroExtent { n, m } => {
                 write!(f, "need n ≥ 1 and m ≥ 1, got n = {n}, m = {m}")
@@ -32,11 +41,13 @@ impl fmt::Display for SpecError {
             SpecError::ProcessorsOutOfRange { n, p } => {
                 write!(f, "need 1 ≤ p ≤ n, got p = {p} with n = {n}")
             }
-            SpecError::VolumeNotSquare { n } => {
-                write!(f, "d = 2 requires n to be a perfect square, got n = {n}")
+            SpecError::VolumeNotPower { d, n } => {
+                let w = power_name(d);
+                write!(f, "d = {d} requires n to be a perfect {w}, got n = {n}")
             }
-            SpecError::ProcessorsNotSquare { p } => {
-                write!(f, "d = 2 requires p to be a perfect square, got p = {p}")
+            SpecError::ProcessorsNotPower { d, p } => {
+                let w = power_name(d);
+                write!(f, "d = {d} requires p to be a perfect {w}, got p = {p}")
             }
         }
     }
@@ -52,7 +63,7 @@ impl Error for SpecError {}
 /// `n` is the machine's `d`-dimensional volume; `n·m` its total memory.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MachineSpec {
-    /// Layout dimension (1 = linear array, 2 = square mesh).
+    /// Layout dimension (1 = linear array, 2 = square mesh, 3 = cube).
     pub d: u8,
     /// Machine volume (number of guest-scale node slots).
     pub n: u64,
@@ -68,7 +79,7 @@ impl MachineSpec {
     /// A bounded-speed machine, with the Definition 2 preconditions
     /// checked up front.
     pub fn try_new(d: u8, n: u64, p: u64, m: u64) -> Result<Self, SpecError> {
-        if !(1..=2).contains(&d) {
+        if !(1..=3).contains(&d) {
             return Err(SpecError::UnsupportedDimension { d });
         }
         if n < 1 || m < 1 {
@@ -77,15 +88,11 @@ impl MachineSpec {
         if p < 1 || p > n {
             return Err(SpecError::ProcessorsOutOfRange { n, p });
         }
-        if d == 2 {
-            let sn = (n as f64).sqrt() as u64;
-            if sn * sn != n {
-                return Err(SpecError::VolumeNotSquare { n });
-            }
-            let sp = (p as f64).sqrt() as u64;
-            if sp * sp != p {
-                return Err(SpecError::ProcessorsNotSquare { p });
-            }
+        if exact_root(n, d).is_none() {
+            return Err(SpecError::VolumeNotPower { d, n });
+        }
+        if exact_root(p, d).is_none() {
+            return Err(SpecError::ProcessorsNotPower { d, p });
         }
         Ok(MachineSpec {
             d,
@@ -140,7 +147,8 @@ impl MachineSpec {
                 let v = (self.n / self.p) as f64;
                 match self.d {
                     1 => v,
-                    _ => v.sqrt(),
+                    2 => v.sqrt(),
+                    _ => v.cbrt(),
                 }
             }
         }
@@ -162,17 +170,27 @@ impl MachineSpec {
         words as f64 * hops as f64 * self.neighbor_distance()
     }
 
-    /// Side of the processor grid for `d = 2` (`√p`).
+    /// Side of the processor grid (`p^{1/d}`).
     pub fn proc_side(&self) -> u64 {
-        debug_assert_eq!(self.d, 2);
-        (self.p as f64).sqrt().round() as u64
+        exact_root(self.p, self.d).expect("checked by try_new")
     }
 
-    /// Side of the guest mesh for `d = 2` (`√n`).
+    /// Side of the guest mesh (`n^{1/d}`).
     pub fn mesh_side(&self) -> u64 {
-        debug_assert_eq!(self.d, 2);
-        (self.n as f64).sqrt().round() as u64
+        exact_root(self.n, self.d).expect("checked by try_new")
     }
+}
+
+/// The integer `d`-th root of `x` (`d ≤ 3`), if `x` is a perfect
+/// `d`-th power.  `f64::cbrt` is exact on perfect cubes far past any
+/// machine this crate builds; the power check catches the rest.
+fn exact_root(x: u64, d: u8) -> Option<u64> {
+    let r = match d {
+        1 => x,
+        2 => x.isqrt(),
+        _ => (x as f64).cbrt().round() as u64,
+    };
+    (r.checked_pow(d as u32) == Some(x)).then_some(r)
 }
 
 #[cfg(test)]
@@ -224,8 +242,8 @@ mod tests {
     #[test]
     fn try_new_reports_each_precondition() {
         assert_eq!(
-            MachineSpec::try_new(3, 8, 2, 1),
-            Err(SpecError::UnsupportedDimension { d: 3 })
+            MachineSpec::try_new(4, 16, 1, 1),
+            Err(SpecError::UnsupportedDimension { d: 4 })
         );
         assert_eq!(
             MachineSpec::try_new(1, 0, 1, 1),
@@ -237,11 +255,25 @@ mod tests {
         );
         assert_eq!(
             MachineSpec::try_new(2, 1000, 4, 1),
-            Err(SpecError::VolumeNotSquare { n: 1000 })
+            Err(SpecError::VolumeNotPower { d: 2, n: 1000 })
         );
         assert_eq!(
             MachineSpec::try_new(2, 1024, 8, 1),
-            Err(SpecError::ProcessorsNotSquare { p: 8 })
+            Err(SpecError::ProcessorsNotPower { d: 2, p: 8 })
+        );
+        let cube = MachineSpec::try_new(3, 64, 1, 1).expect("4³ with p = 1");
+        assert_eq!((cube.mesh_side(), cube.neighbor_distance()), (4, 4.0));
+        assert_eq!(
+            MachineSpec::try_new(3, 512, 8, 1).map(|s| s.proc_side()),
+            Ok(2)
+        );
+        assert_eq!(
+            MachineSpec::try_new(3, 65, 1, 1),
+            Err(SpecError::VolumeNotPower { d: 3, n: 65 })
+        );
+        assert_eq!(
+            MachineSpec::try_new(3, 64, 4, 1),
+            Err(SpecError::ProcessorsNotPower { d: 3, p: 4 })
         );
         assert_eq!(
             MachineSpec::try_new(1, 64, 4, 2),

@@ -3,7 +3,7 @@
 
 use bsmp_faults::rng::Rng64;
 use bsmp_hram::Word;
-use bsmp_machine::{linear_guest_time, run_linear, LinearProgram, MachineSpec, StageClock};
+use bsmp_machine::{guest_time, run_linear, LinearProgram, MachineSpec, StageClock};
 
 const CASES: usize = 64;
 
@@ -43,7 +43,7 @@ fn guest_time_matches_clock_helper() {
         let steps = rng.range_i64(0, 16);
         let spec = MachineSpec::new(1, 8, 8, 1);
         let run = run_linear(&spec, &Rule(rule), &bits, steps);
-        assert!((run.time - linear_guest_time(&spec, &Rule(rule), steps)).abs() < 1e-9);
+        assert!((run.time - guest_time::<1>(&spec, &Rule(rule), steps)).abs() < 1e-9);
     }
 }
 

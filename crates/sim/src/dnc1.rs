@@ -11,7 +11,7 @@
 
 use bsmp_geometry::Diamond;
 use bsmp_hram::Word;
-use bsmp_machine::{linear_guest_time, LinearProgram, MachineSpec};
+use bsmp_machine::{guest_time, LinearProgram, MachineSpec};
 use bsmp_trace::Tracer;
 
 use crate::error::SimError;
@@ -43,8 +43,7 @@ pub fn try_simulate_dnc1(
         &opts.plan,
         tracer,
     )?;
-    let guest_time = linear_guest_time(spec, prog, steps);
-    run_uniprocessor(host, guest_time, || {
+    run_uniprocessor(host, guest_time::<1>(spec, prog, steps), || {
         let n = spec.n as i64;
         let mut exec = CellExec::<Diamond, _, 1>::new(n, spec.access_fn(), prog, steps, leaf_h);
         let (mem, values) = exec.run(init)?;

@@ -6,7 +6,7 @@
 
 use bsmp_geometry::Domain2;
 use bsmp_hram::Word;
-use bsmp_machine::{mesh_guest_time, MachineSpec, MeshProgram};
+use bsmp_machine::{guest_time, MachineSpec, MeshProgram};
 use bsmp_trace::Tracer;
 
 use crate::error::SimError;
@@ -37,8 +37,7 @@ pub fn try_simulate_dnc2(
         &opts.plan,
         tracer,
     )?;
-    let guest_time = mesh_guest_time(spec, prog, steps);
-    run_uniprocessor(host, guest_time, || {
+    run_uniprocessor(host, guest_time::<2>(spec, prog, steps), || {
         let side = spec.mesh_side() as i64;
         let mut exec = CellExec::<Domain2, _, 2>::new(side, spec.access_fn(), prog, steps, leaf_h);
         let (mem, values) = exec.run(init)?;

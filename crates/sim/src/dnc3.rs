@@ -5,11 +5,10 @@
 //! verified in the tests and experiment E11c, against the naive
 //! `O(n^{4/3})` (Proposition 1 with d = 3).
 
-use bsmp_faults::FaultEnv;
 use bsmp_geometry::Domain3;
-use bsmp_hram::{AccessFn, CostTable, Hram, Word};
-use bsmp_machine::{volume_guest_time, VolumeProgram};
-use bsmp_trace::{RunMeta, Tracer};
+use bsmp_hram::{CostTable, Hram, Word};
+use bsmp_machine::{guest_time, MachineSpec, VolumeProgram};
+use bsmp_trace::Tracer;
 
 use crate::error::SimError;
 use crate::execd::CellExec;
@@ -22,18 +21,25 @@ use crate::{EngineKind, RunOpts};
 /// with preconditions checked.  Reads `opts.plan`; the tracer sees the
 /// run as a single bulk stage.
 pub fn try_simulate_dnc3(
-    side: usize,
+    spec: &MachineSpec,
     prog: &impl VolumeProgram,
     init: &[Word],
     steps: i64,
     opts: RunOpts,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
-    let host = volume_host(EngineKind::Dnc3, side, prog, init, steps, opts, tracer)?;
-    let guest_time = volume_guest_time(side, 1, prog, steps);
-    run_uniprocessor(host, guest_time, || {
-        let access = AccessFn::new(3, 1);
-        let mut exec = CellExec::<Domain3, _, 3>::new(side as i64, access, prog, steps, 1);
+    let host = StageHost::for_spec(
+        EngineKind::Dnc3,
+        spec,
+        steps,
+        prog.m(),
+        init.len(),
+        &opts.plan,
+        tracer,
+    )?;
+    let side = spec.mesh_side() as i64;
+    run_uniprocessor(host, guest_time::<3>(spec, prog, steps), || {
+        let mut exec = CellExec::<Domain3, _, 3>::new(side, spec.access_fn(), prog, steps, 1);
         let (mem, values) = exec.run(init)?;
         Ok((mem, values, exec.ram))
     })
@@ -42,13 +48,13 @@ pub fn try_simulate_dnc3(
 /// [`try_simulate_dnc3`] with default options; panics on invalid
 /// parameters.
 pub fn simulate_dnc3(
-    side: usize,
+    spec: &MachineSpec,
     prog: &impl VolumeProgram,
     init: &[Word],
     steps: i64,
 ) -> SimReport {
     try_simulate_dnc3(
-        side,
+        spec,
         prog,
         init,
         steps,
@@ -63,26 +69,26 @@ pub fn simulate_dnc3(
 /// with preconditions checked.  Reads `opts.plan`; the tracer sees the
 /// run as a single bulk stage.
 pub fn try_simulate_naive3(
-    side: usize,
+    spec: &MachineSpec,
     prog: &impl VolumeProgram,
     init: &[Word],
     steps: i64,
     opts: RunOpts,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
-    run_naive3(side, prog, init, steps, opts, tracer, false)
+    run_naive3(spec, prog, init, steps, opts, tracer, false)
 }
 
 /// [`try_simulate_naive3`] with default options; panics on invalid
 /// parameters.
 pub fn simulate_naive3(
-    side: usize,
+    spec: &MachineSpec,
     prog: &impl VolumeProgram,
     init: &[Word],
     steps: i64,
 ) -> SimReport {
     try_simulate_naive3(
-        side,
+        spec,
         prog,
         init,
         steps,
@@ -97,17 +103,17 @@ pub fn simulate_naive3(
 /// `table_hits`; every other field is bit-identical to the tiled path.
 #[doc(hidden)]
 pub fn try_simulate_naive3_scalar(
-    side: usize,
+    spec: &MachineSpec,
     prog: &impl VolumeProgram,
     init: &[Word],
     steps: i64,
 ) -> Result<SimReport, SimError> {
     let off = &mut Tracer::off();
-    run_naive3(side, prog, init, steps, RunOpts::default(), off, true)
+    run_naive3(spec, prog, init, steps, RunOpts::default(), off, true)
 }
 
 fn run_naive3(
-    side: usize,
+    spec: &MachineSpec,
     prog: &impl VolumeProgram,
     init: &[Word],
     steps: i64,
@@ -115,53 +121,31 @@ fn run_naive3(
     tracer: &mut Tracer,
     force_scalar: bool,
 ) -> Result<SimReport, SimError> {
-    let host = volume_host(EngineKind::Naive3, side, prog, init, steps, opts, tracer)?;
-    let guest_time = volume_guest_time(side, 1, prog, steps);
-    run_uniprocessor(host, guest_time, || {
-        Ok(naive3_kernel(side, prog, init, steps, force_scalar))
+    let host = StageHost::for_spec(
+        EngineKind::Naive3,
+        spec,
+        steps,
+        prog.m(),
+        init.len(),
+        &opts.plan,
+        tracer,
+    )?;
+    run_uniprocessor(host, guest_time::<3>(spec, prog, steps), || {
+        Ok(naive3_kernel(spec, prog, init, steps, force_scalar))
     })
-}
-
-/// The host of a `d = 3` uniprocessor run of side `side`: the checked
-/// inputs, `opts.plan`, and the trace header.
-fn volume_host<'t>(
-    kind: EngineKind,
-    side: usize,
-    prog: &impl VolumeProgram,
-    init: &[Word],
-    steps: i64,
-    opts: RunOpts,
-    tracer: &'t mut Tracer,
-) -> Result<StageHost<'t>, SimError> {
-    let n = (side * side * side) as u64;
-    let meta = RunMeta {
-        engine: kind,
-        d: 3,
-        n,
-        m: 1,
-        p: 1,
-        steps: steps.max(0) as u64,
-    };
-    let env = FaultEnv {
-        p: 1,
-        hop: side as f64,
-        checkpoint_words: n,
-        proc_side: 1,
-    };
-    StageHost::new(meta, env, prog.m(), init.len(), &opts.plan, tracer)
 }
 
 /// The naive `d = 3` step loop on one H-RAM of side³ nodes: the final
 /// memory image, the values, and the metered H-RAM.
 fn naive3_kernel(
-    side: usize,
+    spec: &MachineSpec,
     prog: &impl VolumeProgram,
     init: &[Word],
     steps: i64,
     force_scalar: bool,
 ) -> (Vec<Word>, Vec<Word>, Hram) {
-    let n = side * side * side;
-    let access = AccessFn::new(3, 1);
+    let (n, side) = (spec.n as usize, spec.mesh_side() as usize);
+    let access = spec.access_fn();
     let mut ram = Hram::new(access, 3 * n);
     // Layout: value row A at [0, n), row B at [n, 2n).
     for (v, w) in init.iter().enumerate() {
@@ -331,22 +315,22 @@ mod tests {
     use bsmp_machine::run_volume;
     use bsmp_workloads::{inputs, Parity3d};
 
-    fn check_equiv(side: usize, steps: i64, seed: u64) -> (SimReport, SimReport) {
-        let n = side * side * side;
-        let init = inputs::random_bits(seed, n);
+    fn check_equiv(side: u64, steps: i64, seed: u64) -> (SimReport, SimReport) {
+        let spec = MachineSpec::new(3, side.pow(3), 1, 1);
+        let init = inputs::random_bits(seed, spec.n as usize);
         let prog = Parity3d;
-        let guest = run_volume(side, 1, &prog, &init, steps);
-        let d = simulate_dnc3(side, &prog, &init, steps);
+        let guest = run_volume(&spec, &prog, &init, steps);
+        let d = simulate_dnc3(&spec, &prog, &init, steps);
         d.assert_matches(&guest.mem, &guest.values);
-        let v = simulate_naive3(side, &prog, &init, steps);
+        let v = simulate_naive3(&spec, &prog, &init, steps);
         v.assert_matches(&guest.mem, &guest.values);
         (d, v)
     }
 
     #[test]
     fn equivalence_small_volumes() {
-        for (side, steps) in [(2usize, 3i64), (3, 4), (4, 4), (4, 9)] {
-            check_equiv(side, steps, side as u64);
+        for (side, steps) in [(2u64, 3i64), (3, 4), (4, 4), (4, 9)] {
+            check_equiv(side, steps, side);
         }
     }
 

@@ -82,10 +82,10 @@ pub fn run_mesh(
     }
 }
 
-/// Run a `d = 3` engine on a volume guest program of side `side`.
+/// Run a `d = 3` engine on a volume guest program.
 pub fn run_volume(
     kind: EngineKind,
-    side: usize,
+    spec: &MachineSpec,
     prog: &impl VolumeProgram,
     init: &[Word],
     steps: i64,
@@ -93,8 +93,8 @@ pub fn run_volume(
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
     match kind {
-        EngineKind::Naive3 => dnc3::try_simulate_naive3(side, prog, init, steps, opts, tracer),
-        EngineKind::Dnc3 => dnc3::try_simulate_dnc3(side, prog, init, steps, opts, tracer),
+        EngineKind::Naive3 => dnc3::try_simulate_naive3(spec, prog, init, steps, opts, tracer),
+        EngineKind::Dnc3 => dnc3::try_simulate_dnc3(spec, prog, init, steps, opts, tracer),
         _ => Err(SimError::DimensionMismatch {
             expected: kind.d(),
             got: 3,

@@ -31,6 +31,8 @@ pub enum SimError {
     InvalidStrip { s: u64, n: u64, p: u64 },
     /// A divide-and-conquer engine was asked to run with `p > 1`.
     UniprocessorOnly { engine: &'static str, p: u64 },
+    /// A `d = 3` volume engine was asked to run with `m > 1`.
+    UnitDensityOnly { engine: &'static str, m: u64 },
     /// Machine parameters failed Definition 2 validation.
     Spec(SpecError),
     /// The fault plan's parameters are invalid.
@@ -126,6 +128,9 @@ impl fmt::Display for SimError {
                     f,
                     "{engine} is a uniprocessor engine (needs p = 1, got p = {p})"
                 )
+            }
+            SimError::UnitDensityOnly { engine, m } => {
+                write!(f, "{engine} runs m = 1 programs only, got m = {m}")
             }
             SimError::Spec(e) => write!(f, "{e}"),
             SimError::Fault(e) => write!(f, "{e}"),

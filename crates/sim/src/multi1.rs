@@ -46,7 +46,7 @@ use bsmp_machine::{FxHashMap, FxHashSet};
 
 use bsmp_geometry::{diamond_cover, ClippedDiamond, Diamond, IRect, Pt2};
 use bsmp_hram::{AccessFn, Word};
-use bsmp_machine::{linear_guest_time, LinearProgram, MachineSpec};
+use bsmp_machine::{guest_time, LinearProgram, MachineSpec};
 use bsmp_trace::{EngineKind, Tracer};
 
 use crate::error::SimError;
@@ -889,7 +889,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
                 .map(|x| self.vals[&Pt2::new(x as i64, steps)])
                 .collect()
         };
-        let guest_time = linear_guest_time(spec, prog, steps);
+        let guest_time = guest_time::<1>(spec, prog, steps);
         self.host.finish(guest_time, mem, values)
     }
 }

@@ -31,7 +31,7 @@ use bsmp_machine::FxHashMap;
 
 use bsmp_geometry::{cell_cover, ClippedDomain2, Domain2, IBox, Pt3};
 use bsmp_hram::{AccessFn, Word};
-use bsmp_machine::{mesh_guest_time, MachineSpec, MeshProgram};
+use bsmp_machine::{guest_time, MachineSpec, MeshProgram};
 use bsmp_trace::{EngineKind, Tracer};
 
 use crate::error::SimError;
@@ -405,7 +405,7 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
                 .map(|v| self.vals[&Pt3::new((v % side) as i64, (v / side) as i64, steps)])
                 .collect()
         };
-        let guest_time = mesh_guest_time(spec, prog, steps);
+        let guest_time = guest_time::<2>(spec, prog, steps);
         self.host.finish(guest_time, mem, values)
     }
 }

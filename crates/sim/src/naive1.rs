@@ -10,7 +10,7 @@
 //! values crossing the processor boundary are charged `words × n/p`.
 
 use bsmp_hram::{CostTable, Hram, Word};
-use bsmp_machine::{linear_guest_time, DisjointSlice, LinearProgram, MachineSpec};
+use bsmp_machine::{guest_time, DisjointSlice, LinearProgram, MachineSpec};
 use bsmp_trace::{EngineKind, StageTally, Tracer};
 
 use crate::error::SimError;
@@ -459,7 +459,7 @@ fn try_simulate_naive1_impl(
             mem[v * m + c] = rams[pi].peek(j * m + c);
         }
     }
-    let guest_time = linear_guest_time(spec, prog, steps);
+    let guest_time = guest_time::<1>(spec, prog, steps);
     Ok(host.finish_procs(mem, prev, guest_time, &rams))
 }
 

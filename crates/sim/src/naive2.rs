@@ -5,7 +5,7 @@
 //! `O((n/p)^{3/2})` — Proposition 1 with `d = 2`.
 
 use bsmp_hram::{CostTable, Hram, Word};
-use bsmp_machine::{mesh_guest_time, DisjointSlice, MachineSpec, MeshProgram};
+use bsmp_machine::{guest_time, DisjointSlice, MachineSpec, MeshProgram};
 use bsmp_trace::{EngineKind, StageTally, Tracer};
 
 use crate::error::SimError;
@@ -387,7 +387,7 @@ fn try_simulate_naive2_impl(
             }
         }
     }
-    let guest_time = mesh_guest_time(spec, prog, steps);
+    let guest_time = guest_time::<2>(spec, prog, steps);
     Ok(host.finish_procs(mem, prev, guest_time, &rams))
 }
 

@@ -13,7 +13,7 @@
 //! `bsmp_analytic::extensions`).
 
 use bsmp_hram::{CostMeter, Word};
-use bsmp_machine::{linear_guest_time, LinearProgram, MachineSpec};
+use bsmp_machine::{guest_time, LinearProgram, MachineSpec};
 use bsmp_trace::{EngineKind, Tracer};
 
 use crate::error::SimError;
@@ -103,7 +103,7 @@ pub fn try_simulate_pipelined1(
         std::mem::swap(&mut prev, &mut next);
     }
 
-    let guest_time = linear_guest_time(spec, prog, steps);
+    let guest_time = guest_time::<1>(spec, prog, steps);
     Ok(host.finish(mem, prev, guest_time, meter, n * m / p + 2 * q))
 }
 

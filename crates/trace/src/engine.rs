@@ -97,6 +97,15 @@ impl EngineKind {
         }
     }
 
+    /// Whether the engine runs on one processor (`p = 1`): the
+    /// divide-and-conquer engines and `naive3`.
+    pub fn uniprocessor(self) -> bool {
+        matches!(
+            self,
+            EngineKind::Dnc1 | EngineKind::Dnc2 | EngineKind::Naive3 | EngineKind::Dnc3
+        )
+    }
+
     /// Look an engine up by [`name`](Self::name).
     pub fn parse(name: &str) -> Option<EngineKind> {
         Self::ALL.into_iter().find(|k| k.name() == name)

@@ -31,16 +31,17 @@ impl VolumeProgram for Parity3d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsmp_machine::run_volume;
+    use bsmp_machine::{run_volume, MachineSpec};
 
     #[test]
     fn impulse_moves_to_six_neighbors() {
         let side = 5usize;
         let n = side * side * side;
+        let spec = MachineSpec::new(3, n as u64, 1, 1);
         let mut init = vec![0; n];
         let idx = |x: usize, y: usize, z: usize| (z * side + y) * side + x;
         init[idx(2, 2, 2)] = 1;
-        let run = run_volume(side, 1, &Parity3d, &init, 1);
+        let run = run_volume(&spec, &Parity3d, &init, 1);
         let live: usize = run.values.iter().map(|&v| v as usize).sum();
         assert_eq!(live, 6);
         assert_eq!(run.values[idx(1, 2, 2)], 1);
@@ -50,14 +51,14 @@ mod tests {
 
     #[test]
     fn linearity_over_gf2() {
-        let side = 4usize;
-        let n = side * side * side;
+        let n = 64usize;
+        let spec = MachineSpec::new(3, n as u64, 1, 1);
         let a: Vec<Word> = (0..n as u64).map(|i| (i * 7 + 1) % 2).collect();
         let b: Vec<Word> = (0..n as u64).map(|i| (i * 5 + 2) % 2).collect();
         let ab: Vec<Word> = a.iter().zip(&b).map(|(x, y)| x ^ y).collect();
-        let ra = run_volume(side, 1, &Parity3d, &a, 3).values;
-        let rb = run_volume(side, 1, &Parity3d, &b, 3).values;
-        let rab = run_volume(side, 1, &Parity3d, &ab, 3).values;
+        let ra = run_volume(&spec, &Parity3d, &a, 3).values;
+        let rb = run_volume(&spec, &Parity3d, &b, 3).values;
+        let rab = run_volume(&spec, &Parity3d, &ab, 3).values;
         let xor: Vec<Word> = ra.iter().zip(&rb).map(|(x, y)| x ^ y).collect();
         assert_eq!(rab, xor);
     }

@@ -49,7 +49,10 @@ fn run_all_engines(plan: &FaultPlan, exec: ExecPolicy) -> Vec<Outcome> {
     let spec2 = MachineSpec::new(2, 64, 4, 1);
     let uni2 = MachineSpec::new(2, 64, 1, 1);
     // d = 3: uniprocessor engines, side³ = 27 nodes.
-    let init3 = inputs::random_bits(0xC0DE + 2, 27);
+    let (spec3, init3) = (
+        MachineSpec::new(3, 27, 1, 1),
+        inputs::random_bits(0xC0DE + 2, 27),
+    );
     EngineKind::ALL
         .into_iter()
         .map(|kind| {
@@ -60,7 +63,7 @@ fn run_all_engines(plan: &FaultPlan, exec: ExecPolicy) -> Vec<Outcome> {
                 _ => match kind.d() {
                     1 => engine::run_linear(kind, &spec1, &prog1, &init1, 32, opts, off),
                     2 => engine::run_mesh(kind, &spec2, &prog2, &init2, 8, opts, off),
-                    _ => engine::run_volume(kind, 3, &Parity3d, &init3, 3, opts, off),
+                    _ => engine::run_volume(kind, &spec3, &Parity3d, &init3, 3, opts, off),
                 },
             };
             let engine = kind.name();

@@ -266,7 +266,8 @@ impl bsmp::machine::VolumeProgram for TwoCellVolume {
 /// Every engine refuses each malformed input with the same typed
 /// `SimError`: a spec of the wrong dimension, a program of the wrong
 /// density, a short initial image and, where they apply, an indivisible
-/// `p` or mesh side, or `p > 1` on a uniprocessor engine.
+/// `p` or mesh side, `p > 1` on a uniprocessor engine, or `m > 1` on a
+/// volume engine.
 #[test]
 fn malformed_inputs_get_the_same_typed_error_on_every_engine() {
     use bsmp::machine::VolumeProgram;
@@ -279,10 +280,7 @@ fn malformed_inputs_get_the_same_typed_error_on_every_engine() {
     let life = VonNeumannLife::fredkin();
     let bits = |len: usize| inputs::random_bits(98, len);
     for kind in EngineKind::ALL {
-        let uni = matches!(
-            kind,
-            EngineKind::Dnc1 | EngineKind::Dnc2 | EngineKind::Naive3 | EngineKind::Dnc3
-        );
+        let uni = kind.uniprocessor();
         let p = if uni { 1 } else { 4 };
         let mut cases: Vec<(&str, Result<SimReport, SimError>, SimError)> = Vec::new();
         let dim = |got| DimensionMismatch {
@@ -394,6 +392,7 @@ fn malformed_inputs_get_the_same_typed_error_on_every_engine() {
             _ => {
                 let parity = bsmp::workloads::Parity3d;
                 assert_eq!(parity.m(), 1);
+                let cube = MachineSpec::new(3, 27, 1, 1);
                 cases.push((
                     "dimension",
                     engine::run_linear(
@@ -411,16 +410,61 @@ fn malformed_inputs_get_the_same_typed_error_on_every_engine() {
                     },
                 ));
                 cases.push((
+                    "volume engine on a mesh spec",
+                    engine::run_volume(
+                        kind,
+                        &MachineSpec::new(2, 64, 1, 1),
+                        &parity,
+                        &bits(64),
+                        3,
+                        opts,
+                        off,
+                    ),
+                    dim(2),
+                ));
+                cases.push((
                     "density",
-                    engine::run_volume(kind, 3, &TwoCellVolume, &bits(54), 3, opts, off),
+                    engine::run_volume(kind, &cube, &TwoCellVolume, &bits(54), 3, opts, off),
                     DensityMismatch {
                         spec_m: 1,
                         prog_m: 2,
                     },
                 ));
                 cases.push((
+                    "m > 1",
+                    engine::run_volume(
+                        kind,
+                        &MachineSpec::new(3, 27, 1, 2),
+                        &TwoCellVolume,
+                        &bits(54),
+                        3,
+                        opts,
+                        off,
+                    ),
+                    UnitDensityOnly {
+                        engine: kind.name(),
+                        m: 2,
+                    },
+                ));
+                cases.push((
+                    "p > 1",
+                    engine::run_volume(
+                        kind,
+                        &MachineSpec::new(3, 64, 8, 1),
+                        &parity,
+                        &bits(64),
+                        3,
+                        opts,
+                        off,
+                    ),
+                    UniprocessorOnly {
+                        engine: kind.name(),
+                        p: 8,
+                    },
+                ));
+                cases.push((
                     "init",
-                    engine::run_volume(kind, 3, &parity, &bits(26), 3, opts, off),
+                    engine::run_volume(kind, &cube, &parity, &bits(26), 3, opts, off),
                     InitLength {
                         expected: 27,
                         got: 26,

@@ -163,12 +163,11 @@ fn naive2_tiled_matches_scalar_bitwise() {
 #[test]
 fn naive3_tiled_matches_scalar_bitwise() {
     for side in [4i64, 6, 8] {
-        let n = (side * side * side) as usize;
-        let init = inputs::random_bits(13, n);
+        let spec = MachineSpec::new(3, side.pow(3) as u64, 1, 1);
+        let init = inputs::random_bits(13, spec.n as usize);
         let steps = side;
-        let tiled = dnc3::simulate_naive3(side as usize, &Parity3d, &init, steps);
-        let scalar =
-            dnc3::try_simulate_naive3_scalar(side as usize, &Parity3d, &init, steps).unwrap();
+        let tiled = dnc3::simulate_naive3(&spec, &Parity3d, &init, steps);
+        let scalar = dnc3::try_simulate_naive3_scalar(&spec, &Parity3d, &init, steps).unwrap();
         assert_bit_identical(&tiled, &scalar, &format!("naive3 side={side}"));
         assert_eq!(scalar.meter.table_hits, 0, "naive3 scalar used tables");
         assert!(tiled.meter.table_hits > 0, "naive3 tiled path not taken");
