@@ -190,10 +190,6 @@ impl FaultSession {
         FaultSession::new(&FaultPlan::none(), FaultEnv::trivial())
     }
 
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// The static per-processor link table (asymmetry multipliers), all
     /// 1 for symmetric links.
     pub fn link_table(&self) -> &[f64] {
