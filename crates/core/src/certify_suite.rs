@@ -14,8 +14,8 @@
 //!   which always lands in R1.
 //!
 //! Every case is seeded and deterministic; [`run_case`] executes the
-//! engine with tracing on, stamps the Theorem-1 regime, and feeds the
-//! trace through [`bsmp_trace::certify::certify`].
+//! engine with tracing on and feeds the trace (which carries its
+//! Theorem-1 regime) through [`bsmp_trace::certify::certify`].
 
 use bsmp_faults::FaultPlan;
 use bsmp_sim::{SimError, SimReport};
@@ -146,11 +146,7 @@ pub fn run_case_reported(
         plan,
         &mut tracer,
     )?;
-    let mut trace = tracer.take().expect("recording tracer yields a trace");
-    trace.summary.regime = format!(
-        "{:?}",
-        bsmp_analytic::theorem1::range(case.d, case.n as f64, case.m as f64, case.p as f64)
-    );
+    let trace = tracer.take().expect("recording tracer yields a trace");
     debug_assert_eq!(trace.summary.regime, case.regime, "case mis-labeled");
     let cert = certify(&trace).map_err(|e| SimError::Uncertifiable {
         message: e.to_string(),

@@ -289,7 +289,10 @@ impl Simulation {
         let report = self.run_with(1, &mut tracer, |kind, opts, tracer| {
             bsmp_sim::engine::run_linear(kind, &self.spec, prog, init, steps, opts, tracer)
         })?;
-        Ok((report, self.stamp(tracer)))
+        Ok((
+            report,
+            tracer.take().expect("recording tracer yields a trace"),
+        ))
     }
 
     /// Panicking twin of [`Simulation::try_trace`].
@@ -301,18 +304,6 @@ impl Simulation {
     ) -> (Report, RunTrace) {
         self.try_trace(prog, init, steps)
             .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Finalize a recording tracer: pull out the [`RunTrace`] and stamp
-    /// the Theorem-1 regime (the engines leave the tag empty for the
-    /// façade to fill in; the certifier recomputes and cross-checks it).
-    fn stamp(&self, mut tracer: Tracer) -> RunTrace {
-        let mut trace = tracer
-            .take()
-            .expect("recording tracer always yields a trace");
-        let s = &self.spec;
-        serve_suite::stamp_regime(&mut trace, s.d, s.n, s.m, s.p);
-        trace
     }
 
     /// Run a mesh guest program, reporting invalid parameters as a
@@ -349,7 +340,10 @@ impl Simulation {
         let report = self.run_with(2, &mut tracer, |kind, opts, tracer| {
             bsmp_sim::engine::run_mesh(kind, &self.spec, prog, init, steps, opts, tracer)
         })?;
-        Ok((report, self.stamp(tracer)))
+        Ok((
+            report,
+            tracer.take().expect("recording tracer yields a trace"),
+        ))
     }
 
     /// Panicking twin of [`Simulation::try_trace_mesh`].

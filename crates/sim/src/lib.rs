@@ -3,11 +3,12 @@
 //! The simulation engines of the paper, as instrumented executable code.
 //! Every engine runs a *real* guest computation (a node program from
 //! `bsmp-workloads` or any [`bsmp_machine::LinearProgram`] /
-//! [`bsmp_machine::MeshProgram`]) on a host machine with fewer
-//! processors, producing
+//! [`bsmp_machine::MeshProgram`] / [`bsmp_machine::VolumeProgram`]) on a
+//! host machine with fewer processors, producing
 //!
 //! 1. the exact same final memory image and values as direct guest
-//!    execution (functional equivalence — asserted in tests), and
+//!    execution ([`bsmp_machine::run_guest`]; functional equivalence —
+//!    asserted in tests), and
 //! 2. the host's model time `T_p` under the bounded-speed cost model,
 //!    which the benches compare against the analytic bounds.
 //!
@@ -25,8 +26,9 @@
 //! | [`dnc3`]    | Section 6 conjecture (uniprocessor D&C and naive, `d = 3`) |
 //! | `procs`     | `StageHost`: every engine's input checks, stage close, faults and report |
 //!
-//! Each engine module exposes `try_simulate_X(spec, prog, init, steps,
-//! opts, tracer)` and the default-options `simulate_X`; [`engine`]
+//! Each engine module, `d = 3` included, exposes
+//! `try_simulate_X(spec, prog, init, steps, opts, tracer)` and the
+//! default-options `simulate_X`; [`engine`]
 //! dispatches a run over the [`EngineKind`] registry with one
 //! [`RunOpts`].
 //!

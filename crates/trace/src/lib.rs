@@ -34,6 +34,7 @@ pub use engine::EngineKind;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use bsmp_analytic::theorem1;
 use json::Val;
 
 /// Schema tag written into every trace log.
@@ -87,7 +88,8 @@ pub struct Summary {
     pub brent_term: f64,
     /// Locality term: `slowdown / (n/p)` — the empirical `A(n, m, p)`.
     pub locality_term: f64,
-    /// Theorem 1 regime tag (`"R1"`…`"R4"`), filled by the façade.
+    /// Theorem 1 regime tag (`"R1"`…`"R4"`), stamped by
+    /// [`Tracer::finish_run`].
     pub regime: String,
     /// Number of stages recorded.
     pub stages: u64,
@@ -317,10 +319,9 @@ impl Tracer {
         }
     }
 
-    /// Close the run: compute the summary (Brent × locality split) and make
-    /// the finished [`RunTrace`] available to [`Tracer::take`].  The regime
-    /// tag is left empty here — the façade stamps it from Theorem 1, since
-    /// this crate deliberately knows nothing about the analytic bounds.
+    /// Close the run: compute the summary (Brent × locality split), stamp
+    /// Theorem 1's regime for `meta`'s `(d, n, m, p)`, and make the
+    /// finished [`RunTrace`] available to [`Tracer::take`].
     pub fn finish_run(&mut self, meta: RunMeta, host_time: f64, guest_time: f64) {
         if let Some(st) = &mut self.state {
             let slowdown = if guest_time == 0.0 {
@@ -349,7 +350,10 @@ impl Tracer {
                 slowdown,
                 brent_term: brent,
                 locality_term: slowdown / brent,
-                regime: String::new(),
+                regime: format!(
+                    "{:?}",
+                    theorem1::range(meta.d as u8, meta.n as f64, meta.m as f64, meta.p as f64)
+                ),
                 stages: st.stages.len() as u64,
                 points: st.stages.iter().map(|s| s.points).sum(),
                 messages: st.stages.iter().map(|s| s.messages).sum(),
