@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use bsmp::machine::MachineSpec;
 use bsmp::sim::{
-    dnc1::simulate_dnc1, dnc2::simulate_dnc2, multi1::simulate_multi1, naive1::simulate_naive1,
+    dnc1::simulate_dnc1, dnc2::simulate_dnc2, multi1::simulate_multi1, naive::simulate_naive,
 };
 use bsmp::workloads::{inputs, Eca, VonNeumannLife};
 use bsmp_bench::timing::bench;
@@ -18,7 +18,7 @@ fn main() {
     {
         let spec = MachineSpec::new(1, n, 1, 1);
         bench("engines/naive1_n128_T128", 10, || {
-            black_box(simulate_naive1(&spec, &Eca::rule110(), &init, n as i64).host_time)
+            black_box(simulate_naive::<1>(&spec, &Eca::rule110(), &init, n as i64).host_time)
         });
         bench("engines/dnc1_n128_T128", 10, || {
             black_box(simulate_dnc1(&spec, &Eca::rule110(), &init, n as i64).host_time)

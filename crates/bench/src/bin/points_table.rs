@@ -11,7 +11,7 @@
 use std::time::Instant;
 
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{multi1::simulate_multi1, naive1::simulate_naive1, naive2::simulate_naive2};
+use bsmp::sim::{multi1::simulate_multi1, naive::simulate_naive};
 use bsmp::workloads::{inputs, Eca, VonNeumannLife};
 
 fn median(iters: u32, mut f: impl FnMut() -> f64) -> f64 {
@@ -57,7 +57,7 @@ fn main() {
             &format!("naive1_n{n}_p16_T512"),
             n * t as u64,
             iters,
-            || simulate_naive1(&spec, &Eca::rule110(), &init, t).host_time,
+            || simulate_naive::<1>(&spec, &Eca::rule110(), &init, t).host_time,
         );
     }
     for n in [1024u64, 4096, 16384] {
@@ -79,7 +79,7 @@ fn main() {
             &format!("naive2_{side}x{side}_p16_T64"),
             n * t as u64,
             iters,
-            || simulate_naive2(&spec, &VonNeumannLife::fredkin(), &init, t).host_time,
+            || simulate_naive::<2>(&spec, &VonNeumannLife::fredkin(), &init, t).host_time,
         );
     }
 }

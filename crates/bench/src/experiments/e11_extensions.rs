@@ -7,7 +7,7 @@ use crate::Scale;
 use bsmp::analytic::extensions::{locality_slowdown_d3, pipelined_inflight};
 use bsmp::geometry::domain3::Domain3;
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{naive1::simulate_naive1, pipelined1::simulate_pipelined1};
+use bsmp::sim::{naive::simulate_naive, pipelined1::simulate_pipelined1};
 use bsmp::workloads::{inputs, Eca};
 
 pub fn run(scale: Scale) -> Vec<Table> {
@@ -117,7 +117,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let init = inputs::random_bits(90 + p, n as usize);
         let spec = MachineSpec::new(1, n, p, 1);
         let pip = simulate_pipelined1(&spec, &Eca::rule110(), &init, steps);
-        let nav = simulate_naive1(&spec, &Eca::rule110(), &init, steps);
+        let nav = simulate_naive::<1>(&spec, &Eca::rule110(), &init, steps);
         t2.row(vec![
             p.to_string(),
             (n / p).to_string(),

@@ -6,7 +6,7 @@ use crate::table::{fnum, Table};
 use crate::Scale;
 use bsmp::analytic::locality_slowdown;
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{multi1::simulate_multi1, naive1::simulate_naive1};
+use bsmp::sim::{multi1::simulate_multi1, naive::simulate_naive};
 use bsmp::workloads::{inputs, CyclicWave, Eca};
 use bsmp::LinearProgram;
 
@@ -65,7 +65,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let spec = MachineSpec::new(1, nn, p, 1);
         let steps = (nn / 4) as i64;
         let two = simulate_multi1(&spec, &Eca::rule90(), &init, steps);
-        let nv = simulate_naive1(&spec, &Eca::rule90(), &init, steps);
+        let nv = simulate_naive::<1>(&spec, &Eca::rule90(), &init, steps);
         let (a2, an) = (two.locality_slowdown(nn, p), nv.locality_slowdown(nn, p));
         if let Some((p2, pn)) = prev {
             growths.push((a2 / p2, an / pn));

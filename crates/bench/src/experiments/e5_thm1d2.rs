@@ -5,7 +5,7 @@ use crate::table::{fnum, Table};
 use crate::Scale;
 use bsmp::analytic::locality_slowdown;
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{multi2::simulate_multi2, naive2::simulate_naive2};
+use bsmp::sim::{multi2::simulate_multi2, naive::simulate_naive};
 use bsmp::workloads::{inputs, VonNeumannLife};
 
 pub fn run(scale: Scale) -> Vec<Table> {
@@ -35,7 +35,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             let spec = MachineSpec::new(2, n, p, 1);
             let steps = (side / 2) as i64;
             let two = simulate_multi2(&spec, &VonNeumannLife::fredkin(), &init, steps);
-            let nv = simulate_naive2(&spec, &VonNeumannLife::fredkin(), &init, steps);
+            let nv = simulate_naive::<2>(&spec, &VonNeumannLife::fredkin(), &init, steps);
             let (a2, an) = (two.locality_slowdown(n, p), nv.locality_slowdown(n, p));
             t.row(vec![
                 side.to_string(),

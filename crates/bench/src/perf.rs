@@ -27,8 +27,7 @@ use bsmp::sim::{
     dnc3::{simulate_dnc3, simulate_naive3},
     multi1::simulate_multi1,
     multi2::simulate_multi2,
-    naive1::simulate_naive1,
-    naive2::simulate_naive2,
+    naive::simulate_naive,
     pipelined1::simulate_pipelined1,
 };
 use bsmp::trace::json::{self, escape, Val};
@@ -128,7 +127,7 @@ pub fn run_engine_suite(threads: usize, iters: u32) -> Vec<PerfCase> {
         // its median is timer-granularity noise on a loaded host; the
         // n = 4096 serial twin below is the meaningful serial figure.
         cases.push(case("naive1_n128_p1_T128", n * n, false, iters, || {
-            let r = simulate_naive1(&spec, &Eca::rule110(), &init, n as i64);
+            let r = simulate_naive::<1>(&spec, &Eca::rule110(), &init, n as i64);
             (r.host_time, r.meter.table_hits)
         }));
         cases.push(case("dnc1_n128_T128", n * n, true, iters, || {
@@ -175,7 +174,7 @@ pub fn run_engine_suite(threads: usize, iters: u32) -> Vec<PerfCase> {
         // both would double-count the same kernel; the p = 16 case is
         // the one whose regression would mean a real engine fault.
         cases.push(case("naive1_n4096_p1_T512", pts, false, iters, || {
-            let r = simulate_naive1(&spec1, &Eca::rule110(), &init, t);
+            let r = simulate_naive::<1>(&spec1, &Eca::rule110(), &init, t);
             (r.host_time, r.meter.table_hits)
         }));
         let spec16 = MachineSpec::new(1, n, 16, 1);
@@ -223,7 +222,7 @@ pub fn run_engine_suite(threads: usize, iters: u32) -> Vec<PerfCase> {
             false,
             iters,
             || {
-                let r = simulate_naive2(&spec, &VonNeumannLife::fredkin(), &init2, 16);
+                let r = simulate_naive::<2>(&spec, &VonNeumannLife::fredkin(), &init2, 16);
                 (r.host_time, r.meter.table_hits)
             },
         ));

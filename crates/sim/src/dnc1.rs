@@ -151,7 +151,7 @@ mod tests {
         let init = inputs::random_bits(23, n as usize);
         let spec = MachineSpec::new(1, n, 1, 1);
         let dnc = simulate_dnc1(&spec, &Eca::rule90(), &init, n as i64);
-        let naive = crate::naive1::simulate_naive1(&spec, &Eca::rule90(), &init, n as i64);
+        let naive = crate::naive::simulate_naive::<1>(&spec, &Eca::rule90(), &init, n as i64);
         assert!(
             dnc.host_time < naive.host_time / 1.3,
             "D&C {} should beat naive {}",

@@ -127,7 +127,7 @@ mod tests {
             let init = inputs::random_bits(36, n as usize);
             let spec = MachineSpec::new(2, n, 1, 1);
             let d = simulate_dnc2(&spec, &VonNeumannLife::fredkin(), &init, side as i64);
-            let v = crate::naive2::simulate_naive2(
+            let v = crate::naive::simulate_naive::<2>(
                 &spec,
                 &VonNeumannLife::fredkin(),
                 &init,

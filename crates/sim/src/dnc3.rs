@@ -146,7 +146,7 @@ fn naive3_kernel(
 ) -> (Vec<Word>, Vec<Word>, Hram) {
     let (n, side) = (spec.n as usize, spec.mesh_side() as usize);
     let access = spec.access_fn();
-    let mut ram = Hram::new(access, 3 * n);
+    let mut ram = Hram::new(access, 2 * n);
     // Layout: value row A at [0, n), row B at [n, 2n).
     for (v, w) in init.iter().enumerate() {
         ram.poke(v, *w);

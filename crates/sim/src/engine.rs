@@ -1,9 +1,11 @@
 //! One entry point per layout dimension over the engine registry
 //! ([`EngineKind`]), plus the single options struct every engine reads.
 //!
-//! Each engine module exposes exactly two functions: the checked
+//! Each engine module exposes two functions: the checked
 //! `try_simulate_X(spec, prog, init, steps, opts, tracer)` and the
-//! panicking default-options `simulate_X(spec, prog, init, steps)`.
+//! panicking default-options `simulate_X(spec, prog, init, steps)`;
+//! [`naive`] serves `naive1` and `naive2` as
+//! `try_simulate_naive::<D>` for `D = 1, 2`.
 //! Callers that pick the engine at run time (the façade, the batch
 //! server, the CLI) go through [`run_linear`], [`run_mesh`] or
 //! [`run_volume`] instead of matching engine names themselves.
@@ -15,7 +17,7 @@ use bsmp_trace::Tracer;
 
 pub use bsmp_trace::EngineKind;
 
-use crate::{dnc1, dnc2, dnc3, multi1, multi2, naive1, naive2, pipelined1, SimError, SimReport};
+use crate::{dnc1, dnc2, dnc3, multi1, multi2, naive, pipelined1, SimError, SimReport};
 
 /// Options of one engine run.  [`RunOpts::default`] is the paper's
 /// configuration: fault-free, auto-detected host threads, the paper's
@@ -48,7 +50,7 @@ pub fn run_linear(
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
     match kind {
-        EngineKind::Naive1 => naive1::try_simulate_naive1(spec, prog, init, steps, opts, tracer),
+        EngineKind::Naive1 => naive::try_simulate_naive::<1>(spec, prog, init, steps, opts, tracer),
         EngineKind::Multi1 => multi1::try_simulate_multi1(spec, prog, init, steps, opts, tracer),
         EngineKind::Pipelined1 => {
             pipelined1::try_simulate_pipelined1(spec, prog, init, steps, opts, tracer)
@@ -72,7 +74,7 @@ pub fn run_mesh(
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
     match kind {
-        EngineKind::Naive2 => naive2::try_simulate_naive2(spec, prog, init, steps, opts, tracer),
+        EngineKind::Naive2 => naive::try_simulate_naive::<2>(spec, prog, init, steps, opts, tracer),
         EngineKind::Multi2 => multi2::try_simulate_multi2(spec, prog, init, steps, opts, tracer),
         EngineKind::Dnc2 => dnc2::try_simulate_dnc2(spec, prog, init, steps, opts, tracer),
         _ => Err(SimError::DimensionMismatch {

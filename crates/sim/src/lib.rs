@@ -16,8 +16,7 @@
 //!
 //! | module      | paper artifact                                       |
 //! |-------------|------------------------------------------------------|
-//! | [`naive1`]  | Proposition 1 / §4.2 naive, `d = 1`, any `p`         |
-//! | [`naive2`]  | Proposition 1 naive, `d = 2`, any square `p`         |
+//! | [`naive`]   | Proposition 1 / §4.2 naive, `d = 1, 2` (`naive1`, `naive2`), any `p` the block layout divides |
 //! | [`execd`]   | Proposition 2 executor over product cells, `d = 1, 2, 3` |
 //! | [`dnc1`]    | Theorems 2 & 3 (uniprocessor D&C, `d = 1`)           |
 //! | [`multi1`]  | Theorem 4 (two-regime multiprocessor, `d = 1`)       |
@@ -45,8 +44,7 @@ pub mod error;
 pub mod execd;
 pub mod multi1;
 pub mod multi2;
-pub mod naive1;
-pub mod naive2;
+pub mod naive;
 pub mod pipelined1;
 mod procs;
 pub mod report;

@@ -1053,7 +1053,7 @@ mod tests {
             let guest = run_linear(&spec, &Eca::rule90(), &init, steps);
             let rep = simulate_multi1(&spec, &Eca::rule90(), &init, steps);
             rep.assert_matches(&guest.mem, &guest.values);
-            let naive = crate::naive1::simulate_naive1(&spec, &Eca::rule90(), &init, steps);
+            let naive = crate::naive::simulate_naive::<1>(&spec, &Eca::rule90(), &init, steps);
             (rep.locality_slowdown(n, p), naive.locality_slowdown(n, p))
         };
         let (two_a, naive_a) = a_of(128);

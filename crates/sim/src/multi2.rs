@@ -497,7 +497,7 @@ mod tests {
             let spec = MachineSpec::new(2, n, p, 1);
             let rep = simulate_multi2(&spec, &VonNeumannLife::fredkin(), &init, steps);
             let naive =
-                crate::naive2::simulate_naive2(&spec, &VonNeumannLife::fredkin(), &init, steps);
+                crate::naive::simulate_naive::<2>(&spec, &VonNeumannLife::fredkin(), &init, steps);
             (rep.locality_slowdown(n, p), naive.locality_slowdown(n, p))
         };
         let (two_a, naive_a) = a_of(16);

@@ -167,7 +167,7 @@ mod tests {
         let init = inputs::random_bits(82, n as usize);
         let spec = MachineSpec::new(1, n, p, 1);
         let pip = simulate_pipelined1(&spec, &Eca::rule110(), &init, 64);
-        let nav = crate::naive1::simulate_naive1(&spec, &Eca::rule110(), &init, 64);
+        let nav = crate::naive::simulate_naive::<1>(&spec, &Eca::rule110(), &init, 64);
         let factor = nav.host_time / pip.host_time;
         // The removed locality slowdown is Θ(n/p) = 64.
         assert!(factor > 8.0, "pipelining wins ×{factor}");

@@ -9,7 +9,7 @@ use bsmp_hram::Word;
 use bsmp_machine::{run_linear, run_mesh, LinearProgram, MachineSpec, MeshProgram};
 use bsmp_sim::{
     dnc1::simulate_dnc1, dnc2::simulate_dnc2, multi1::simulate_multi1, multi1::try_simulate_multi1,
-    naive1::simulate_naive1, naive1::try_simulate_naive1, naive2::simulate_naive2, RunOpts,
+    naive::simulate_naive, naive::try_simulate_naive, RunOpts,
 };
 use bsmp_trace::Tracer;
 
@@ -81,7 +81,7 @@ fn any_rule_any_input_all_engines() {
         let prog = AnyRule(rule);
         let spec = MachineSpec::new(1, n, p, 1);
         let guest = run_linear(&spec, &prog, &bits, steps);
-        simulate_naive1(&spec, &prog, &bits, steps).assert_matches(&guest.mem, &guest.values);
+        simulate_naive::<1>(&spec, &prog, &bits, steps).assert_matches(&guest.mem, &guest.values);
         if p == 1 {
             simulate_dnc1(&spec, &prog, &bits, steps).assert_matches(&guest.mem, &guest.values);
         } else {
@@ -113,7 +113,8 @@ fn mesh_random_inputs() {
         let steps = rng.range_i64(1, 8);
         let spec = MachineSpec::new(2, 16, 1, 1);
         let guest = run_mesh(&spec, &MeshMix, &words, steps);
-        simulate_naive2(&spec, &MeshMix, &words, steps).assert_matches(&guest.mem, &guest.values);
+        simulate_naive::<2>(&spec, &MeshMix, &words, steps)
+            .assert_matches(&guest.mem, &guest.values);
         simulate_dnc2(&spec, &MeshMix, &words, steps).assert_matches(&guest.mem, &guest.values);
     }
 }
@@ -167,7 +168,7 @@ fn faulted_runs_are_deterministic() {
         ] {
             let run = |plan: &FaultPlan| {
                 if faulted {
-                    try_simulate_naive1(
+                    try_simulate_naive::<1>(
                         &spec,
                         &AnyRule(30),
                         &bits,
@@ -213,8 +214,8 @@ fn empty_plan_reproduces_unfaulted_costs_bitwise() {
         let bits: Vec<Word> = rng.vec_below(32, 2);
         let steps = rng.range_i64(1, 16);
         let spec = MachineSpec::new(1, 32, 4, 1);
-        let plain = simulate_naive1(&spec, &AnyRule(110), &bits, steps);
-        let none = try_simulate_naive1(
+        let plain = simulate_naive::<1>(&spec, &AnyRule(110), &bits, steps);
+        let none = try_simulate_naive::<1>(
             &spec,
             &AnyRule(110),
             &bits,

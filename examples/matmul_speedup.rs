@@ -14,7 +14,7 @@
 
 use bsmp::analytic::matmul;
 use bsmp::machine::{run_mesh, MachineSpec};
-use bsmp::sim::{dnc2::simulate_dnc2, naive2::simulate_naive2};
+use bsmp::sim::{dnc2::simulate_dnc2, naive::simulate_naive};
 use bsmp::workloads::{inputs, SystolicMatmul};
 
 fn main() {
@@ -46,7 +46,7 @@ fn main() {
     let spec = MachineSpec::new(2, n, 1, m);
 
     let guest = run_mesh(&spec, &prog, &init, prog.steps());
-    let naive = simulate_naive2(&spec, &prog, &init, prog.steps());
+    let naive = simulate_naive::<2>(&spec, &prog, &init, prog.steps());
     let dnc = simulate_dnc2(&spec, &prog, &init, prog.steps());
     naive.assert_matches(&guest.mem, &guest.values);
     dnc.assert_matches(&guest.mem, &guest.values);

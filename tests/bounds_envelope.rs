@@ -6,7 +6,7 @@
 //! *orderings*, which is what Θ-bounds assert.
 
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{dnc1::simulate_dnc1, naive1::simulate_naive1};
+use bsmp::sim::{dnc1::simulate_dnc1, naive::simulate_naive};
 use bsmp::workloads::{inputs, CyclicWave, Eca};
 use bsmp::{analytic, Simulation, Strategy};
 
@@ -33,7 +33,7 @@ fn proposition1_growth_rate() {
     let slow = |n: u64| {
         let init = inputs::random_bits(21, n as usize);
         let spec = MachineSpec::new(1, n, 1, 1);
-        simulate_naive1(&spec, &Eca::rule90(), &init, 32).slowdown()
+        simulate_naive::<1>(&spec, &Eca::rule90(), &init, 32).slowdown()
     };
     let ratio = slow(256) / slow(64);
     assert!(

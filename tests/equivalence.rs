@@ -5,7 +5,7 @@
 use bsmp::machine::{run_linear, run_mesh, MachineSpec};
 use bsmp::sim::{
     dnc1::simulate_dnc1, dnc2::simulate_dnc2, multi1::simulate_multi1, multi2::simulate_multi2,
-    naive1::simulate_naive1, naive2::simulate_naive2,
+    naive::simulate_naive,
 };
 use bsmp::workloads::{
     inputs, CyclicWave, Eca, FirPipeline, OddEvenSort, SystolicMatmul, VonNeumannLife,
@@ -18,14 +18,14 @@ fn check1(prog: &impl LinearProgram, n: u64, steps: i64, seed: u64) {
     let uni = MachineSpec::new(1, n, 1, m);
     let guest = run_linear(&uni, prog, &init, steps);
 
-    simulate_naive1(&uni, prog, &init, steps).assert_matches(&guest.mem, &guest.values);
+    simulate_naive::<1>(&uni, prog, &init, steps).assert_matches(&guest.mem, &guest.values);
     simulate_dnc1(&uni, prog, &init, steps).assert_matches(&guest.mem, &guest.values);
     for p in [2u64, 4] {
         if !n.is_multiple_of(p) {
             continue;
         }
         let spec = MachineSpec::new(1, n, p, m);
-        simulate_naive1(&spec, prog, &init, steps).assert_matches(&guest.mem, &guest.values);
+        simulate_naive::<1>(&spec, prog, &init, steps).assert_matches(&guest.mem, &guest.values);
         if bsmp::sim::multi1::engine_strip(n, m, p).is_some() {
             simulate_multi1(&spec, prog, &init, steps).assert_matches(&guest.mem, &guest.values);
         }
@@ -43,12 +43,12 @@ fn check2_init(prog: &impl MeshProgram, n: u64, steps: i64, init: &[u64]) {
     let uni = MachineSpec::new(2, n, 1, m);
     let guest = run_mesh(&uni, prog, init, steps);
 
-    simulate_naive2(&uni, prog, init, steps).assert_matches(&guest.mem, &guest.values);
+    simulate_naive::<2>(&uni, prog, init, steps).assert_matches(&guest.mem, &guest.values);
     simulate_dnc2(&uni, prog, init, steps).assert_matches(&guest.mem, &guest.values);
     {
         let p = 4u64;
         let spec = MachineSpec::new(2, n, p, m);
-        simulate_naive2(&spec, prog, init, steps).assert_matches(&guest.mem, &guest.values);
+        simulate_naive::<2>(&spec, prog, init, steps).assert_matches(&guest.mem, &guest.values);
         simulate_multi2(&spec, prog, init, steps).assert_matches(&guest.mem, &guest.values);
     }
 }
@@ -89,7 +89,7 @@ fn all_engines_agree_on_fir_pipeline() {
     let init = prog.coefficients(n as usize);
     let uni = MachineSpec::new(1, n, 1, 3);
     let guest = run_linear(&uni, &prog, &init, 24);
-    simulate_naive1(&uni, &prog, &init, 24).assert_matches(&guest.mem, &guest.values);
+    simulate_naive::<1>(&uni, &prog, &init, 24).assert_matches(&guest.mem, &guest.values);
     simulate_dnc1(&uni, &prog, &init, 24).assert_matches(&guest.mem, &guest.values);
     let spec4 = MachineSpec::new(1, n, 4, 3);
     simulate_multi1(&spec4, &prog, &init, 24).assert_matches(&guest.mem, &guest.values);
@@ -123,8 +123,8 @@ fn cost_model_never_changes_answers() {
     let init = inputs::random_bits(12, 32);
     let b = MachineSpec::new(1, 32, 4, 1);
     let i = MachineSpec::instantaneous(1, 32, 4, 1);
-    let rb = simulate_naive1(&b, &Eca::rule110(), &init, 32);
-    let ri = simulate_naive1(&i, &Eca::rule110(), &init, 32);
+    let rb = simulate_naive::<1>(&b, &Eca::rule110(), &init, 32);
+    let ri = simulate_naive::<1>(&i, &Eca::rule110(), &init, 32);
     assert_eq!(rb.values, ri.values);
     assert_eq!(rb.mem, ri.mem);
     assert!(ri.host_time < rb.host_time);

@@ -7,7 +7,7 @@
 //! inflates the stage by at most ν).
 
 use bsmp::machine::{run_linear, run_mesh, MachineSpec};
-use bsmp::sim::{engine, multi2, naive1};
+use bsmp::sim::{engine, multi2, naive};
 use bsmp::workloads::{inputs, Eca, VonNeumannLife};
 use bsmp::{EngineKind, FaultPlan, RunOpts, SimReport, Simulation, Strategy, Tracer};
 
@@ -124,7 +124,7 @@ fn lossy_and_crashy_runs_stay_functionally_equivalent() {
         .loss(200, 4)
         .random_crashes(30);
     let rep =
-        naive1::try_simulate_naive1(&spec, &prog, &init, 48, faulted(plan), &mut Tracer::off())
+        naive::try_simulate_naive::<1>(&spec, &prog, &init, 48, faulted(plan), &mut Tracer::off())
             .unwrap();
     rep.assert_matches(&guest.mem, &guest.values);
     assert!(
@@ -139,7 +139,7 @@ fn lossy_and_crashy_runs_stay_functionally_equivalent() {
 
     // And identically so on re-run (stateless hash-derived draws).
     let again =
-        naive1::try_simulate_naive1(&spec, &prog, &init, 48, faulted(plan), &mut Tracer::off())
+        naive::try_simulate_naive::<1>(&spec, &prog, &init, 48, faulted(plan), &mut Tracer::off())
             .unwrap();
     assert_eq!(rep.host_time.to_bits(), again.host_time.to_bits());
     assert_eq!(rep.faults, again.faults);
@@ -151,10 +151,10 @@ fn crash_at_specific_stage_charges_recovery_once() {
     let init = inputs::random_bits(93, n as usize);
     let prog = Eca::rule110();
     let spec = MachineSpec::new(1, n, 4, 1);
-    let base = naive1::simulate_naive1(&spec, &prog, &init, 16);
+    let base = naive::simulate_naive::<1>(&spec, &prog, &init, 16);
     let plan = FaultPlan::none().crash_at(5, 2);
     let rep =
-        naive1::try_simulate_naive1(&spec, &prog, &init, 16, faulted(plan), &mut Tracer::off())
+        naive::try_simulate_naive::<1>(&spec, &prog, &init, 16, faulted(plan), &mut Tracer::off())
             .unwrap();
     rep.assert_matches(&base.mem, &base.values);
     assert_eq!(rep.faults.crashes, 1);
@@ -188,9 +188,9 @@ fn empty_plan_is_bitwise_neutral_across_engines() {
     let init1 = inputs::random_bits(95, 64);
     let spec1 = MachineSpec::new(1, 64, 4, 1);
     let prog1 = Eca::rule110();
-    let plain = naive1::simulate_naive1(&spec1, &prog1, &init1, 32);
+    let plain = naive::simulate_naive::<1>(&spec1, &prog1, &init1, 32);
     let none = FaultPlan::none().seed(95);
-    let none = naive1::try_simulate_naive1(
+    let none = naive::try_simulate_naive::<1>(
         &spec1,
         &prog1,
         &init1,
@@ -231,8 +231,14 @@ fn invalid_plans_are_rejected_not_panicked() {
         FaultPlan::none().loss(1_001, 1),
         FaultPlan::none().random_crashes(2_000),
     ] {
-        let err =
-            naive1::try_simulate_naive1(&spec, &prog, &init, 8, faulted(bad), &mut Tracer::off());
+        let err = naive::try_simulate_naive::<1>(
+            &spec,
+            &prog,
+            &init,
+            8,
+            faulted(bad),
+            &mut Tracer::off(),
+        );
         assert!(
             matches!(err, Err(bsmp::SimError::Fault(_))),
             "plan {bad:?} must be rejected"

@@ -1,12 +1,13 @@
 //! Bit-identity of the tiled/table kernels against the scalar reference
-//! loops (PR 7).  The tiled paths must reproduce the per-point engines
+//! loops.  The tiled paths must reproduce the per-point engines
 //! to `f64::to_bits` on every model quantity — including under active
 //! fault plans, tracing, and any host-thread count.
 
-use bsmp::machine::{ExecPolicy, MachineSpec};
-use bsmp::sim::{dnc3, naive1, naive2};
+use bsmp::hram::Word;
+use bsmp::machine::{ExecPolicy, Guest, MachineSpec};
+use bsmp::sim::{dnc3, naive};
 use bsmp::trace::Tracer;
-use bsmp::workloads::{inputs, CyclicWave, Eca, Parity3d, VonNeumannLife};
+use bsmp::workloads::{inputs, CyclicWave, Eca, Parity3d, PlaneWave, VonNeumannLife};
 use bsmp::{FaultPlan, RunOpts, SimReport};
 
 /// Every field bit-compared; `table_hits` is exempt by design (the
@@ -43,59 +44,66 @@ fn storm_plan() -> FaultPlan {
     FaultPlan::uniform_slowdown(2.0).seed(4242).jitter(1.0, 2.0)
 }
 
+/// The tiled naive engine against its scalar reference loop at every
+/// thread budget, fault-free and under a storm: bit-identical, and the
+/// tiled run serves its accesses from the cost table.
+fn check_naive<const D: usize>(
+    spec: &MachineSpec,
+    prog: &(impl Guest<D> + Sync),
+    init: &[Word],
+    steps: i64,
+    what: &str,
+) {
+    for threads in [1usize, 2, 8] {
+        let exec = ExecPolicy::threads(threads);
+        for plan in [FaultPlan::none(), storm_plan()] {
+            let what = format!("{what} threads={threads}");
+            let opts = RunOpts {
+                plan,
+                exec,
+                ..RunOpts::default()
+            };
+            let tiled =
+                naive::try_simulate_naive::<D>(spec, prog, init, steps, opts, &mut Tracer::off())
+                    .unwrap();
+            let scalar = naive::try_simulate_naive_scalar::<D>(
+                spec,
+                prog,
+                init,
+                steps,
+                opts,
+                &mut Tracer::off(),
+            )
+            .unwrap();
+            assert_bit_identical(&tiled, &scalar, &what);
+            assert_eq!(scalar.meter.table_hits, 0, "{what}: scalar used tables");
+            assert!(tiled.meter.table_hits > 0, "{what}: tiled path not taken");
+        }
+    }
+}
+
 #[test]
 fn naive1_tiled_matches_scalar_bitwise() {
     // Densities spanning the exact-dyadic regime (m = 1, 4), the chain
-    // regime (m = 3), and sizes spanning the pool gate.
+    // regime (m = 3), sizes spanning the pool gate, and blocks too short
+    // for a branch-free middle (q = 1, 2).
     let cases: &[(usize, usize, u64, i64)] = &[
         (1, 64, 1, 64),
         (1, 64, 8, 64),
         (1, 2048, 4, 24), // q = 512 ≥ 256: pool-gated size
         (4, 96, 4, 40),
         (3, 96, 4, 40),  // non-pow2 m: chain mode
-        (1, 33, 11, 12), // q = 3: smallest tiled block
+        (1, 33, 11, 12), // q = 3: smallest peeled block
+        (1, 16, 16, 12), // q = 1
+        (1, 32, 16, 12), // q = 2
+        (3, 32, 16, 12), // q = 2, chain mode
+        (4, 16, 16, 12), // q = 1, exact mode with blocks
     ];
     for &(m, n, p, steps) in cases {
         let spec = MachineSpec::new(1, n as u64, p, m as u64);
         let init = inputs::random_words(7, n * m, 97);
-        let prog = CyclicWave::new(m);
-        for threads in [1usize, 2, 8] {
-            let exec = ExecPolicy::threads(threads);
-            for plan in [FaultPlan::none(), storm_plan()] {
-                let what = format!("naive1 m={m} n={n} p={p} threads={threads}");
-                let tiled = naive1::try_simulate_naive1(
-                    &spec,
-                    &prog,
-                    &init,
-                    steps,
-                    RunOpts {
-                        plan,
-                        exec,
-                        ..RunOpts::default()
-                    },
-                    &mut Tracer::off(),
-                )
-                .unwrap();
-                let scalar = naive1::try_simulate_naive1_scalar(
-                    &spec,
-                    &prog,
-                    &init,
-                    steps,
-                    RunOpts {
-                        plan,
-                        exec,
-                        ..RunOpts::default()
-                    },
-                    &mut Tracer::off(),
-                )
-                .unwrap();
-                assert_bit_identical(&tiled, &scalar, &what);
-                assert_eq!(scalar.meter.table_hits, 0, "{what}: scalar used tables");
-                if n / p as usize >= 3 {
-                    assert!(tiled.meter.table_hits > 0, "{what}: tiled path not taken");
-                }
-            }
-        }
+        let what = format!("naive1 m={m} n={n} p={p}");
+        check_naive::<1>(&spec, &CyclicWave::new(m), &init, steps, &what);
     }
 }
 
@@ -108,7 +116,7 @@ fn naive1_exact_mode_engages_for_dyadic_density() {
     let (n, p, steps) = (256usize, 4u64, 32i64);
     let spec = MachineSpec::new(1, n as u64, p, 1);
     let init = inputs::random_bits(3, n);
-    let rep = naive1::simulate_naive1(&spec, &Eca::rule110(), &init, steps);
+    let rep = naive::simulate_naive::<1>(&spec, &Eca::rule110(), &init, steps);
     assert_eq!(
         rep.meter.table_hits, rep.meter.ops,
         "all accesses table-served"
@@ -122,41 +130,39 @@ fn naive2_tiled_matches_scalar_bitwise() {
         let n = side * side;
         let spec = MachineSpec::new(2, n, p, 1);
         let init = inputs::random_bits(11, n as usize);
-        let prog = VonNeumannLife::b2s12();
-        for threads in [1usize, 2, 8] {
-            let exec = ExecPolicy::threads(threads);
-            for plan in [FaultPlan::none(), storm_plan()] {
-                let what = format!("naive2 side={side} p={p} threads={threads}");
-                let tiled = naive2::try_simulate_naive2(
-                    &spec,
-                    &prog,
-                    &init,
-                    steps,
-                    RunOpts {
-                        plan,
-                        exec,
-                        ..RunOpts::default()
-                    },
-                    &mut Tracer::off(),
-                )
-                .unwrap();
-                let scalar = naive2::try_simulate_naive2_scalar(
-                    &spec,
-                    &prog,
-                    &init,
-                    steps,
-                    RunOpts {
-                        plan,
-                        exec,
-                        ..RunOpts::default()
-                    },
-                    &mut Tracer::off(),
-                )
-                .unwrap();
-                assert_bit_identical(&tiled, &scalar, &what);
-                assert_eq!(scalar.meter.table_hits, 0, "{what}: scalar used tables");
-            }
+        let what = format!("naive2 side={side} p={p}");
+        check_naive::<2>(&spec, &VonNeumannLife::b2s12(), &init, steps, &what);
+    }
+    // Multi-cell blocks: the chain kernel's block charges at m > 1,
+    // including 1×1 and 2×2 blocks with no branch-free middle.
+    for m in [3usize, 4] {
+        for &(side, p, steps) in &[(8u64, 4u64, 9i64), (12, 9, 7), (8, 16, 6), (8, 64, 5)] {
+            let n = side * side;
+            let spec = MachineSpec::new(2, n, p, m as u64);
+            let init = inputs::random_words(19, n as usize * m, 1000);
+            let what = format!("naive2 PlaneWave m={m} side={side} p={p}");
+            check_naive::<2>(&spec, &PlaneWave::new(m), &init, steps, &what);
         }
+    }
+}
+
+#[test]
+fn naive_instantaneous_model_matches_scalar_bitwise() {
+    // Every charge is 1.0 there, so the exact-unit kernels engage at
+    // d = 2 too (with and without the m = 1 deferred stores).
+    for (m, p) in [(1usize, 4u64), (3, 8), (4, 64)] {
+        let n = 64usize;
+        let spec = MachineSpec::instantaneous(1, n as u64, p, m as u64);
+        let init = inputs::random_words(23, n * m, 97);
+        let what = format!("naive1 instantaneous m={m} p={p}");
+        check_naive::<1>(&spec, &CyclicWave::new(m), &init, 16, &what);
+    }
+    for (m, side, p) in [(1usize, 16u64, 16u64), (1, 8, 64), (3, 12, 4)] {
+        let n = (side * side) as usize;
+        let spec = MachineSpec::instantaneous(2, n as u64, p, m as u64);
+        let init = inputs::random_words(29, n * m, 1000);
+        let what = format!("naive2 instantaneous m={m} side={side} p={p}");
+        check_naive::<2>(&spec, &PlaneWave::new(m), &init, 12, &what);
     }
 }
 

@@ -6,7 +6,7 @@
 //! processor order regardless of claim order.
 
 use bsmp::machine::{ExecPolicy, MachineSpec, StagePool};
-use bsmp::sim::{naive1, naive2};
+use bsmp::sim::naive;
 use bsmp::workloads::{inputs, Eca, VonNeumannLife};
 use bsmp::{FaultPlan, LinearProgram, RunOpts, SimError, SimReport, Tracer, Word};
 
@@ -61,7 +61,7 @@ fn naive1_pooled_is_bit_identical_to_serial() {
     let init = inputs::random_bits(90, N1 as usize);
     let prog = Eca::rule110();
     let plan = FaultPlan::none();
-    let serial = naive1::try_simulate_naive1(
+    let serial = naive::try_simulate_naive::<1>(
         &spec,
         &prog,
         &init,
@@ -71,7 +71,7 @@ fn naive1_pooled_is_bit_identical_to_serial() {
     )
     .unwrap();
     for threads in [2usize, 4, 8] {
-        let pooled = naive1::try_simulate_naive1(
+        let pooled = naive::try_simulate_naive::<1>(
             &spec,
             &prog,
             &init,
@@ -93,7 +93,7 @@ fn naive1_pooled_is_bit_identical_under_faults() {
         .seed(91)
         .loss(50, 3)
         .random_crashes(10);
-    let serial = naive1::try_simulate_naive1(
+    let serial = naive::try_simulate_naive::<1>(
         &spec,
         &prog,
         &init,
@@ -103,7 +103,7 @@ fn naive1_pooled_is_bit_identical_under_faults() {
     )
     .unwrap();
     assert!(serial.faults.injected_delay > 0.0, "plan must be active");
-    let pooled = naive1::try_simulate_naive1(
+    let pooled = naive::try_simulate_naive::<1>(
         &spec,
         &prog,
         &init,
@@ -121,7 +121,7 @@ fn naive2_pooled_is_bit_identical_to_serial() {
     let init = inputs::random_bits(92, N2 as usize);
     let prog = VonNeumannLife::fredkin();
     let plan = FaultPlan::none();
-    let serial = naive2::try_simulate_naive2(
+    let serial = naive::try_simulate_naive::<2>(
         &spec,
         &prog,
         &init,
@@ -131,7 +131,7 @@ fn naive2_pooled_is_bit_identical_to_serial() {
     )
     .unwrap();
     for threads in [2usize, 4] {
-        let pooled = naive2::try_simulate_naive2(
+        let pooled = naive::try_simulate_naive::<2>(
             &spec,
             &prog,
             &init,
@@ -150,7 +150,7 @@ fn naive2_pooled_is_bit_identical_under_faults() {
     let init = inputs::random_bits(93, N2 as usize);
     let prog = VonNeumannLife::fredkin();
     let plan = FaultPlan::uniform_slowdown(2.0).seed(93).loss(40, 2);
-    let serial = naive2::try_simulate_naive2(
+    let serial = naive::try_simulate_naive::<2>(
         &spec,
         &prog,
         &init,
@@ -160,7 +160,7 @@ fn naive2_pooled_is_bit_identical_under_faults() {
     )
     .unwrap();
     assert!(serial.faults.injected_delay > 0.0, "plan must be active");
-    let pooled = naive2::try_simulate_naive2(
+    let pooled = naive::try_simulate_naive::<2>(
         &spec,
         &prog,
         &init,
@@ -197,7 +197,7 @@ fn worker_panic_surfaces_as_sim_error_not_hang() {
     let init = inputs::random_bits(94, N1 as usize);
     let prog = PanicAt { v: 700, t: 3 };
     for exec in [ExecPolicy::serial(), ExecPolicy::threads(4)] {
-        let err = naive1::try_simulate_naive1(
+        let err = naive::try_simulate_naive::<1>(
             &spec,
             &prog,
             &init,
