@@ -67,19 +67,6 @@ impl ExactUnits {
             None => (1, 0),
         }
     }
-
-    /// Sum of units for one access to every address in `lo..=hi`.
-    pub fn span_units(&self, lo: usize, hi: usize) -> u64 {
-        if hi < lo {
-            return 0;
-        }
-        let k = (hi - lo + 1) as u64;
-        match self.m_units {
-            // Σ (m + x) = k·m + Σ x, with Σ x over lo..=hi.
-            Some(m) => k * m + k * (lo as u64 + hi as u64) / 2,
-            None => k,
-        }
-    }
 }
 
 /// Charges for every address in `0..len`, precomputed at plan time.
@@ -235,16 +222,6 @@ mod tests {
                 units += e.units(x);
             }
             assert_eq!(e.time(units).to_bits(), chain.to_bits(), "m={m}");
-        }
-    }
-
-    #[test]
-    fn span_units_equal_pointwise_units() {
-        let t = CostTable::new(AccessFn::new(1, 4), 256);
-        let e = t.exact_units().unwrap();
-        for (lo, hi) in [(0usize, 0usize), (0, 255), (7, 31), (100, 99)] {
-            let want: u64 = (lo..=hi).map(|x| e.units(x)).sum();
-            assert_eq!(e.span_units(lo, hi), want, "[{lo}, {hi}]");
         }
     }
 

@@ -11,7 +11,8 @@
 //!   `D`-generic view [`Guest`];
 //! * [`guest`] — direct (reference) execution of a guest machine
 //!   `M_d(n, n, m)`, `d ≤ 3`, producing both the answer and the guest's
-//!   model time `T_n` ([`run_guest`], [`guest_time`]);
+//!   model time `T_n` ([`run_guest`] loops one row-sliced
+//!   [`GuestSteps`] step; [`guest_time`] reads its per-cell cost table);
 //! * [`stage`] — the bulk-synchronous parallel clock used by host
 //!   simulations (`T_p = Σ_stages max_proc cost`), with a
 //!   fault-injection entry point ([`StageClock::add_stage_faulted`]);
@@ -33,7 +34,7 @@ pub mod spec;
 pub mod stage;
 
 pub use cache::{CacheStats, PlanCache, PlanKey};
-pub use guest::{guest_time, run_guest, run_linear, run_mesh, run_volume, GuestRun};
+pub use guest::{guest_time, run_guest, run_linear, run_mesh, run_volume, GuestRun, GuestSteps};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use pool::{
     available_threads, init_shared_pool, set_default_threads, shared_pool, DisjointSlice,

@@ -163,19 +163,6 @@ impl<'a, T> DisjointSlice<'a, T> {
         assert!(i < self.len, "DisjointSlice index {i} out of {}", self.len);
         unsafe { &mut *self.ptr.add(i) }
     }
-
-    /// # Safety
-    /// Concurrent callers must use non-overlapping `start..start + len`
-    /// ranges.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [T] {
-        assert!(
-            start + len <= self.len,
-            "DisjointSlice range {start}+{len} out of {}",
-            self.len
-        );
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
-    }
 }
 
 /// Type-erased pointer to the current stage's runner closure.  The
@@ -605,10 +592,9 @@ mod tests {
         let pool = StagePool::new(4);
         let mut out = vec![0.0; 4];
         pool.run_stage(4, &mut out, |i| {
-            // Safety: per-task chunks are disjoint by construction.
-            let chunk = unsafe { ds.slice_mut(i * 16, 16) };
-            for (k, w) in chunk.iter_mut().enumerate() {
-                *w = (i * 16 + k) as u64;
+            // Safety: per-task index ranges are disjoint by construction.
+            for v in i * 16..(i + 1) * 16 {
+                unsafe { *ds.get_mut(v) = v as u64 };
             }
             0.0
         })

@@ -13,7 +13,7 @@
 //! `bsmp_analytic::extensions`).
 
 use bsmp_hram::{CostMeter, Word};
-use bsmp_machine::{guest_time, LinearProgram, MachineSpec};
+use bsmp_machine::{GuestSteps, LinearProgram, MachineSpec};
 use bsmp_trace::{EngineKind, Tracer};
 
 use crate::error::SimError;
@@ -25,6 +25,12 @@ use crate::RunOpts;
 /// `M_1(n, p, m)` host, with preconditions checked.  Reads `opts.plan`;
 /// the tracer observes each stage and the report is bit-identical
 /// either way.
+///
+/// Each stage is one [`GuestSteps`] step of the guest.  Every cell the
+/// program touches is `< m` (the guest step checks it in debug builds),
+/// so a batch's top address `j·m + c` stays at most `q·m − 1`, below
+/// the value rows' top `q·m + 2q`: every processor's batch costs the
+/// same `f(q·m + 2q) + 5q + q` at every step.
 pub fn try_simulate_pipelined1(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
@@ -42,47 +48,22 @@ pub fn try_simulate_pipelined1(
         &opts.plan,
         tracer,
     )?;
-    let n = spec.n as usize;
     let p = spec.p as usize;
     let m = prog.m();
-    let q = n / p;
-    let access = spec.access_fn();
+    let q = spec.n as usize / p;
     let hop = spec.neighbor_distance();
+    // The step's batch: one private-cell read + one write per hosted
+    // node, plus the value-row traffic (2 reads + 1 write per node) —
+    // all pipelined.  One worst-case latency + one unit per word, plus
+    // the unchanged near-neighbor exchanges.
+    let local = spec.access_fn().f(q * m + 2 * q) + (5 * q) as f64 + q as f64;
 
-    // Functional state (plain vectors; the pipelined cost is computed
-    // per batch, not per access).
-    let mut mem = init.to_vec();
-    let mut prev: Vec<Word> = (0..n).map(|v| mem[v * m + prog.cell(v, 0)]).collect();
-    let mut next = vec![0 as Word; n];
+    let mut guest = GuestSteps::<1>::new(spec, prog, init);
     let mut meter = CostMeter::new();
-
     for t in 1..=steps {
         host.begin_stage("step", []);
+        guest.step(prog, t);
         for pi in 0..p {
-            // The step's batch: one private-cell read + one write per
-            // hosted node, plus the value-row traffic (2 reads + 1 write
-            // per node) — all pipelined.
-            let mut max_addr = 0usize;
-            let mut k = 0usize;
-            for j in 0..q {
-                let v = pi * q + j;
-                let c = prog.cell(v, t);
-                max_addr = max_addr.max(j * m + c);
-                k += 5;
-                let left = if v == 0 { prog.boundary() } else { prev[v - 1] };
-                let right = if v == n - 1 {
-                    prog.boundary()
-                } else {
-                    prev[v + 1]
-                };
-                let own = mem[v * m + c];
-                let out = prog.delta(v, t, own, prev[v], left, right);
-                mem[v * m + c] = out;
-                next[v] = out;
-            }
-            // Batch cost: one worst-case latency + one unit per word,
-            // plus the unchanged near-neighbor exchanges.
-            let local = access.f(max_addr.max(q * m + 2 * q)) + k as f64 + q as f64;
             let mut comm = 0.0;
             let mut msgs = 0u64;
             if pi > 0 {
@@ -100,11 +81,16 @@ pub fn try_simulate_pipelined1(
             host.comm[pi] = comm;
         }
         host.close_stage(1, [])?;
-        std::mem::swap(&mut prev, &mut next);
     }
 
-    let guest_time = guest_time::<1>(spec, prog, steps);
-    Ok(host.finish(mem, prev, guest_time, meter, n * m / p + 2 * q))
+    let run = guest.into_run();
+    Ok(host.finish(
+        run.mem,
+        run.values,
+        run.time,
+        meter,
+        spec.node_mem() as usize + 2 * q,
+    ))
 }
 
 /// [`try_simulate_pipelined1`] with default options; panics on invalid

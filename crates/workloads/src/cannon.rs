@@ -104,10 +104,12 @@ impl SystolicMatmul {
 }
 
 impl MeshProgram for SystolicMatmul {
+    #[inline]
     fn m(&self) -> usize {
         self.side + 1
     }
 
+    #[inline]
     fn cell(&self, i: usize, j: usize, t: i64) -> usize {
         let s = self.side as i64;
         if i == 0 || j == 0 {
@@ -121,6 +123,7 @@ impl MeshProgram for SystolicMatmul {
         0
     }
 
+    #[inline]
     #[allow(clippy::too_many_arguments)]
     fn delta(
         &self,

@@ -31,10 +31,12 @@ impl Eca {
 }
 
 impl LinearProgram for Eca {
+    #[inline]
     fn m(&self) -> usize {
         1
     }
 
+    #[inline]
     fn delta(&self, _v: usize, _t: i64, own: Word, _prev: Word, l: Word, r: Word) -> Word {
         let idx = ((l & 1) << 2) | ((own & 1) << 1) | (r & 1);
         Word::from((self.rule >> idx) & 1)

@@ -83,6 +83,7 @@ impl FirPipeline {
 
     /// Is step `t`'s touch of its cell the first one (raw coefficient
     /// still in place)?
+    #[inline]
     fn first_touch(&self, t: i64) -> bool {
         // Cell c = t mod m is first touched at t = c (c ≥ 1) or t = m (c = 0).
         let m = self.taps as i64;
@@ -111,18 +112,22 @@ impl FirPipeline {
 }
 
 impl LinearProgram for FirPipeline {
+    #[inline]
     fn m(&self) -> usize {
         self.taps
     }
 
+    #[inline]
     fn cell(&self, _v: usize, t: i64) -> usize {
         t.rem_euclid(self.taps as i64) as usize
     }
 
+    #[inline]
     fn boundary(&self) -> Word {
         0
     }
 
+    #[inline]
     fn delta(&self, v: usize, t: i64, own: Word, _prev: Word, left: Word, _right: Word) -> Word {
         let coef = if self.first_touch(t) {
             own

@@ -20,14 +20,17 @@ impl HeatDiffusion {
 }
 
 impl MeshProgram for HeatDiffusion {
+    #[inline]
     fn m(&self) -> usize {
         1
     }
 
+    #[inline]
     fn boundary(&self) -> Word {
         self.ambient
     }
 
+    #[inline]
     #[allow(clippy::too_many_arguments)]
     fn delta(
         &self,

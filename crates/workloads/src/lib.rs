@@ -26,6 +26,13 @@
 //!   introduction's motivating example;
 //! * [`plane::PlaneWave`] — the mesh analogue of `CyclicWave`: an
 //!   order-`m` recurrence cycling through all `m` private cells.
+//!
+//! 3-D mesh (`d = 3`) workload: [`volume::Parity3d`].
+//!
+//! Every program-trait method (`m`, `boundary`, `cell`, `delta`) is
+//! `#[inline]`: the engines call them once per space-time point from
+//! other crates, and the release profile has no LTO, so an out-of-line
+//! call there would cost more than most programs' `δ`.
 
 pub mod cannon;
 pub mod eca;

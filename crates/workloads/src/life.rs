@@ -34,10 +34,12 @@ impl VonNeumannLife {
 }
 
 impl MeshProgram for VonNeumannLife {
+    #[inline]
     fn m(&self) -> usize {
         1
     }
 
+    #[inline]
     #[allow(clippy::too_many_arguments)]
     fn delta(
         &self,

@@ -26,14 +26,17 @@ impl PlaneWave {
 }
 
 impl MeshProgram for PlaneWave {
+    #[inline]
     fn m(&self) -> usize {
         self.m
     }
 
+    #[inline]
     fn cell(&self, _i: usize, _j: usize, t: i64) -> usize {
         (t.rem_euclid(self.m as i64)) as usize
     }
 
+    #[inline]
     #[allow(clippy::too_many_arguments)]
     fn delta(
         &self,

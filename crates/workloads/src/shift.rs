@@ -20,14 +20,17 @@ impl TokenShift {
 }
 
 impl LinearProgram for TokenShift {
+    #[inline]
     fn m(&self) -> usize {
         1
     }
 
+    #[inline]
     fn boundary(&self) -> Word {
         self.fill
     }
 
+    #[inline]
     fn delta(&self, _v: usize, _t: i64, _own: Word, _prev: Word, l: Word, _r: Word) -> Word {
         l
     }

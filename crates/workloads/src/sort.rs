@@ -20,10 +20,12 @@ impl OddEvenSort {
 }
 
 impl LinearProgram for OddEvenSort {
+    #[inline]
     fn m(&self) -> usize {
         1
     }
 
+    #[inline]
     fn delta(&self, v: usize, t: i64, own: Word, _prev: Word, l: Word, r: Word) -> Word {
         // Pair starts at even v on odd steps, at odd v on even steps.
         let start_parity = if t % 2 == 1 { 0 } else { 1 };

@@ -10,10 +10,12 @@ use bsmp_machine::VolumeProgram;
 pub struct Parity3d;
 
 impl VolumeProgram for Parity3d {
+    #[inline]
     fn m(&self) -> usize {
         1
     }
 
+    #[inline]
     fn delta(
         &self,
         _x: usize,

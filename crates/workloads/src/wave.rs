@@ -26,14 +26,17 @@ impl CyclicWave {
 }
 
 impl LinearProgram for CyclicWave {
+    #[inline]
     fn m(&self) -> usize {
         self.m
     }
 
+    #[inline]
     fn cell(&self, _v: usize, t: i64) -> usize {
         (t.rem_euclid(self.m as i64)) as usize
     }
 
+    #[inline]
     fn delta(&self, _v: usize, _t: i64, own: Word, prev: Word, l: Word, r: Word) -> Word {
         own.wrapping_add(l).wrapping_sub(r).wrapping_add(prev)
     }
