@@ -25,8 +25,10 @@ const GOLDEN: &str = concat!(
 /// Shapes beyond the certify matrix, `(engine, d, n, m, p, T)`: deeper
 /// recursions, leaf radii above 1 and clipped cells on every wall, so
 /// the d = 2 / d = 3 memos are exercised past the matrix's tiny cases
-/// (including runs longer than the mesh side and the reverse).
-const EXTRA: [(&str, u8, u64, u64, u64, i64); 9] = [
+/// (including runs longer than the mesh side and the reverse), and
+/// two-regime runs many tile heights long, so their per-run point
+/// bookkeeping turns over its live time band many times.
+const EXTRA: [(&str, u8, u64, u64, u64, i64); 12] = [
     ("dnc1", 1, 256, 4, 1, 200),
     ("dnc2", 2, 256, 1, 1, 16),
     ("dnc2", 2, 144, 4, 1, 13),
@@ -36,6 +38,9 @@ const EXTRA: [(&str, u8, u64, u64, u64, i64); 9] = [
     ("dnc3", 3, 125, 1, 1, 9),
     ("dnc3", 3, 343, 1, 1, 5),
     ("dnc2", 2, 100, 1, 1, 21),
+    ("multi1", 1, 128, 4, 4, 320),
+    ("multi1", 1, 256, 1, 4, 512),
+    ("multi2", 2, 256, 2, 4, 64),
 ];
 
 fn cases() -> Vec<MatrixCase> {
