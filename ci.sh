@@ -55,6 +55,14 @@ echo "$COLD_RESULT" | grep -q '"correct": true' &&
     echo "$COLD_RESULT" >&2
     exit 1
 }
+# The serve path's model, pinned: the digest hashes every job's meters,
+# times and outputs, so it changes only with a declared model change
+# (re-measure it then, at seed 7, and update it here).
+COLD_DIGEST="$(grep -o '"model_digest": "[^"]*"' "$COLD_OUT" | tail -n 1)"
+[ "$COLD_DIGEST" = '"model_digest": "0xa3e9969b282f7190"' ] || {
+    echo "servebench cold-recursive FAILED: model digest moved ($COLD_DIGEST)" >&2
+    exit 1
+}
 cp "$SCRATCH/servebench.lock" servebench/Cargo.lock
 
 echo "==> perf smoke + regression gate (bsmp-repro bench --against)"

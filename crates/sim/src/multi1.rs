@@ -42,8 +42,6 @@
 //!   at the top of the working region (the staging area they physically
 //!   occupy) rather than through a per-word address map.
 
-use bsmp_machine::{FxHashMap, FxHashSet};
-
 use bsmp_geometry::{diamond_cover, ClippedDiamond, Diamond, IRect, Pt2};
 use bsmp_hram::{AccessFn, Word};
 use bsmp_machine::{guest_time, LinearProgram, MachineSpec};
@@ -51,7 +49,7 @@ use bsmp_trace::{EngineKind, Tracer};
 
 use crate::error::SimError;
 use crate::execd::CellExec;
-use crate::procs::{ProcArray, StageHost};
+use crate::procs::{Loc, PointTable, ProcArray, StageHost};
 use crate::report::SimReport;
 use crate::RunOpts;
 
@@ -170,7 +168,7 @@ pub fn try_simulate_multi1(
 ) -> Result<SimReport, SimError> {
     let mut eng = Engine::new(spec, prog, init.len(), steps, opts, tracer)?;
     eng.run(init)?;
-    Ok(eng.finish(spec, prog, steps))
+    eng.finish(spec, prog, steps)
 }
 
 /// [`try_simulate_multi1`] with default options; panics on invalid
@@ -203,16 +201,20 @@ struct Engine<'a, P: LinearProgram> {
     /// The processors; their node states are the strip homes.
     host: ProcArray<'a, Diamond, P, 1>,
     prog: &'a P,
-    /// Ground-truth words for every live dag value (addresses are
-    /// tracked in `placed`/`home`).
-    vals: FxHashMap<Pt2, Word>,
+    /// Ground-truth words of the dag values computed, or staged from
+    /// the input row, in the live time band: rows below a tile's GC
+    /// cutoff are released with `home`'s (addresses are tracked in
+    /// `placed`/`home`).
+    vals: PointTable<Pt2, Word>,
     /// Transient placement during one `D(ps)` tile: value → (proc, addr).
-    placed: FxHashMap<Pt2, (usize, usize)>,
+    placed: PointTable<Pt2, Loc>,
     /// Persistent placement between tiles: value → (proc, addr in the
     /// value-home region).
-    home: FxHashMap<Pt2, (usize, usize)>,
+    home: PointTable<Pt2, Loc>,
     /// Per-strip staged state base during a tile (proc, addr), `m > 1`.
-    staged_state: FxHashMap<usize, (usize, usize)>,
+    staged_state: Vec<Option<Loc>>,
+    /// Scratch list of the dead-value sweep and the scatter.
+    sweep: Vec<(Pt2, Loc)>,
     /// Regime-1 cascade levels `log₂(n/(p·s))`.
     levels: u32,
 }
@@ -263,6 +265,9 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
             },
         };
         let q = n / s;
+        // Rows a tile reaches above the last GC cutoff: its own `p·s`
+        // and the half tile below it its inputs and the cutoff lag span.
+        let window = 3 * (p * s / 2) + 4;
         let cbox = IRect::new(0, n as i64, 1, steps + 1);
 
         // Each processor runs the Theorem-3 recursion on its own H-RAM,
@@ -290,10 +295,11 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
             cbox,
             host,
             prog,
-            vals: FxHashMap::default(),
-            placed: FxHashMap::default(),
-            home: FxHashMap::default(),
-            staged_state: FxHashMap::default(),
+            vals: PointTable::new(n as i64, steps, window),
+            placed: PointTable::new(n as i64, steps, window),
+            home: PointTable::new(n as i64, steps, window),
+            staged_state: vec![None; q],
+            sweep: Vec::new(),
             levels: ((n as f64) / (p as f64 * s as f64)).log2().max(0.0).round() as u32,
         })
     }
@@ -366,7 +372,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
             let j = self.strip_of_col(x as i64);
             let pr = self.proc_of_strip(j);
             let addr = self.strip_home(j) + (x - j * self.s) * self.m + self.prog.cell(x, 0);
-            self.home.insert(Pt2::new(x as i64, 0), (pr, addr));
+            self.home.insert(Pt2::new(x as i64, 0), (pr, addr))?;
         }
         Ok(())
     }
@@ -390,44 +396,46 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
     /// Move one value into processor `pr`'s transit zone; returns the
     /// address.  Sources: current tile placement, or the inter-tile home.
     fn stage_value(&mut self, pt: Pt2, pr: usize) -> Result<usize, SimError> {
-        if let Some(&(owner, addr)) = self.placed.get(&pt) {
+        if let Some((owner, addr)) = self.placed.get(pt)? {
             if owner == pr {
                 return Ok(addr);
             }
             // Cross-seam exchange (cooperating mode): one word, charged
             // on both endpoints at the true processor distance.
-            let w = self.vals[&pt];
+            let w = self.vals.get(pt)?.ok_or(SimError::Internal {
+                what: "placed value has no word",
+            })?;
             let _ = self.host.execs[owner].ram.read(addr);
             self.host.send(owner, pr, 1, pr);
             let dst = self.host.transit_zones[pr].alloc();
             self.host.execs[pr].ram.write(dst, w);
-            self.placed.insert(pt, (pr, dst));
+            self.placed.insert(pt, (pr, dst))?;
             return Ok(dst);
         }
-        let (owner, addr) = *self.home.get(&pt).ok_or(SimError::Internal {
+        let (owner, addr) = self.home.get(pt)?.ok_or(SimError::Internal {
             what: "staged value neither placed nor home",
         })?;
-        // Inter-tile ingest: cascade through the Regime-1 levels.
-        let w = if self.vals.contains_key(&pt) {
-            self.vals[&pt]
-        } else {
-            // Input-row value read straight out of the strip home.
-            self.host.execs[owner].ram.peek(addr)
+        // Inter-tile ingest: cascade through the Regime-1 levels.  An
+        // input-row value is read straight out of the strip home the
+        // first time.
+        let w = match self.vals.get(pt)? {
+            Some(w) => w,
+            None => self.host.execs[owner].ram.peek(addr),
         };
         let _ = self.host.execs[owner].ram.read(addr);
         self.cascade_charge(pr, 1);
         self.host.send(owner, pr, 1, pr);
         let dst = self.host.transit_zones[pr].alloc();
         self.host.execs[pr].ram.write(dst, w);
-        self.vals.insert(pt, w);
-        self.placed.insert(pt, (pr, dst));
+        self.vals.insert(pt, w)?;
+        self.placed.insert(pt, (pr, dst))?;
         Ok(dst)
     }
 
     /// Stage strip `j`'s private memory into its processor's transit
     /// region for the duration of a tile (Regime-1 gather).
     fn stage_strip(&mut self, j: usize) {
-        if self.m == 1 || self.staged_state.contains_key(&j) {
+        if self.m == 1 || self.staged_state[j].is_some() {
             return;
         }
         let pr = self.proc_of_strip(j);
@@ -436,18 +444,40 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         let dst = self.host.transit_zones[pr].alloc_block(sm);
         self.host.execs[pr].ram.relocate_block(src, dst, sm);
         self.cascade_charge(pr, sm);
-        self.staged_state.insert(j, (pr, dst));
+        self.staged_state[j] = Some((pr, dst));
     }
 
     /// Return strip `j`'s private memory to its home (Regime-1 scatter).
     fn unstage_strip(&mut self, j: usize) {
-        if let Some((pr, base)) = self.staged_state.remove(&j) {
+        if let Some((pr, base)) = self.staged_state[j].take() {
             let sm = self.s * self.m;
             let dst = self.strip_home(j);
             self.host.execs[pr].ram.relocate_block(base, dst, sm);
             self.cascade_charge(pr, sm);
             self.host.transit_zones[pr].free_block(base, sm);
         }
+    }
+
+    /// Strip `j`'s staged state base (proc, addr).
+    fn staged(&self, j: usize) -> Result<Loc, SimError> {
+        self.staged_state
+            .get(j)
+            .copied()
+            .flatten()
+            .ok_or(SimError::Internal {
+                what: "strip state not staged",
+            })
+    }
+
+    /// Whether some in-box successor of `pt` outside `tile` is still to
+    /// be computed — a later tile reads `pt`.
+    fn needed_beyond(&self, pt: Pt2, tile: &ClippedDiamond) -> Result<bool, SimError> {
+        for sq in pt.succs() {
+            if self.cbox.contains(sq) && !tile.contains(sq) && !self.vals.contains(sq)? {
+                return Ok(true);
+            }
+        }
+        Ok(false)
     }
 
     /// The vertices of `piece` whose successors escape it — the values
@@ -526,13 +556,12 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         if self.m > 1 {
             for [x] in self.host.execs[pr].pillars(&piece.d) {
                 let j = self.strip_of_col(x);
-                let (owner, base) = *self.staged_state.get(&j).ok_or(SimError::Internal {
-                    what: "piece column's strip not staged",
-                })?;
-                assert_eq!(
-                    owner, pr,
-                    "piece columns must be on the executing processor"
-                );
+                let (owner, base) = self.staged(j)?;
+                if owner != pr {
+                    return Err(SimError::Internal {
+                        what: "piece column staged off the executing processor",
+                    });
+                }
                 // Private copy of the column block for the recursion.
                 let home_addr = base + (x as usize - j * self.s) * self.m;
                 let copy = self.host.transit_zones[pr].alloc_block(self.m);
@@ -555,8 +584,8 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         // Harvest: record outbound values (they stay parked in transit).
         for (pt, addr) in out_pts.into_iter().zip(out_addrs) {
             let w = self.host.execs[pr].ram.peek(addr);
-            self.vals.insert(pt, w);
-            if let Some((old_pr, old_addr)) = self.placed.insert(pt, (pr, addr)) {
+            self.vals.insert(pt, w)?;
+            if let Some((old_pr, old_addr)) = self.placed.insert(pt, (pr, addr))? {
                 // Superseded stale placement (shouldn't generally happen).
                 self.host.transit_zones[old_pr].free_if_owned(old_addr);
             }
@@ -615,19 +644,22 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         pl: usize,
         pr: usize,
     ) -> Result<(), SimError> {
+        // Both lists are in time-major (point) order, so membership in
+        // the outbound set is one forward walk.
         let mut pts = Vec::with_capacity(piece.points_count() as usize);
         piece.for_each_point(|pt| {
             if self.cbox.contains(pt) {
                 pts.push(pt);
             }
         });
-        pts.sort();
+        debug_assert!(pts.windows(2).all(|w| w[0] < w[1]));
         if pts.is_empty() {
             return Ok(());
         }
         let cx = piece.d.cx;
         let nominal = self.host.transit_base; // operands live in the transit band
-        let out_set: FxHashSet<Pt2> = self.outbound(piece).into_iter().collect();
+        let outs = self.outbound(piece);
+        let mut outs = outs.iter().peekable();
         for pt in &pts {
             let side = if pt.x < cx { pl } else { pr };
             self.host.tmark(side, 1, 0);
@@ -642,11 +674,11 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
                     let a = me.stage_value(qp, side)?;
                     me.host.execs[side].ram.peek(a)
                 } else {
-                    *me.vals.get(&qp).ok_or(SimError::Internal {
+                    me.vals.get(qp)?.ok_or(SimError::Internal {
                         what: "band-leaf operand missing",
                     })?
                 };
-                let owner = me.placed.get(&qp).map(|&(o, _)| o).unwrap_or(side);
+                let owner = me.placed.get(qp)?.map_or(side, |(o, _)| o);
                 let _ = me.host.execs[side].ram.read(nominal);
                 me.host.send(owner, side, 1, side);
                 Ok(w)
@@ -654,33 +686,37 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
             let prev = fetch(self, Pt2::new(pt.x, pt.t - 1))?;
             let left = fetch(self, Pt2::new(pt.x - 1, pt.t - 1))?;
             let right = fetch(self, Pt2::new(pt.x + 1, pt.t - 1))?;
-            let own = if self.m > 1 {
+            // The vertex's own memory cell in its staged strip (`m > 1`).
+            let cell = if self.m > 1 {
                 let j = self.strip_of_col(pt.x);
-                let (owner, base) = self.staged_state[&j];
-                assert_eq!(owner, side, "band vertex state must be on its own side");
-                self.host.execs[side].ram.read(
+                let (owner, base) = self.staged(j)?;
+                if owner != side {
+                    return Err(SimError::Internal {
+                        what: "band vertex state staged off its own side",
+                    });
+                }
+                Some(
                     base + (pt.x as usize - j * self.s) * self.m
                         + self.prog.cell(pt.x as usize, pt.t),
                 )
             } else {
-                prev
+                None
+            };
+            let own = match cell {
+                Some(a) => self.host.execs[side].ram.read(a),
+                None => prev,
             };
             let out = self.prog.delta(pt.x as usize, pt.t, own, prev, left, right);
             self.host.execs[side].ram.compute();
-            if self.m > 1 {
-                let j = self.strip_of_col(pt.x);
-                let (_, base) = self.staged_state[&j];
-                self.host.execs[side].ram.write(
-                    base + (pt.x as usize - j * self.s) * self.m
-                        + self.prog.cell(pt.x as usize, pt.t),
-                    out,
-                );
+            if let Some(a) = cell {
+                self.host.execs[side].ram.write(a, out);
             }
-            self.vals.insert(*pt, out);
-            if out_set.contains(pt) {
+            self.vals.insert(*pt, out)?;
+            while outs.next_if(|q| *q < pt).is_some() {}
+            if outs.next_if_eq(&pt).is_some() {
                 let dst = self.host.transit_zones[side].alloc();
                 self.host.execs[side].ram.write(dst, out);
-                self.placed.insert(*pt, (side, dst));
+                self.placed.insert(*pt, (side, dst))?;
             }
         }
         Ok(())
@@ -738,29 +774,25 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
             // previous row's floor that does not escape the tile.
             let row_lo = row_ct - hs;
             if prev_row_lo > i64::MIN {
-                let mut dead: Vec<Pt2> =
-                    self.placed
-                        .iter()
-                        .filter(|(pt, _)| {
-                            pt.t < prev_row_lo - 1
-                                && pt.t != self.t_steps
-                                && pt.succs().iter().all(|sq| {
-                                    !self.cbox.contains(*sq) || self.vals.contains_key(sq)
-                                })
-                                && pt
-                                    .succs()
-                                    .iter()
-                                    .all(|sq| !self.cbox.contains(*sq) || tile.contains(*sq))
-                        })
-                        .map(|(pt, _)| *pt)
-                        .collect();
-                dead.sort();
-                for pt in dead {
-                    let (pr2, addr) = self.placed.remove(&pt).ok_or(SimError::Internal {
-                        what: "transit placement missing for a dead value",
-                    })?;
+                // Placements come out in key order, the order the slots
+                // are freed in.
+                let mut dead = std::mem::take(&mut self.sweep);
+                for (pt, loc) in self.placed.entries(i64::MIN, prev_row_lo - 1) {
+                    let mut done = pt.t != self.t_steps;
+                    for sq in pt.succs() {
+                        if done && self.cbox.contains(sq) {
+                            done = tile.contains(sq) && self.vals.contains(sq)?;
+                        }
+                    }
+                    if done {
+                        dead.push((pt, loc));
+                    }
+                }
+                for (pt, (pr2, addr)) in dead.drain(..) {
+                    self.placed.remove(pt)?;
                     self.host.transit_zones[pr2].free_if_owned(addr);
                 }
+                self.sweep = dead;
             }
             prev_row_lo = row_lo;
             for piece in row {
@@ -792,43 +824,36 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         for &j in &strips {
             self.unstage_strip(j);
         }
-        let mut placed: Vec<(Pt2, (usize, usize))> =
-            std::mem::take(&mut self.placed).into_iter().collect();
-        placed.sort_by_key(|(pt, _)| *pt);
-        for (pt, (pr, addr)) in placed {
-            let needed = pt.t == self.t_steps
-                || pt.succs().iter().any(|sq| {
-                    self.cbox.contains(*sq) && !self.vals.contains_key(sq) && !tile.contains(*sq)
-                });
+        let mut placed = std::mem::take(&mut self.sweep);
+        placed.extend(self.placed.entries(i64::MIN, i64::MAX));
+        self.placed.clear();
+        for (pt, (pr, addr)) in placed.drain(..) {
+            let needed = pt.t == self.t_steps || self.needed_beyond(pt, tile)?;
             self.host.transit_zones[pr].free_if_owned(addr);
-            if needed && !self.home.contains_key(&pt) {
-                let w = self.vals[&pt];
+            if needed && !self.home.contains(pt)? {
+                let w = self.vals.get(pt)?.ok_or(SimError::Internal {
+                    what: "scattered value has no word",
+                })?;
                 let _ = self.host.execs[pr].ram.read(addr);
                 self.cascade_charge(pr, 1);
                 let dst = self.host.home_zones[pr].alloc();
                 self.host.execs[pr].ram.write(dst, w);
-                self.home.insert(pt, (pr, dst));
+                self.home.insert(pt, (pr, dst))?;
             }
         }
-        // Garbage-collect home values no longer reachable.
+        self.sweep = placed;
+        // Garbage-collect home values no longer reachable, in key order,
+        // then release their rows (row T stays).  Input-row entries are
+        // views into the strip homes, not allocated slots.
         let cutoff = b.t0 - 2;
-        let mut dead: Vec<Pt2> = self
-            .home
-            .keys()
-            .copied()
-            .filter(|pt| pt.t < cutoff && pt.t != self.t_steps)
-            .collect();
-        dead.sort();
-        for pt in dead {
-            let (pr, addr) = self.home.remove(&pt).ok_or(SimError::Internal {
-                what: "home placement missing for a dead value",
-            })?;
-            // Input-row entries are views into the strip homes, not
-            // allocated slots.
-            if pt.t > 0 {
+        for (pt, (pr, addr)) in self.home.entries(i64::MIN, cutoff) {
+            if pt.t > 0 && pt.t != self.t_steps {
                 self.host.home_zones[pr].free(addr);
             }
         }
+        self.home.release_below(cutoff);
+        self.vals.release_below(cutoff);
+        self.placed.release_below(cutoff);
         self.host.close_stage()?;
         // Fresh transit zones for the next tile (everything in them has
         // been scattered or dropped).
@@ -853,10 +878,10 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
             self.host.begin_stage("writeback");
             for x in 0..self.n {
                 let pt = Pt2::new(x as i64, self.t_steps);
-                let (pr, addr) = *self.home.get(&pt).ok_or(SimError::Internal {
+                let (pr, addr) = self.home.get(pt)?.ok_or(SimError::Internal {
                     what: "final value not homed",
                 })?;
-                let w = self.vals[&pt];
+                let w = self.final_value(x)?;
                 let _ = self.host.execs[pr].ram.read(addr);
                 let j = self.strip_of_col(x as i64);
                 let hp_ = self.proc_of_strip(j);
@@ -871,7 +896,21 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         self.move_strips("restore", false)
     }
 
-    fn finish(self, spec: &MachineSpec, prog: &impl LinearProgram, steps: i64) -> SimReport {
+    /// Node `x`'s value at step `T`.
+    fn final_value(&self, x: usize) -> Result<Word, SimError> {
+        self.vals
+            .get(Pt2::new(x as i64, self.t_steps))?
+            .ok_or(SimError::Internal {
+                what: "final value missing",
+            })
+    }
+
+    fn finish(
+        self,
+        spec: &MachineSpec,
+        prog: &impl LinearProgram,
+        steps: i64,
+    ) -> Result<SimReport, SimError> {
         let sm = self.s * self.m;
         let mut mem = vec![0 as Word; self.n * self.m];
         for j in 0..self.q {
@@ -886,11 +925,11 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
                 .collect()
         } else {
             (0..self.n)
-                .map(|x| self.vals[&Pt2::new(x as i64, steps)])
-                .collect()
+                .map(|x| self.final_value(x))
+                .collect::<Result<_, _>>()?
         };
         let guest_time = guest_time::<1>(spec, prog, steps);
-        self.host.finish(guest_time, mem, values)
+        Ok(self.host.finish(guest_time, mem, values))
     }
 }
 
@@ -935,6 +974,57 @@ mod tests {
                 what: "cell footprint exceeds the tile budget"
             })
         ));
+    }
+
+    #[test]
+    fn released_table_row_is_a_typed_error() {
+        // A value table whose window has moved past the input row: the
+        // first ingest reads below it and must fail typed, not panic or
+        // fall back to the strip home.
+        let spec = MachineSpec::new(1, 64, 4, 1);
+        let init = inputs::random_bits(41, 64);
+        let prog = Eca::rule110();
+        let mut tracer = Tracer::off();
+        let mut eng = Engine::new(&spec, &prog, 64, 64, RunOpts::default(), &mut tracer).unwrap();
+        eng.vals.release_below(1);
+        assert!(matches!(
+            eng.run(&init),
+            Err(SimError::Internal {
+                what: "point below the table's row window"
+            })
+        ));
+    }
+
+    #[test]
+    fn point_tables_hold_the_tile_band_not_the_run() {
+        // T = 8·p·s: the tables' windows turn over many times, and each
+        // spans at most a tile (p·s rows), the half tile below it and a
+        // few rows of GC lag.
+        for (m, s) in [(1usize, 4u64), (4, 8)] {
+            let (n, p) = (64u64, 4u64);
+            let steps = (8 * p * s) as i64;
+            let spec = MachineSpec::new(1, n, p, m as u64);
+            let prog = CyclicWave::new(m);
+            let init = inputs::random_words(49, n as usize * m, 100);
+            let opts = RunOpts {
+                strip: Some(s),
+                ..RunOpts::default()
+            };
+            let mut tracer = Tracer::off();
+            let mut eng = Engine::new(&spec, &prog, init.len(), steps, opts, &mut tracer).unwrap();
+            eng.run(&init).unwrap();
+            let band = (p * s + p * s / 2 + 4) as usize;
+            for (name, hw) in [
+                ("vals", eng.vals.high_water()),
+                ("placed", eng.placed.high_water()),
+                ("home", eng.home.high_water()),
+            ] {
+                assert!(hw <= band, "m = {m}: {name} spans {hw} rows > {band}");
+            }
+            let guest = run_linear(&spec, &prog, &init, steps);
+            let rep = eng.finish(&spec, &prog, steps).unwrap();
+            rep.assert_matches(&guest.mem, &guest.values);
+        }
     }
 
     #[test]

@@ -27,8 +27,6 @@
 //! \[BP95a\].  The analytic four-range `A` is available in
 //! `bsmp_analytic::theorem1` for comparison (experiment E5).
 
-use bsmp_machine::FxHashMap;
-
 use bsmp_geometry::{cell_cover, ClippedDomain2, Domain2, IBox, Pt3};
 use bsmp_hram::{AccessFn, Word};
 use bsmp_machine::{guest_time, MachineSpec, MeshProgram};
@@ -36,7 +34,7 @@ use bsmp_trace::{EngineKind, Tracer};
 
 use crate::error::SimError;
 use crate::execd::CellExec;
-use crate::procs::{ProcArray, StageHost};
+use crate::procs::{Loc, PointTable, ProcArray, StageHost};
 use crate::report::SimReport;
 use crate::RunOpts;
 
@@ -54,7 +52,7 @@ pub fn try_simulate_multi2(
 ) -> Result<SimReport, SimError> {
     let mut eng = Engine2::new(spec, prog, init.len(), steps, opts, tracer)?;
     eng.run(init)?;
-    Ok(eng.finish(spec, prog, steps))
+    eng.finish(spec, prog, steps)
 }
 
 /// [`try_simulate_multi2`] with default options; panics on invalid
@@ -86,9 +84,11 @@ struct Engine2<'a, P: MeshProgram> {
     /// The processors; processor `(I, J)`'s node states are its block.
     host: ProcArray<'a, Domain2, P, 2>,
     prog: &'a P,
-    vals: FxHashMap<Pt3, Word>,
+    /// Words of the cell outputs in the live time band (rows below the
+    /// GC cutoff are released with `home`'s).
+    vals: PointTable<Pt3, Word>,
     /// value → (proc, addr) in that proc's value-home zone.
-    home: FxHashMap<Pt3, (usize, usize)>,
+    home: PointTable<Pt3, Loc>,
 }
 
 impl<'a, P: MeshProgram> Engine2<'a, P> {
@@ -115,6 +115,9 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         let m = prog.m();
         let b = side / sp;
         let cbox = IBox::new(0, side as i64, 0, side as i64, 1, steps + 1);
+        // Rows between the GC cutoff and the top of the open stage row
+        // (about 1.5·b).
+        let window = 2 * b + 4;
 
         // Each processor runs the Theorem-5 recursion on its own H-RAM,
         // metered like the uniprocessor host's.
@@ -144,8 +147,8 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
             cbox,
             host,
             prog,
-            vals: FxHashMap::default(),
-            home: FxHashMap::default(),
+            vals: PointTable::new(side as i64, steps, window),
+            home: PointTable::new(side as i64, steps, window),
         })
     }
 
@@ -182,13 +185,12 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
     /// Fetch a value into processor `pr`'s transit zone (charging local
     /// accesses and inter-processor hops), returning the address.
     fn stage_value(&mut self, pt: Pt3, pr: usize) -> Result<usize, SimError> {
-        let (owner, addr) = *self.home.get(&pt).ok_or(SimError::Internal {
+        let (owner, addr) = self.home.get(pt)?.ok_or(SimError::Internal {
             what: "preboundary value not homed",
         })?;
-        let w = if let Some(&w) = self.vals.get(&pt) {
-            w
-        } else {
-            self.host.execs[owner].ram.peek(addr)
+        let w = match self.vals.get(pt)? {
+            Some(w) => w,
+            None => self.host.execs[owner].ram.peek(addr),
         };
         let _ = self.host.execs[owner].ram.read(addr);
         self.host.send(owner, pr, 1, pr);
@@ -269,15 +271,15 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
             let w = self.host.execs[pr].ram.peek(addr);
             let _ = self.host.execs[pr].ram.read(addr);
             self.host.transit_zones[pr].free_if_owned(addr);
-            self.vals.insert(pt, w);
+            self.vals.insert(pt, w)?;
             let hpr = self.proc_of_node(pt.x, pt.y);
             self.host.send(pr, hpr, 1, pr);
-            if let Some((opr, oaddr)) = self.home.get(&pt).copied() {
+            if let Some((opr, oaddr)) = self.home.get(pt)? {
                 self.host.home_zones[opr].free(oaddr);
             }
             let dst = self.host.home_zones[hpr].alloc();
             self.host.execs[hpr].ram.write(dst, w);
-            self.home.insert(pt, (hpr, dst));
+            self.home.insert(pt, (hpr, dst))?;
         }
 
         // Return borrowed states.
@@ -321,7 +323,7 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
                 }
                 // Input-row value: a view into the state home.
                 let p0 = Pt3::new(x as i64, y as i64, 0);
-                self.home.insert(p0, (pr, base + self.prog.cell(x, y, 0)));
+                self.home.insert(p0, (pr, base + self.prog.cell(x, y, 0)))?;
             }
         }
         if self.t_steps == 0 {
@@ -338,7 +340,7 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
             if key != last_key && last_key != i64::MIN {
                 self.host.close_stage()?;
                 self.host.begin_stage("cells");
-                self.gc(key / 2 - 2 * hb)?;
+                self.gc(key / 2 - 2 * hb);
             }
             last_key = key;
             self.run_cell(&cell)?;
@@ -350,10 +352,10 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
             for y in 0..side {
                 for x in 0..side {
                     let pt = Pt3::new(x as i64, y as i64, self.t_steps);
-                    let (pr, addr) = *self.home.get(&pt).ok_or(SimError::Internal {
+                    let (pr, addr) = self.home.get(pt)?.ok_or(SimError::Internal {
                         what: "final value not homed",
                     })?;
-                    let w = self.vals[&pt];
+                    let w = self.final_value(x, y)?;
                     let _ = self.host.execs[pr].ram.read(addr);
                     let hpr = self.proc_of_node(x as i64, y as i64);
                     let dst = self.state_home(x as i64, y as i64);
@@ -365,25 +367,34 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         Ok(())
     }
 
-    /// Drop home values below the reachable horizon.
-    fn gc(&mut self, cutoff: i64) -> Result<(), SimError> {
-        let mut dead: Vec<Pt3> = self
-            .home
-            .keys()
-            .copied()
-            .filter(|pt| pt.t < cutoff && pt.t != self.t_steps && pt.t > 0)
-            .collect();
-        dead.sort();
-        for pt in dead {
-            let (pr, addr) = self.home.remove(&pt).ok_or(SimError::Internal {
-                what: "home placement missing for a dead value",
-            })?;
-            self.host.home_zones[pr].free(addr);
+    /// Drop the values below the reachable horizon: free their home
+    /// slots in key order (input-row entries are views into the state
+    /// homes), then release their rows (row T stays).
+    fn gc(&mut self, cutoff: i64) {
+        for (pt, (pr, addr)) in self.home.entries(i64::MIN, cutoff) {
+            if pt.t > 0 && pt.t != self.t_steps {
+                self.host.home_zones[pr].free(addr);
+            }
         }
-        Ok(())
+        self.home.release_below(cutoff);
+        self.vals.release_below(cutoff);
     }
 
-    fn finish(self, spec: &MachineSpec, prog: &impl MeshProgram, steps: i64) -> SimReport {
+    /// Node `(x, y)`'s value at step `T`.
+    fn final_value(&self, x: usize, y: usize) -> Result<Word, SimError> {
+        self.vals
+            .get(Pt3::new(x as i64, y as i64, self.t_steps))?
+            .ok_or(SimError::Internal {
+                what: "final value missing",
+            })
+    }
+
+    fn finish(
+        self,
+        spec: &MachineSpec,
+        prog: &impl MeshProgram,
+        steps: i64,
+    ) -> Result<SimReport, SimError> {
         let side = self.side;
         let m = self.m;
         let mut mem = vec![0 as Word; side * side * m];
@@ -402,11 +413,11 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
                 .collect()
         } else {
             (0..side * side)
-                .map(|v| self.vals[&Pt3::new((v % side) as i64, (v / side) as i64, steps)])
-                .collect()
+                .map(|v| self.final_value(v % side, v / side))
+                .collect::<Result<_, _>>()?
         };
         let guest_time = guest_time::<2>(spec, prog, steps);
-        self.host.finish(guest_time, mem, values)
+        Ok(self.host.finish(guest_time, mem, values))
     }
 }
 

@@ -13,8 +13,9 @@ pub struct ZoneAlloc {
     cap: usize,
     next: usize,
     free: Vec<usize>,
-    /// Free lists for recycled blocks, by length.
-    free_blocks: std::collections::HashMap<usize, Vec<usize>>,
+    /// Free lists for recycled blocks, one per length (a zone sees one
+    /// or two block lengths, so a linear scan beats hashing).
+    free_blocks: Vec<(usize, Vec<usize>)>,
     /// Peak simultaneous occupancy (diagnostics for the space bounds).
     peak: usize,
     live: usize,
@@ -30,7 +31,7 @@ impl ZoneAlloc {
             cap,
             next: 0,
             free: Vec::new(),
-            free_blocks: std::collections::HashMap::new(),
+            free_blocks: Vec::new(),
             peak: 0,
             live: 0,
             #[cfg(debug_assertions)]
@@ -65,7 +66,7 @@ impl ZoneAlloc {
 
     /// Allocate `len` consecutive words (for state blocks).
     pub fn alloc_block(&mut self, len: usize) -> usize {
-        if let Some(a) = self.free_blocks.get_mut(&len).and_then(Vec::pop) {
+        if let Some(a) = self.blocks_of(len).and_then(Vec::pop) {
             self.live += len;
             self.peak = self.peak.max(self.live);
             return a;
@@ -95,7 +96,19 @@ impl ZoneAlloc {
     /// Release a block for reuse by later same-length allocations.
     pub fn free_block(&mut self, addr: usize, len: usize) {
         self.live -= len;
-        self.free_blocks.entry(len).or_default().push(addr);
+        match self.blocks_of(len) {
+            Some(list) => list.push(addr),
+            None => self.free_blocks.push((len, vec![addr])),
+        }
+    }
+
+    /// The free list of `len`-word blocks, if one was ever started.
+    #[inline]
+    fn blocks_of(&mut self, len: usize) -> Option<&mut Vec<usize>> {
+        self.free_blocks
+            .iter_mut()
+            .find(|(l, _)| *l == len)
+            .map(|(_, list)| list)
     }
 
     /// Free a slot only if it belongs to this zone (no-op for foreign
