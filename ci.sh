@@ -160,11 +160,12 @@ grep -q '"schema": "bsmp-trace/v1"' "$TRACE" || {
 cargo run --release -q -p bsmp-cli -- trace-validate "$TRACE"
 
 echo "==> certify smoke (trace-certify: two-sided envelopes + exit codes)"
-# A naive1, a naive2, a multi2, a dnc3, a pipelined1 and a naive3
-# traced run must certify (exit 0): measured slowdown and comm inside
-# [Gunther/Brent floor, Theorem 1-5 envelope] and [cut floor, busy
-# time]; the naive2 run takes the naive kernel's d = 2 path, the dnc3
-# run the d = 3 spec path, and the pipelined1 and naive3 runs the guest
+# A naive1, a naive2, a multi2, a dnc1, a dnc2, a dnc3, a pipelined1
+# and a naive3 traced run must certify (exit 0): measured slowdown and
+# comm inside [Gunther/Brent floor, Theorem 1-5 envelope] and [cut
+# floor, busy time]; the naive2 run takes the naive kernel's d = 2 path,
+# the three dnc runs every dimension of the one D&C engine (the dnc3 run
+# the d = 3 spec path), and the pipelined1 and naive3 runs the guest
 # step and the d = 3 naive kernel end to end.  Corrupting one recorded
 # field must flip the verdict to Violated (exit 1, not the
 # malformed-trace exit 2).
@@ -174,13 +175,17 @@ CERT3="$SCRATCH/certify_dnc3.json"
 CERT4="$SCRATCH/certify_naive2.json"
 CERT5="$SCRATCH/certify_pipelined1.json"
 CERT6="$SCRATCH/certify_naive3.json"
+CERT7="$SCRATCH/certify_dnc1.json"
+CERT8="$SCRATCH/certify_dnc2.json"
 cargo run --release -q -p bsmp-cli -- --quick --trace "$CERT1" --engine naive1 E1 > /dev/null
 cargo run --release -q -p bsmp-cli -- --quick --trace "$CERT2" --engine multi2 E1 > /dev/null
 cargo run --release -q -p bsmp-cli -- --quick --trace "$CERT3" --engine dnc3 E1 > /dev/null
 cargo run --release -q -p bsmp-cli -- --quick --trace "$CERT4" --engine naive2 E1 > /dev/null
 cargo run --release -q -p bsmp-cli -- --quick --trace "$CERT5" --engine pipelined1 E1 > /dev/null
 cargo run --release -q -p bsmp-cli -- --quick --trace "$CERT6" --engine naive3 E1 > /dev/null
-for cert in "$CERT1" "$CERT2" "$CERT3" "$CERT4" "$CERT5" "$CERT6"; do
+cargo run --release -q -p bsmp-cli -- --quick --trace "$CERT7" --engine dnc1 E1 > /dev/null
+cargo run --release -q -p bsmp-cli -- --quick --trace "$CERT8" --engine dnc2 E1 > /dev/null
+for cert in "$CERT1" "$CERT2" "$CERT3" "$CERT4" "$CERT5" "$CERT6" "$CERT7" "$CERT8"; do
     verdict=$(cargo run --release -q -p bsmp-cli -- trace-certify "$cert")
     echo "$verdict"
     case "$verdict" in

@@ -5,9 +5,7 @@
 use std::hint::black_box;
 
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{
-    dnc1::simulate_dnc1, dnc2::simulate_dnc2, multi1::simulate_multi1, naive::simulate_naive,
-};
+use bsmp::sim::{dnc::simulate_dnc, multi1::simulate_multi1, naive::simulate_naive};
 use bsmp::workloads::{inputs, Eca, VonNeumannLife};
 use bsmp_bench::timing::bench;
 
@@ -21,7 +19,7 @@ fn main() {
             black_box(simulate_naive::<1>(&spec, &Eca::rule110(), &init, n as i64).host_time)
         });
         bench("engines/dnc1_n128_T128", 10, || {
-            black_box(simulate_dnc1(&spec, &Eca::rule110(), &init, n as i64).host_time)
+            black_box(simulate_dnc::<1>(&spec, &Eca::rule110(), &init, n as i64).host_time)
         });
     }
 
@@ -36,7 +34,7 @@ fn main() {
         let spec = MachineSpec::new(2, 256, 1, 1);
         let init2 = inputs::random_bits(2, 256);
         bench("engines/dnc2_16x16_T16", 10, || {
-            black_box(simulate_dnc2(&spec, &VonNeumannLife::fredkin(), &init2, 16).host_time)
+            black_box(simulate_dnc::<2>(&spec, &VonNeumannLife::fredkin(), &init2, 16).host_time)
         });
     }
 }

@@ -3,7 +3,7 @@
 
 use std::hint::black_box;
 
-use bsmp::machine::{run_linear, run_mesh, MachineSpec};
+use bsmp::machine::{run_guest, MachineSpec};
 use bsmp::workloads::{inputs, Eca, SystolicMatmul, VonNeumannLife};
 use bsmp_bench::timing::bench;
 
@@ -13,7 +13,11 @@ fn main() {
         let spec = MachineSpec::new(1, n, n, 1);
         let init = inputs::random_bits(1, n as usize);
         bench("machine/guest_rule110_256x256", 20, || {
-            black_box(run_linear(&spec, &Eca::rule110(), &init, 256).values.len())
+            black_box(
+                run_guest::<1>(&spec, &Eca::rule110(), &init, 256)
+                    .values
+                    .len(),
+            )
         });
     }
 
@@ -22,7 +26,7 @@ fn main() {
         let init = inputs::random_bits(2, 1024);
         bench("machine/guest_life_32x32x32", 20, || {
             black_box(
-                run_mesh(&spec, &VonNeumannLife::fredkin(), &init, 32)
+                run_guest::<2>(&spec, &VonNeumannLife::fredkin(), &init, 32)
                     .values
                     .len(),
             )
@@ -42,7 +46,11 @@ fn main() {
             (side + 1) as u64,
         );
         bench("machine/guest_systolic_matmul_16", 10, || {
-            black_box(run_mesh(&spec, &prog, &init, prog.steps()).values.len())
+            black_box(
+                run_guest::<2>(&spec, &prog, &init, prog.steps())
+                    .values
+                    .len(),
+            )
         });
     }
 }

@@ -81,8 +81,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let init = inputs::random_bits(side as u64, side * side * side);
         let prog = bsmp::workloads::Parity3d;
         let spec = bsmp::MachineSpec::new(3, n as u64, 1, 1);
-        let d = bsmp::sim::dnc3::simulate_dnc3(&spec, &prog, &init, side as i64);
-        let v = bsmp::sim::dnc3::simulate_naive3(&spec, &prog, &init, side as i64);
+        let d = bsmp::sim::dnc::simulate_dnc::<3>(&spec, &prog, &init, side as i64);
+        let v = bsmp::sim::naive3::simulate_naive3(&spec, &prog, &init, side as i64);
         t1b.row(vec![
             side.to_string(),
             fnum(n),

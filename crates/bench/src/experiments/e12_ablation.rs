@@ -8,8 +8,7 @@
 use crate::table::{fnum, Table};
 use crate::Scale;
 use bsmp::machine::MachineSpec;
-use bsmp::sim::dnc1::try_simulate_dnc1;
-use bsmp::sim::dnc2::try_simulate_dnc2;
+use bsmp::sim::dnc::try_simulate_dnc;
 use bsmp::workloads::{inputs, CyclicWave, Eca, VonNeumannLife};
 use bsmp::{RunOpts, Tracer};
 
@@ -36,7 +35,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let mut results = Vec::new();
     let mut h = 1i64;
     while h <= (n / 4) as i64 {
-        let r = try_simulate_dnc1(
+        let r = try_simulate_dnc::<1>(
             &spec,
             &Eca::rule110(),
             &init,
@@ -70,7 +69,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let mut results = Vec::new();
     let mut h = 1i64;
     while h <= (n / 4) as i64 {
-        let r = try_simulate_dnc1(
+        let r = try_simulate_dnc::<1>(
             &specm,
             &CyclicWave::new(m),
             &initm,
@@ -115,7 +114,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let mut results = Vec::new();
     let mut h = 1i64;
     while h <= (side / 2) as i64 {
-        let r = try_simulate_dnc2(
+        let r = try_simulate_dnc::<2>(
             &spec2,
             &VonNeumannLife::fredkin(),
             &init2,

@@ -5,7 +5,7 @@ use crate::table::{fnum, Table};
 use crate::Scale;
 use bsmp::analytic::{bounds, logp2};
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{dnc1::simulate_dnc1, naive::simulate_naive};
+use bsmp::sim::{dnc::simulate_dnc, naive::simulate_naive};
 use bsmp::workloads::{inputs, Eca};
 
 pub fn run(scale: Scale) -> Vec<Table> {
@@ -27,7 +27,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     for &n in sizes {
         let init = inputs::random_bits(n, n as usize);
         let spec = MachineSpec::new(1, n, 1, 1);
-        let d = simulate_dnc1(&spec, &Eca::rule110(), &init, n as i64);
+        let d = simulate_dnc::<1>(&spec, &Eca::rule110(), &init, n as i64);
         let v = simulate_naive::<1>(&spec, &Eca::rule110(), &init, n as i64);
         let nf = n as f64;
         t.row(vec![

@@ -6,7 +6,7 @@ use crate::table::{fnum, Table};
 use crate::Scale;
 use bsmp::analytic::bounds;
 use bsmp::machine::MachineSpec;
-use bsmp::sim::dnc1::simulate_dnc1;
+use bsmp::sim::dnc::simulate_dnc;
 use bsmp::workloads::{inputs, CyclicWave};
 
 pub fn run(scale: Scale) -> Vec<Table> {
@@ -28,7 +28,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     for &m in ms {
         let init = inputs::random_words(n + m as u64, n as usize * m, 100);
         let spec = MachineSpec::new(1, n, 1, m as u64);
-        let r = simulate_dnc1(&spec, &CyclicWave::new(m), &init, n as i64);
+        let r = simulate_dnc::<1>(&spec, &CyclicWave::new(m), &init, n as i64);
         let meas = r.slowdown() / n as f64;
         let analytic = bounds::thm3_locality(n as f64, m as f64);
         ratios.push(meas / analytic);

@@ -5,7 +5,7 @@ use crate::table::{fnum, Table};
 use crate::Scale;
 use bsmp::analytic::logp2;
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{dnc2::simulate_dnc2, naive::simulate_naive};
+use bsmp::sim::{dnc::simulate_dnc, naive::simulate_naive};
 use bsmp::workloads::{inputs, VonNeumannLife};
 
 pub fn run(scale: Scale) -> Vec<Table> {
@@ -28,7 +28,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let n = side * side;
         let init = inputs::random_bits(side, n as usize);
         let spec = MachineSpec::new(2, n, 1, 1);
-        let d = simulate_dnc2(&spec, &VonNeumannLife::fredkin(), &init, side as i64);
+        let d = simulate_dnc::<2>(&spec, &VonNeumannLife::fredkin(), &init, side as i64);
         let v = simulate_naive::<2>(&spec, &VonNeumannLife::fredkin(), &init, side as i64);
         let nf = n as f64;
         t.row(vec![

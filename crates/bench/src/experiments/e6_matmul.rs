@@ -4,8 +4,8 @@
 use crate::table::{fnum, Table};
 use crate::Scale;
 use bsmp::analytic::matmul;
-use bsmp::machine::{run_mesh, MachineSpec};
-use bsmp::sim::{dnc2::simulate_dnc2, naive::simulate_naive};
+use bsmp::machine::{run_guest, MachineSpec};
+use bsmp::sim::{dnc::simulate_dnc, naive::simulate_naive};
 use bsmp::workloads::{inputs, SystolicMatmul};
 
 pub fn run(scale: Scale) -> Vec<Table> {
@@ -53,9 +53,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let b = inputs::random_matrix(side as u64 + 1, side, 100);
         let init = prog.stage_inputs(&a, &b);
         let spec = MachineSpec::new(2, n, 1, (side + 1) as u64);
-        let guest = run_mesh(&spec, &prog, &init, prog.steps());
+        let guest = run_guest::<2>(&spec, &prog, &init, prog.steps());
         let naive = simulate_naive::<2>(&spec, &prog, &init, prog.steps());
-        let dnc = simulate_dnc2(&spec, &prog, &init, prog.steps());
+        let dnc = simulate_dnc::<2>(&spec, &prog, &init, prog.steps());
         naive.assert_matches(&guest.mem, &guest.values);
         dnc.assert_matches(&guest.mem, &guest.values);
         t2.row(vec![

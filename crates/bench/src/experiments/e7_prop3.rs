@@ -7,7 +7,7 @@ use crate::Scale;
 use bsmp::analytic::logp2;
 use bsmp::dag::separator::{iterate_recurrence, SeparatorSpec, SpaceTimeBounds};
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{dnc1::simulate_dnc1, dnc2::simulate_dnc2};
+use bsmp::sim::dnc::simulate_dnc;
 use bsmp::workloads::{inputs, Eca, VonNeumannLife};
 
 pub fn run(scale: Scale) -> Vec<Table> {
@@ -30,7 +30,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     for &n in sizes {
         let init = inputs::random_bits(n, n as usize);
         let spec = MachineSpec::new(1, n, 1, 1);
-        let r = simulate_dnc1(&spec, &Eca::rule90(), &init, n as i64);
+        let r = simulate_dnc::<1>(&spec, &Eca::rule90(), &init, n as i64);
         let k = (n * n) as f64;
         t1.row(vec![
             n.to_string(),
@@ -67,7 +67,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let n = side * side;
         let init = inputs::random_bits(side, n as usize);
         let spec = MachineSpec::new(2, n, 1, 1);
-        let r = simulate_dnc2(&spec, &VonNeumannLife::fredkin(), &init, side as i64);
+        let r = simulate_dnc::<2>(&spec, &VonNeumannLife::fredkin(), &init, side as i64);
         let k = (n * side) as f64;
         t2.row(vec![
             side.to_string(),

@@ -22,13 +22,8 @@
 
 use bsmp::machine::MachineSpec;
 use bsmp::sim::{
-    dnc1::simulate_dnc1,
-    dnc2::simulate_dnc2,
-    dnc3::{simulate_dnc3, simulate_naive3},
-    multi1::simulate_multi1,
-    multi2::simulate_multi2,
-    naive::simulate_naive,
-    pipelined1::simulate_pipelined1,
+    dnc::simulate_dnc, multi1::simulate_multi1, multi2::simulate_multi2, naive::simulate_naive,
+    naive3::simulate_naive3, pipelined1::simulate_pipelined1,
 };
 use bsmp::trace::json::{self, escape, Val};
 use bsmp::workloads::{inputs, Eca, Parity3d, VonNeumannLife};
@@ -131,7 +126,7 @@ pub fn run_engine_suite(threads: usize, iters: u32) -> Vec<PerfCase> {
             (r.host_time, r.meter.table_hits)
         }));
         cases.push(case("dnc1_n128_T128", n * n, true, iters, || {
-            let r = simulate_dnc1(&spec, &Eca::rule110(), &init, n as i64);
+            let r = simulate_dnc::<1>(&spec, &Eca::rule110(), &init, n as i64);
             (r.host_time, r.meter.table_hits)
         }));
     }
@@ -213,7 +208,7 @@ pub fn run_engine_suite(threads: usize, iters: u32) -> Vec<PerfCase> {
         }));
         let spec1 = MachineSpec::new(2, 256, 1, 1);
         cases.push(case("dnc2_16x16_T16", 256 * 16, true, iters, || {
-            let r = simulate_dnc2(&spec1, &VonNeumannLife::fredkin(), &init2, 16);
+            let r = simulate_dnc::<2>(&spec1, &VonNeumannLife::fredkin(), &init2, 16);
             (r.host_time, r.meter.table_hits)
         }));
         cases.push(case(
@@ -251,7 +246,7 @@ pub fn run_engine_suite(threads: usize, iters: u32) -> Vec<PerfCase> {
         let init32 = inputs::random_bits(5, 32 * 32);
         let spec1 = MachineSpec::new(2, 32 * 32, 1, 1);
         cases.push(case("dnc2_32x32_T32", 32 * 32 * 32, true, iters, || {
-            let r = simulate_dnc2(&spec1, &VonNeumannLife::fredkin(), &init32, 32);
+            let r = simulate_dnc::<2>(&spec1, &VonNeumannLife::fredkin(), &init32, 32);
             (r.host_time, r.meter.table_hits)
         }));
         let spec4 = MachineSpec::new(2, 32 * 32, 4, 1);
@@ -287,7 +282,7 @@ pub fn run_engine_suite(threads: usize, iters: u32) -> Vec<PerfCase> {
         let init3b = inputs::random_bits(7, 12 * 12 * 12);
         let spec12 = MachineSpec::new(3, 12 * 12 * 12, 1, 1);
         cases.push(case("dnc3_12c_T12", 12 * 12 * 12 * 12, true, iters, || {
-            let r = simulate_dnc3(&spec12, &Parity3d, &init3b, 12);
+            let r = simulate_dnc::<3>(&spec12, &Parity3d, &init3b, 12);
             (r.host_time, r.meter.table_hits)
         }));
     }

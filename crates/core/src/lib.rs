@@ -482,14 +482,14 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsmp_machine::run_linear;
+    use bsmp_machine::run_guest;
     use bsmp_workloads::{inputs, Eca, VonNeumannLife};
 
     #[test]
     fn facade_linear_matches_direct() {
         let init = inputs::random_bits(60, 32);
         let spec = MachineSpec::new(1, 32, 4, 1);
-        let guest = run_linear(&spec, &Eca::rule110(), &init, 32);
+        let guest = run_guest::<1>(&spec, &Eca::rule110(), &init, 32);
         for strategy in [Strategy::Naive, Strategy::TwoRegime, Strategy::Auto] {
             let r = Simulation::linear(32, 4, 1)
                 .strategy(strategy)
@@ -504,7 +504,7 @@ mod tests {
         let r = Simulation::mesh(64, 4, 1)
             .strategy(Strategy::TwoRegime)
             .run_mesh(&VonNeumannLife::fredkin(), &init, 8);
-        let guest = bsmp_machine::run_mesh(
+        let guest = bsmp_machine::run_guest::<2>(
             &MachineSpec::new(2, 64, 4, 1),
             &VonNeumannLife::fredkin(),
             &init,
@@ -581,7 +581,7 @@ mod tests {
         // scheme, and the façade must fall back instead of panicking.
         let init = inputs::random_bits(65, 16);
         let spec = MachineSpec::new(2, 16, 16, 1);
-        let guest = bsmp_machine::run_mesh(&spec, &VonNeumannLife::fredkin(), &init, 4);
+        let guest = bsmp_machine::run_guest::<2>(&spec, &VonNeumannLife::fredkin(), &init, 4);
         let r = Simulation::mesh(16, 16, 1)
             .strategy(Strategy::TwoRegime)
             .try_run_mesh(&VonNeumannLife::fredkin(), &init, 4)

@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use bsmp_faults::{FaultPlan, FaultStats};
 use bsmp_hram::{CostMeter, Word};
-use bsmp_machine::{run_linear, run_mesh, run_volume, GuestRun, MachineSpec, PlanCache, PlanKey};
+use bsmp_machine::{GuestRun, MachineSpec, PlanCache, PlanKey};
 use bsmp_sim::{engine, EngineKind, RunOpts, SimError, SimReport};
 use bsmp_trace::certify::{certify, Certificate};
 use bsmp_trace::json::{escape, num, parse, Val};
@@ -115,11 +115,11 @@ pub fn run_guest(d: u8, n: u64, m: u64, steps: i64, seed: u64) -> Result<GuestRu
     let spec = MachineSpec::try_new(d, n, 1, m)?;
     let init = canonical_init(seed, n, m);
     Ok(match (d, m) {
-        (1, 1) => run_linear(&spec, &Eca::rule110(), &init, steps),
-        (1, _) => run_linear(&spec, &CyclicWave::new(m as usize), &init, steps),
-        (2, 1) => run_mesh(&spec, &VonNeumannLife::fredkin(), &init, steps),
-        (2, _) => run_mesh(&spec, &PlaneWave::new(m as usize), &init, steps),
-        (_, 1) => run_volume(&spec, &Parity3d, &init, steps),
+        (1, 1) => bsmp_machine::run_guest::<1>(&spec, &Eca::rule110(), &init, steps),
+        (1, _) => bsmp_machine::run_guest::<1>(&spec, &CyclicWave::new(m as usize), &init, steps),
+        (2, 1) => bsmp_machine::run_guest::<2>(&spec, &VonNeumannLife::fredkin(), &init, steps),
+        (2, _) => bsmp_machine::run_guest::<2>(&spec, &PlaneWave::new(m as usize), &init, steps),
+        (_, 1) => bsmp_machine::run_guest::<3>(&spec, &Parity3d, &init, steps),
         _ => {
             return Err(SimError::Internal {
                 what: "the d = 3 guest runs m = 1 only",
@@ -753,7 +753,8 @@ mod tests {
         assert_ne!(warm.report.values, cold.report.values);
         // And the warm outputs equal that seed's own cold run.
         let spec = MachineSpec::new(1, 32, 1, 1);
-        let guest = run_linear(&spec, &Eca::rule110(), &inputs::random_bits(6, 32), 32);
+        let guest =
+            bsmp_machine::run_guest::<1>(&spec, &Eca::rule110(), &inputs::random_bits(6, 32), 32);
         assert_eq!(warm.report.mem, guest.mem);
         assert_eq!(warm.report.values, guest.values);
     }

@@ -29,7 +29,7 @@
 //! are the `(2·3^{2/3} x^{2/3}, 1/2)`-topological separators of
 //! Theorem 5 (up to the constant).
 
-use crate::diamond::Diamond;
+use crate::diamond::{product_children, Diamond};
 use crate::ibox::IBox;
 use crate::point::{Pt2, Pt3};
 
@@ -193,19 +193,6 @@ impl Domain2 {
         }
     }
 
-    /// The inclusive `(x, y)` ranges of time slice `t`, or `None` when
-    /// the slice is empty.  O(1).
-    #[inline]
-    pub fn slice_ranges(&self, t: i64) -> Option<((i64, i64), (i64, i64))> {
-        let h = self.h();
-        if t <= (self.dx.ct - h).max(self.dy.ct - h) || t > (self.dx.ct + h).min(self.dy.ct + h) {
-            return None;
-        }
-        let (xa, xb) = column_range(&self.dx, t);
-        let (ya, yb) = column_range(&self.dy, t);
-        (xa <= xb && ya <= yb).then_some(((xa, xb), (ya, yb)))
-    }
-
     /// All lattice points in time-major order.
     pub fn points(&self) -> Vec<Pt3> {
         let mut v = Vec::with_capacity(self.volume() as usize);
@@ -221,26 +208,16 @@ impl Domain2 {
 
     /// The ordered refinement of this cell by the radius-`h/2` honeycomb:
     /// exactly Figure 3 of the paper (6 P + 8 W for an octahedron,
-    /// 4 W + 1 P for a tetrahedron), in topological order.
+    /// 4 W + 1 P for a tetrahedron), in topological order
+    /// ([`product_children`] of the two projection tiles).
     ///
     /// # Panics
     /// If `h` is odd or `< 2`.
     pub fn children(&self) -> Vec<Domain2> {
-        let xs = self.dx.children();
-        let ys = self.dy.children();
-        let g = self.h() / 2;
-        let mut kids = Vec::with_capacity(14);
-        for cx in xs.iter() {
-            for cy in ys.iter() {
-                if (cx.ct - cy.ct).abs() <= g {
-                    kids.push(Domain2::new(*cx, *cy));
-                }
-            }
-        }
-        // Topological order: by the sum of projection-center times (a
-        // proxy for the cell's vertical position), ties broken spatially.
-        kids.sort_by_key(|c| (c.dx.ct + c.dy.ct, c.dx.cx, c.dy.cx));
-        kids
+        product_children(&[self.dx, self.dy])
+            .into_iter()
+            .map(|[dx, dy]| Domain2::new(dx, dy))
+            .collect()
     }
 }
 

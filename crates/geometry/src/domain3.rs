@@ -29,7 +29,7 @@
 //! `τ(k) = O(k·log k)` bounds go through and Theorems 2/5 extend to
 //! `d = 3` exactly as conjectured.
 
-use crate::diamond::Diamond;
+use crate::diamond::{product_children, Diamond};
 use crate::point::Pt4;
 use std::collections::HashSet;
 
@@ -189,29 +189,13 @@ impl Domain3 {
     }
 
     /// The ordered refinement by the radius-`h/2` honeycomb — the 4-D
-    /// topological separator the paper conjectures.  Children are triples
-    /// of projection-children with pairwise offsets `≤ h/2`, ordered by
-    /// total center time.
+    /// topological separator the paper conjectures ([`product_children`]
+    /// of the three projection tiles).
     pub fn children(&self) -> Vec<Domain3> {
-        let xs = self.dx.children();
-        let ys = self.dy.children();
-        let zs = self.dz.children();
-        let g = self.h() / 2;
-        let mut kids = Vec::new();
-        for cx in xs.iter() {
-            for cy in ys.iter() {
-                for cz in zs.iter() {
-                    let ok = (cx.ct - cy.ct).abs() <= g
-                        && (cx.ct - cz.ct).abs() <= g
-                        && (cy.ct - cz.ct).abs() <= g;
-                    if ok {
-                        kids.push(Domain3::new(*cx, *cy, *cz));
-                    }
-                }
-            }
-        }
-        kids.sort_by_key(|c| (c.dx.ct + c.dy.ct + c.dz.ct, c.dx.cx, c.dy.cx, c.dz.cx));
-        kids
+        product_children(&[self.dx, self.dy, self.dz])
+            .into_iter()
+            .map(|[dx, dy, dz]| Domain3::new(dx, dy, dz))
+            .collect()
     }
 
     /// The separator parameters measured on this cell: `(q, δ, c)` with

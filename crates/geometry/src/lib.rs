@@ -45,7 +45,7 @@ pub mod domain3;
 pub mod figures;
 pub mod render;
 
-pub use diamond::{ClippedDiamond, Diamond, SemiDiamond, SemiSide};
+pub use diamond::{product_children, ClippedDiamond, Diamond, SemiDiamond, SemiSide};
 pub use domain2::{CellKind, ClippedDomain2, Domain2};
 pub use domain3::{ClippedDomain3, Domain3, IBox4};
 pub use ibox::{IBox, IRect};

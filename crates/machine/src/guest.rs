@@ -15,7 +15,7 @@
 
 use std::array::from_fn;
 
-use crate::program::{Guest, LinearProgram, MeshProgram, VolumeProgram};
+use crate::program::Guest;
 use crate::spec::MachineSpec;
 use bsmp_hram::Word;
 
@@ -260,40 +260,10 @@ pub fn guest_time<const D: usize>(spec: &MachineSpec, prog: &impl Guest<D>, step
     time
 }
 
-/// [`run_guest`] on the linear array `M_1(n, n, m)`.
-pub fn run_linear(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-) -> GuestRun {
-    run_guest::<1>(spec, prog, init, steps)
-}
-
-/// [`run_guest`] on the mesh `M_2(n, n, m)` (node index `j·side + i`).
-pub fn run_mesh(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-) -> GuestRun {
-    run_guest::<2>(spec, prog, init, steps)
-}
-
-/// [`run_guest`] on the 3-D mesh `M_3(n, n, m)` (node index
-/// `(z·side + y)·side + x`) — the Section-6 extension.
-pub fn run_volume(
-    spec: &MachineSpec,
-    prog: &impl VolumeProgram,
-    init: &[Word],
-    steps: i64,
-) -> GuestRun {
-    run_guest::<3>(spec, prog, init, steps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::{LinearProgram, MeshProgram, VolumeProgram};
 
     /// Rule-90-like XOR automaton (own value ignored for m = 1 parity).
     struct Rule90;
@@ -312,7 +282,7 @@ mod tests {
         let spec = MachineSpec::new(1, n, n, 1);
         let mut init = vec![0; n as usize];
         init[8] = 1;
-        let run = run_linear(&spec, &Rule90, &init, 4);
+        let run = run_guest::<1>(&spec, &Rule90, &init, 4);
         // After 4 steps the impulse sits at distance 4 (rows of Pascal's
         // triangle mod 2: row 4 = 1 0 0 0 1).
         let expect: Vec<Word> = (0..16).map(|x| u64::from(x == 4 || x == 12)).collect();
@@ -322,8 +292,8 @@ mod tests {
     #[test]
     fn guest_time_is_linear_in_steps() {
         let spec = MachineSpec::new(1, 8, 8, 1);
-        let r1 = run_linear(&spec, &Rule90, &[1; 8], 10);
-        let r2 = run_linear(&spec, &Rule90, &[1; 8], 20);
+        let r1 = run_guest::<1>(&spec, &Rule90, &[1; 8], 10);
+        let r2 = run_guest::<1>(&spec, &Rule90, &[1; 8], 20);
         assert!((r2.time - 2.0 * r1.time).abs() < 1e-9);
         assert!(r1.time >= 10.0);
     }
@@ -346,10 +316,10 @@ mod tests {
     fn multi_cell_memory_is_updated_in_place() {
         let spec = MachineSpec::new(1, 4, 4, 2);
         let init: Vec<Word> = (0..8).collect();
-        let run = run_linear(&spec, &TwoCell, &init, 3);
+        let run = run_guest::<1>(&spec, &TwoCell, &init, 3);
         // Cells not touched at the final step keep their step-2 values;
         // just check the run is deterministic and memory has both cells.
-        let run2 = run_linear(&spec, &TwoCell, &init, 3);
+        let run2 = run_guest::<1>(&spec, &TwoCell, &init, 3);
         assert_eq!(run.mem, run2.mem);
         assert_eq!(run.mem.len(), 8);
     }
@@ -380,7 +350,7 @@ mod tests {
     fn mesh_runs_and_meters() {
         let spec = MachineSpec::new(2, 16, 16, 1);
         let init = vec![1; 16];
-        let run = run_mesh(&spec, &Life, &init, 3);
+        let run = run_guest::<2>(&spec, &Life, &init, 3);
         assert_eq!(run.values, vec![1; 16], "all-ones is a fixed point");
         assert!(run.time >= 3.0);
     }
@@ -657,15 +627,15 @@ mod tests {
     #[should_panic(expected = "is not below m")]
     fn a_cell_past_m_is_refused() {
         let spec = MachineSpec::new(1, 4, 1, 2);
-        run_linear(&spec, &PastEnd, &[0; 8], 1);
+        run_guest::<1>(&spec, &PastEnd, &[0; 8], 1);
     }
 
     #[test]
     fn instantaneous_guest_is_cheaper() {
         let b = MachineSpec::new(1, 8, 8, 1);
         let i = MachineSpec::instantaneous(1, 8, 8, 1);
-        let rb = run_linear(&b, &Rule90, &[1; 8], 5);
-        let ri = run_linear(&i, &Rule90, &[1; 8], 5);
+        let rb = run_guest::<1>(&b, &Rule90, &[1; 8], 5);
+        let ri = run_guest::<1>(&i, &Rule90, &[1; 8], 5);
         assert!(ri.time < rb.time);
         assert_eq!(ri.values, rb.values, "cost model cannot change values");
     }

@@ -34,7 +34,7 @@ pub mod spec;
 pub mod stage;
 
 pub use cache::{CacheStats, PlanCache, PlanKey};
-pub use guest::{guest_time, run_guest, run_linear, run_mesh, run_volume, GuestRun, GuestSteps};
+pub use guest::{guest_time, run_guest, GuestRun, GuestSteps};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use pool::{
     available_threads, init_shared_pool, set_default_threads, shared_pool, DisjointSlice,

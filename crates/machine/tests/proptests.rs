@@ -3,7 +3,7 @@
 
 use bsmp_faults::rng::Rng64;
 use bsmp_hram::Word;
-use bsmp_machine::{guest_time, run_linear, LinearProgram, MachineSpec, StageClock};
+use bsmp_machine::{guest_time, run_guest, LinearProgram, MachineSpec, StageClock};
 
 const CASES: usize = 64;
 
@@ -26,8 +26,8 @@ fn guest_execution_is_deterministic() {
         let bits = rng.vec_below(12, 2);
         let steps = rng.range_i64(0, 20);
         let spec = MachineSpec::new(1, 12, 12, 1);
-        let a = run_linear(&spec, &Rule(rule), &bits, steps);
-        let b = run_linear(&spec, &Rule(rule), &bits, steps);
+        let a = run_guest::<1>(&spec, &Rule(rule), &bits, steps);
+        let b = run_guest::<1>(&spec, &Rule(rule), &bits, steps);
         assert_eq!(a.values, b.values);
         assert_eq!(a.mem, b.mem);
         assert!((a.time - b.time).abs() < 1e-12);
@@ -42,7 +42,7 @@ fn guest_time_matches_clock_helper() {
         let bits = rng.vec_below(8, 2);
         let steps = rng.range_i64(0, 16);
         let spec = MachineSpec::new(1, 8, 8, 1);
-        let run = run_linear(&spec, &Rule(rule), &bits, steps);
+        let run = run_guest::<1>(&spec, &Rule(rule), &bits, steps);
         assert!((run.time - guest_time::<1>(&spec, &Rule(rule), steps)).abs() < 1e-9);
     }
 }
@@ -57,10 +57,10 @@ fn light_cone_respected() {
         let flip = rng.below(17) as usize;
         let steps = rng.range_i64(1, 8);
         let spec = MachineSpec::new(1, 17, 17, 1);
-        let a = run_linear(&spec, &Rule(110), &bits, steps);
+        let a = run_guest::<1>(&spec, &Rule(110), &bits, steps);
         let mut bits2 = bits.clone();
         bits2[flip] ^= 1;
-        let b = run_linear(&spec, &Rule(110), &bits2, steps);
+        let b = run_guest::<1>(&spec, &Rule(110), &bits2, steps);
         for v in 0..17usize {
             if (v as i64 - flip as i64).abs() > steps {
                 assert_eq!(

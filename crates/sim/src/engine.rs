@@ -5,7 +5,8 @@
 //! `try_simulate_X(spec, prog, init, steps, opts, tracer)` and the
 //! panicking default-options `simulate_X(spec, prog, init, steps)`;
 //! [`naive`] serves `naive1` and `naive2` as
-//! `try_simulate_naive::<D>` for `D = 1, 2`.
+//! `try_simulate_naive::<D>` for `D = 1, 2`, and [`dnc`] serves `dnc1`,
+//! `dnc2` and `dnc3` as `try_simulate_dnc::<D>` for `D = 1, 2, 3`.
 //! Callers that pick the engine at run time (the façade, the batch
 //! server, the CLI) go through [`run_linear`], [`run_mesh`] or
 //! [`run_volume`] instead of matching engine names themselves.
@@ -17,7 +18,7 @@ use bsmp_trace::Tracer;
 
 pub use bsmp_trace::EngineKind;
 
-use crate::{dnc1, dnc2, dnc3, multi1, multi2, naive, pipelined1, SimError, SimReport};
+use crate::{dnc, multi1, multi2, naive, naive3, pipelined1, SimError, SimReport};
 
 /// Options of one engine run.  [`RunOpts::default`] is the paper's
 /// configuration: fault-free, auto-detected host threads, the paper's
@@ -32,7 +33,7 @@ pub struct RunOpts {
     pub exec: ExecPolicy,
     /// Leaf radius of the divide-and-conquer recursion; `None` selects
     /// the paper's executable diamonds/cells of radius `max(m/2, 1)`.
-    /// Read by dnc1 and dnc2.
+    /// Read by dnc1, dnc2, dnc3.
     pub leaf: Option<i64>,
     /// Strip width `s`; `None` selects the admissible width closest to
     /// the paper's `s*` ([`multi1::engine_strip`]).  Read by multi1.
@@ -55,7 +56,7 @@ pub fn run_linear(
         EngineKind::Pipelined1 => {
             pipelined1::try_simulate_pipelined1(spec, prog, init, steps, opts, tracer)
         }
-        EngineKind::Dnc1 => dnc1::try_simulate_dnc1(spec, prog, init, steps, opts, tracer),
+        EngineKind::Dnc1 => dnc::try_simulate_dnc::<1>(spec, prog, init, steps, opts, tracer),
         _ => Err(SimError::DimensionMismatch {
             expected: kind.d(),
             got: 1,
@@ -76,7 +77,7 @@ pub fn run_mesh(
     match kind {
         EngineKind::Naive2 => naive::try_simulate_naive::<2>(spec, prog, init, steps, opts, tracer),
         EngineKind::Multi2 => multi2::try_simulate_multi2(spec, prog, init, steps, opts, tracer),
-        EngineKind::Dnc2 => dnc2::try_simulate_dnc2(spec, prog, init, steps, opts, tracer),
+        EngineKind::Dnc2 => dnc::try_simulate_dnc::<2>(spec, prog, init, steps, opts, tracer),
         _ => Err(SimError::DimensionMismatch {
             expected: kind.d(),
             got: 2,
@@ -95,8 +96,8 @@ pub fn run_volume(
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
     match kind {
-        EngineKind::Naive3 => dnc3::try_simulate_naive3(spec, prog, init, steps, opts, tracer),
-        EngineKind::Dnc3 => dnc3::try_simulate_dnc3(spec, prog, init, steps, opts, tracer),
+        EngineKind::Naive3 => naive3::try_simulate_naive3(spec, prog, init, steps, opts, tracer),
+        EngineKind::Dnc3 => dnc::try_simulate_dnc::<3>(spec, prog, init, steps, opts, tracer),
         _ => Err(SimError::DimensionMismatch {
             expected: kind.d(),
             got: 3,

@@ -1,16 +1,16 @@
 //! The Proposition-2 executor over product-of-diamond cells, generic
 //! over the number `D` of mesh axes: the Figure-1 diamonds of Theorems
-//! 2–4 (`D = 1`, run by [`crate::dnc1`] and [`crate::multi1`]), the
-//! octahedra/tetrahedra of Theorem 5 (`D = 2`, run by [`crate::dnc2`]
-//! and [`crate::multi2`]) and Section 6's 4-D honeycomb cells (`D = 3`,
-//! run by [`crate::dnc3`]).
+//! 2–4 (`D = 1`, run by `dnc1` and [`crate::multi1`]), the
+//! octahedra/tetrahedra of Theorem 5 (`D = 2`, run by `dnc2` and
+//! [`crate::multi2`]) and Section 6's 4-D honeycomb cells (`D = 3`, run
+//! by `dnc3`); the three `dnc` engines are one [`crate::dnc`].
 //!
-//! A cell is `D` per-axis diamonds of one radius (`[Diamond; D]`, see
-//! [`ProductCell`]).  Its children are products of per-axis children, in
-//! the order [`Diamond::children`] / [`Domain2::children`] /
-//! [`Domain3::children`] give them (bottom, left, right, top at `D = 1`;
-//! 6 octahedra + 8 tetrahedra or 4 tetrahedra + 1 octahedron at `D = 2`;
-//! up to 46 cells at `D = 3`).  The whole computed box
+//! A cell is `D` per-axis diamonds of one radius, a plain
+//! `[Diamond; D]`.  Its children are the geometry crate's
+//! [`product_children`] — products of per-axis [`Diamond::children`], in
+//! topological order (bottom, left, right, top at `D = 1`; 6 octahedra
+//! and 8 tetrahedra, or 4 tetrahedra and 1 octahedron, at `D = 2`; up to
+//! 46 cells at `D = 3`).  The whole computed box
 //! `[0, side)^D × [1, T]` is wrapped in one big clipped symmetric cell
 //! and executed recursively, following Proposition 2's memory discipline
 //! *literally* on an instrumented H-RAM:
@@ -44,9 +44,8 @@
 //! runs leaves from precomputed operand slots without any hashing.
 
 use std::array::from_fn;
-use std::marker::PhantomData;
 
-use bsmp_geometry::{Diamond, Domain2, Domain3, Pt2};
+use bsmp_geometry::{product_children, Diamond, Pt2};
 use bsmp_hram::{AccessFn, CostTable, Hram, Word};
 use bsmp_machine::{FxHashMap, Guest};
 
@@ -57,52 +56,6 @@ use crate::zone::ZoneAlloc;
 /// A dag vertex: time step, then the `D` mesh coordinates.  Tuples order
 /// like `Pt2`/`Pt3`/`Pt4` (time-major), and like their directory keys.
 pub type Point<const D: usize> = (i64, [i64; D]);
-
-/// A honeycomb cell as the product of `D` per-axis diamonds of one
-/// radius.  The geometry crate stays the one source of the refinement
-/// and its topological order.
-pub trait ProductCell<const D: usize>: Copy {
-    fn axes(&self) -> [Diamond; D];
-    fn from_axes(axes: [Diamond; D]) -> Self;
-    /// The children, in topological order.
-    fn children(&self) -> Vec<Self>;
-}
-
-impl ProductCell<1> for Diamond {
-    fn axes(&self) -> [Diamond; 1] {
-        [*self]
-    }
-    fn from_axes([d]: [Diamond; 1]) -> Self {
-        d
-    }
-    fn children(&self) -> Vec<Self> {
-        Diamond::children(self).to_vec()
-    }
-}
-
-impl ProductCell<2> for Domain2 {
-    fn axes(&self) -> [Diamond; 2] {
-        [self.dx, self.dy]
-    }
-    fn from_axes([dx, dy]: [Diamond; 2]) -> Self {
-        Domain2 { dx, dy }
-    }
-    fn children(&self) -> Vec<Self> {
-        Domain2::children(self)
-    }
-}
-
-impl ProductCell<3> for Domain3 {
-    fn axes(&self) -> [Diamond; 3] {
-        [self.dx, self.dy, self.dz]
-    }
-    fn from_axes([dx, dy, dz]: [Diamond; 3]) -> Self {
-        Domain3 { dx, dy, dz }
-    }
-    fn children(&self) -> Vec<Self> {
-        Domain3::children(self)
-    }
-}
 
 /// Memo key: radius, then per axis the centre-time offset from axis 0
 /// and the clamped distances to its two dag walls, then the clamped
@@ -190,8 +143,9 @@ struct LevelBufs<const D: usize> {
     pillars: Vec<[i64; D]>,
 }
 
-/// The recursive executor over cells `C` of the `D`-dimensional mesh.
-pub struct CellExec<'a, C, P, const D: usize> {
+/// The recursive executor over the product cells `[Diamond; D]` of the
+/// `D`-dimensional mesh.
+pub struct CellExec<'a, P, const D: usize> {
     prog: &'a P,
     side: i64,
     t_steps: i64,
@@ -215,7 +169,6 @@ pub struct CellExec<'a, C, P, const D: usize> {
     /// Every cell `exec` visited, in visit order (tests only).
     #[cfg(test)]
     visited: Vec<[Diamond; D]>,
-    cell: PhantomData<fn() -> C>,
 }
 
 /// The point all of a cell's plan offsets are taken from.
@@ -290,7 +243,7 @@ fn operand(ram: &mut Hram, table: &CostTable, bd: Word, s: u32) -> Option<Word> 
     }
 }
 
-impl<'a, C: ProductCell<D>, P: Guest<D>, const D: usize> CellExec<'a, C, P, D> {
+impl<'a, P: Guest<D>, const D: usize> CellExec<'a, P, D> {
     /// A uniprocessor executor for a `T`-step run of `prog` on the mesh
     /// of side `side`, metered under `access`.
     pub fn new(side: i64, access: AccessFn, prog: &'a P, t_steps: i64, leaf_h: i64) -> Self {
@@ -321,7 +274,6 @@ impl<'a, C: ProductCell<D>, P: Guest<D>, const D: usize> CellExec<'a, C, P, D> {
             table: CostTable::new(access, leaf_span),
             #[cfg(test)]
             visited: Vec::new(),
-            cell: PhantomData,
         }
     }
 
@@ -378,10 +330,9 @@ impl<'a, C: ProductCell<D>, P: Guest<D>, const D: usize> CellExec<'a, C, P, D> {
 
     /// The executor's preboundary: dag vertices outside `U` that are
     /// predecessors of a vertex of `U`, sorted (from the shape plan).
-    pub fn gamma(&mut self, u: &C) -> Vec<Point<D>> {
-        let u = u.axes();
-        let id = self.plan_of(&u);
-        let ko = self.key(origin(&u));
+    pub fn gamma(&mut self, u: &[Diamond; D]) -> Vec<Point<D>> {
+        let id = self.plan_of(u);
+        let ko = self.key(origin(u));
         self.plans.list[id as usize]
             .gamma
             .iter()
@@ -391,10 +342,9 @@ impl<'a, C: ProductCell<D>, P: Guest<D>, const D: usize> CellExec<'a, C, P, D> {
 
     /// Mesh pillars with an executed vertex in `U`, sorted (from the
     /// shape plan, which records them only for `m > 1`).
-    pub fn pillars(&mut self, u: &C) -> Vec<[i64; D]> {
-        let u = u.axes();
-        let id = self.plan_of(&u);
-        let o = origin(&u).1;
+    pub fn pillars(&mut self, u: &[Diamond; D]) -> Vec<[i64; D]> {
+        let id = self.plan_of(u);
+        let o = origin(u).1;
         self.plans.list[id as usize]
             .pillars
             .iter()
@@ -510,8 +460,8 @@ impl<'a, C: ProductCell<D>, P: Guest<D>, const D: usize> CellExec<'a, C, P, D> {
     }
 
     /// The space function `S(U)` of Proposition 2, memoized per shape.
-    pub fn space(&mut self, u: &C) -> usize {
-        let id = self.plan_of(&u.axes());
+    pub fn space(&mut self, u: &[Diamond; D]) -> usize {
+        let id = self.plan_of(u);
         self.plans.list[id as usize].space
     }
 
@@ -610,10 +560,8 @@ impl<'a, C: ProductCell<D>, P: Guest<D>, const D: usize> CellExec<'a, C, P, D> {
             return plan;
         }
         // Children, their plans and (absolute) Γs.
-        let kids: Vec<[Diamond; D]> = C::from_axes(*u)
-            .children()
-            .iter()
-            .map(|c| c.axes())
+        let kids: Vec<[Diamond; D]> = product_children(u)
+            .into_iter()
             .filter(|k| {
                 let (lo, hi) = band(k);
                 (lo + 1..=hi).any(|t| self.slice(k, t).is_some())
@@ -710,7 +658,7 @@ impl<'a, C: ProductCell<D>, P: Guest<D>, const D: usize> CellExec<'a, C, P, D> {
     /// degrade gracefully.
     pub fn exec(
         &mut self,
-        u: &C,
+        u: &[Diamond; D],
         want: &[Point<D>],
         parent_zone: &mut ZoneAlloc,
         parent_vals: &[(Point<D>, usize)],
@@ -718,9 +666,8 @@ impl<'a, C: ProductCell<D>, P: Guest<D>, const D: usize> CellExec<'a, C, P, D> {
     ) -> Result<(), SimError> {
         let want: Vec<i64> = want.iter().map(|&q| self.key(q)).collect();
         let vals: Vals<i64> = parent_vals.iter().map(|&(q, a)| (self.key(q), a)).collect();
-        let u = u.axes();
-        let id = self.plan_of(&u);
-        self.exec_at(&u, id, &want, parent_zone, &vals, out_addrs, 0)
+        let id = self.plan_of(u);
+        self.exec_at(u, id, &want, parent_zone, &vals, out_addrs, 0)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1114,8 +1061,8 @@ impl<'a, C: ProductCell<D>, P: Guest<D>, const D: usize> CellExec<'a, C, P, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsmp_geometry::CellKind;
-    use bsmp_machine::{run_linear, run_mesh, LinearProgram, MachineSpec, MeshProgram};
+    use bsmp_geometry::{CellKind, Domain2, Domain3};
+    use bsmp_machine::{run_guest, LinearProgram, MachineSpec, MeshProgram};
     use bsmp_workloads::{inputs, CyclicWave, Eca, Parity3d, PlaneWave, VonNeumannLife};
 
     /// The executed points of `u`, straight from the definition: every
@@ -1136,13 +1083,13 @@ mod tests {
     /// Run one small simulation, then check every visited cell's plan
     /// against the definitions: Γ (every dag predecessor of an executed
     /// point that is not itself executed), the children
-    /// ([`ProductCell::children`] less the empty ones), the sorted leaf
+    /// ([`product_children`] less the empty ones), the sorted leaf
     /// points, the pillars (`m > 1`) and the outbound cap (the top two
     /// vertices of every pillar).  Leaf accesses must use the cost
     /// table.  Returns the run's result and the visited cells.
     #[allow(clippy::type_complexity)]
-    fn check_plans<C: ProductCell<D>, P: Guest<D>, const D: usize>(
-        mut ex: CellExec<C, P, D>,
+    fn check_plans<P: Guest<D>, const D: usize>(
+        mut ex: CellExec<P, D>,
         init: &[Word],
     ) -> ((Vec<Word>, Vec<Word>), Vec<[Diamond; D]>) {
         let out = ex.run(init).unwrap();
@@ -1167,7 +1114,7 @@ mod tests {
             direct.dedup();
             let g: Vec<Point<D>> = ex.gamma_direct(u).iter().map(|&k| ex.point(k)).collect();
             assert_eq!(g, direct, "Γ of {u:?} (side {side}, T {steps})");
-            let memo = ex.gamma(&C::from_axes(*u));
+            let memo = ex.gamma(u);
             assert_eq!(memo, direct, "Γ memo of {u:?} (side {side}, T {steps})");
             let mut pillars: Vec<[i64; D]> = pts.iter().map(|p| p.1).collect();
             pillars.sort_unstable();
@@ -1178,7 +1125,7 @@ mod tests {
             assert_eq!(ex.outbound_cap(u), cap + (1 << (D + 1)), "cap of {u:?}");
             pillars.dedup();
             if ex.m > 1 {
-                let planned = ex.pillars(&C::from_axes(*u));
+                let planned = ex.pillars(u);
                 assert_eq!(planned, pillars, "pillars of {u:?}");
             }
             let (o, id) = (origin(u), ex.plan_of(u));
@@ -1191,10 +1138,8 @@ mod tests {
                     .collect();
                 assert_eq!(planned, pts, "leaf points of {u:?}");
             } else {
-                let kids: Vec<[Diamond; D]> = C::from_axes(*u)
-                    .children()
-                    .iter()
-                    .map(|k| k.axes())
+                let kids: Vec<[Diamond; D]> = product_children(u)
+                    .into_iter()
                     .filter(|k| !points_of(k, side, steps).is_empty())
                     .collect();
                 let halves = u.map(|d| d.children());
@@ -1244,9 +1189,9 @@ mod tests {
             let spec = MachineSpec::new(1, n as u64, 1, m as u64);
             let init = inputs::random_words(3 + n as u64, n as usize * m, 50);
             let leaf = (m as i64 / 2).max(1);
-            let ex = CellExec::<Diamond, _, 1>::new(n, spec.access_fn(), prog, steps, leaf);
+            let ex = CellExec::<_, 1>::new(n, spec.access_fn(), prog, steps, leaf);
             let (out, visited) = check_plans(ex, &init);
-            let guest = run_linear(&spec, prog, &init, steps);
+            let guest = run_guest::<1>(&spec, prog, &init, steps);
             assert_eq!(out, (guest.mem, guest.values));
             visited
         }
@@ -1274,9 +1219,9 @@ mod tests {
             let spec = MachineSpec::new(2, (side * side) as u64, 1, m as u64);
             let init = inputs::random_words(7 + side as u64, (side * side) as usize * m, 50);
             let leaf = (m as i64 / 2).max(1);
-            let ex = CellExec::<Domain2, _, 2>::new(side, spec.access_fn(), prog, steps, leaf);
+            let ex = CellExec::<_, 2>::new(side, spec.access_fn(), prog, steps, leaf);
             let (out, visited) = check_plans(ex, &init);
-            let guest = run_mesh(&spec, prog, &init, steps);
+            let guest = run_guest::<2>(&spec, prog, &init, steps);
             assert_eq!(out, (guest.mem, guest.values));
             visited
         }
@@ -1289,7 +1234,7 @@ mod tests {
                 let mut cells = check(&VonNeumannLife::fredkin(), side, steps);
                 cells.extend(check(&PlaneWave::new(4), side, steps));
                 for u in &cells {
-                    kinds[match Domain2::from_axes(*u).kind() {
+                    kinds[match Domain2::new(u[0], u[1]).kind() {
                         CellKind::Octahedron => 0,
                         CellKind::TetraXBottom => 1,
                         CellKind::TetraYBottom => 2,
@@ -1315,10 +1260,9 @@ mod tests {
             for (side, steps) in runs((6, 7)) {
                 let spec = MachineSpec::new(3, side.pow(3) as u64, 1, 1);
                 let init = inputs::random_bits(11 + side as u64, spec.n as usize);
-                let ex =
-                    CellExec::<Domain3, _, 3>::new(side, spec.access_fn(), &Parity3d, steps, 1);
+                let ex = CellExec::<_, 3>::new(side, spec.access_fn(), &Parity3d, steps, 1);
                 for u in check_plans(ex, &init).1 {
-                    classes[Domain3::from_axes(u).class()] += 1;
+                    classes[Domain3::new(u[0], u[1], u[2]).class()] += 1;
                     touch_walls(&mut walls, &u, side, steps);
                 }
             }

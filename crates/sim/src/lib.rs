@@ -18,16 +18,16 @@
 //! |-------------|------------------------------------------------------|
 //! | [`naive`]   | Proposition 1 / §4.2 naive, `d = 1, 2` (`naive1`, `naive2`), any `p` the block layout divides |
 //! | [`execd`]   | Proposition 2 executor over product cells, `d = 1, 2, 3` |
-//! | [`dnc1`]    | Theorems 2 & 3 (uniprocessor D&C, `d = 1`)           |
+//! | [`dnc`]     | Theorems 2 & 3 (`d = 1`), Theorem 5 (`d = 2`) and the Section 6 conjecture (`d = 3`): uniprocessor D&C (`dnc1`, `dnc2`, `dnc3`) |
 //! | [`multi1`]  | Theorem 4 (two-regime multiprocessor, `d = 1`)       |
-//! | [`dnc2`]    | Theorem 5 (uniprocessor D&C, `d = 2`)                |
 //! | [`multi2`]  | Theorem 1 `d = 2` (two-regime, cost-accounted)       |
-//! | [`dnc3`]    | Section 6 conjecture (uniprocessor D&C and naive, `d = 3`) |
+//! | [`naive3`]  | Proposition 1, `d = 3` (`naive3`, uniprocessor)      |
 //! | `procs`     | `StageHost`: every engine's input checks, stage close, faults and report |
 //!
-//! Each engine module, `d = 3` included, exposes
+//! Each engine module exposes
 //! `try_simulate_X(spec, prog, init, steps, opts, tracer)` and the
-//! default-options `simulate_X`; [`engine`]
+//! default-options `simulate_X` ([`naive`] and [`dnc`] generic over the
+//! dimension `D`); [`engine`]
 //! dispatches a run over the [`EngineKind`] registry with one
 //! [`RunOpts`].
 //!
@@ -36,15 +36,14 @@
 //! host; [`pipelined1`] implements Section 6's pipelined-memory machine
 //! (no locality slowdown).
 
-pub mod dnc1;
-pub mod dnc2;
-pub mod dnc3;
+pub mod dnc;
 pub mod engine;
 pub mod error;
 pub mod execd;
 pub mod multi1;
 pub mod multi2;
 pub mod naive;
+pub mod naive3;
 pub mod pipelined1;
 mod procs;
 pub mod report;

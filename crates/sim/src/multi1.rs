@@ -199,7 +199,7 @@ struct Engine<'a, P: LinearProgram> {
     t_steps: i64,
     cbox: IRect,
     /// The processors; their node states are the strip homes.
-    host: ProcArray<'a, Diamond, P, 1>,
+    host: ProcArray<'a, P, 1>,
     prog: &'a P,
     /// Ground-truth words of the dag values computed, or staged from
     /// the input row, in the live time band: rows below a tile's GC
@@ -279,7 +279,11 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
             spec,
             host,
             || CellExec::new(n as i64, access, prog, steps, leaf_h),
-            &Diamond::new((n / 2) as i64, (steps / 2).max(1), (s / 2) as i64),
+            &[Diamond::new(
+                (n / 2) as i64,
+                (steps / 2).max(1),
+                (s / 2) as i64,
+            )],
             64,
             8 * s * m + 48 * s + 1024,
             16 * (n / p).max(s) + 8 * s + 512,
@@ -539,7 +543,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         // consumes and frees them); the canonical placement in
         // `placed`/`home` is untouched.  The copies, in Γ order, are the
         // recursion's sorted value directory.
-        let g = self.host.execs[pr].gamma(&piece.d);
+        let g = self.host.execs[pr].gamma(&[piece.d]);
         let mut seeds = Vec::with_capacity(g.len());
         for &(t, [x]) in &g {
             let addr = self.stage_value(Pt2::new(x, t), pr)?;
@@ -554,7 +558,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         // the piece completes so the staging area stays canonical.
         let mut state_seeds = Vec::new();
         if self.m > 1 {
-            for [x] in self.host.execs[pr].pillars(&piece.d) {
+            for [x] in self.host.execs[pr].pillars(&[piece.d]) {
                 let j = self.strip_of_col(x);
                 let (owner, base) = self.staged(j)?;
                 if owner != pr {
@@ -579,7 +583,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         let want: Vec<_> = out_pts.iter().map(|q| (q.t, [q.x])).collect();
         debug_assert!(want.windows(2).all(|w| w[0] < w[1]));
         let states = state_seeds.iter().map(|&(x, addr, _)| ([x], addr));
-        let out_addrs = self.host.exec(pr, &piece.d, &want, &seeds, states)?;
+        let out_addrs = self.host.exec(pr, &[piece.d], &want, &seeds, states)?;
 
         // Harvest: record outbound values (they stay parked in transit).
         for (pt, addr) in out_pts.into_iter().zip(out_addrs) {
@@ -937,7 +941,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
 mod tests {
     use super::*;
     use bsmp_faults::FaultPlan;
-    use bsmp_machine::run_linear;
+    use bsmp_machine::run_guest;
     use bsmp_workloads::{inputs, CyclicWave, Eca, OddEvenSort};
 
     fn check_equiv(
@@ -948,7 +952,7 @@ mod tests {
         init: &[Word],
     ) -> SimReport {
         let spec = MachineSpec::new(1, n, p, prog.m() as u64);
-        let guest = run_linear(&spec, prog, init, steps);
+        let guest = run_guest::<1>(&spec, prog, init, steps);
         let rep = simulate_multi1(&spec, prog, init, steps);
         rep.assert_matches(&guest.mem, &guest.values);
         rep
@@ -1021,7 +1025,7 @@ mod tests {
             ] {
                 assert!(hw <= band, "m = {m}: {name} spans {hw} rows > {band}");
             }
-            let guest = run_linear(&spec, &prog, &init, steps);
+            let guest = run_guest::<1>(&spec, &prog, &init, steps);
             let rep = eng.finish(&spec, &prog, steps).unwrap();
             rep.assert_matches(&guest.mem, &guest.values);
         }
@@ -1067,7 +1071,7 @@ mod tests {
         let n = 32u64;
         let init = inputs::random_bits(45, n as usize);
         let spec = MachineSpec::new(1, n, 4, 1);
-        let guest = run_linear(&spec, &Eca::rule110(), &init, n as i64);
+        let guest = run_guest::<1>(&spec, &Eca::rule110(), &init, n as i64);
         for s in [2u64, 4, 8] {
             let opts = RunOpts {
                 strip: Some(s),
@@ -1140,7 +1144,7 @@ mod tests {
             let init = inputs::random_bits(46, n as usize);
             let steps = (n / 4) as i64;
             let spec = MachineSpec::new(1, n, p, 1);
-            let guest = run_linear(&spec, &Eca::rule90(), &init, steps);
+            let guest = run_guest::<1>(&spec, &Eca::rule90(), &init, steps);
             let rep = simulate_multi1(&spec, &Eca::rule90(), &init, steps);
             rep.assert_matches(&guest.mem, &guest.values);
             let naive = crate::naive::simulate_naive::<1>(&spec, &Eca::rule90(), &init, steps);

@@ -27,7 +27,7 @@
 //! \[BP95a\].  The analytic four-range `A` is available in
 //! `bsmp_analytic::theorem1` for comparison (experiment E5).
 
-use bsmp_geometry::{cell_cover, ClippedDomain2, Domain2, IBox, Pt3};
+use bsmp_geometry::{cell_cover, ClippedDomain2, Diamond, IBox, Pt3};
 use bsmp_hram::{AccessFn, Word};
 use bsmp_machine::{guest_time, MachineSpec, MeshProgram};
 use bsmp_trace::{EngineKind, Tracer};
@@ -82,7 +82,7 @@ struct Engine2<'a, P: MeshProgram> {
     t_steps: i64,
     cbox: IBox,
     /// The processors; processor `(I, J)`'s node states are its block.
-    host: ProcArray<'a, Domain2, P, 2>,
+    host: ProcArray<'a, P, 2>,
     prog: &'a P,
     /// Words of the cell outputs in the live time band (rows below the
     /// GC cutoff are released with `home`'s).
@@ -127,12 +127,7 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
             spec,
             host,
             || CellExec::new(side as i64, access, prog, steps, leaf),
-            &Domain2::octahedron(
-                (side / 2) as i64,
-                (side / 2) as i64,
-                (steps / 2).max(1),
-                (b / 2).max(1) as i64,
-            ),
+            &[Diamond::new((side / 2) as i64, (steps / 2).max(1), (b / 2).max(1) as i64); 2],
             128,
             8 * b * b * m + 32 * b * b + 1024,
             16 * b * b + 8 * b + 512,
@@ -216,8 +211,9 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
     }
 
     fn run_cell_on(&mut self, piece: &ClippedDomain2, pr: usize) -> Result<(), SimError> {
+        let cell = [piece.cell.dx, piece.cell.dy];
         // Stage preboundary values (private copies, consumed by exec).
-        let g = self.host.execs[pr].gamma(&piece.cell);
+        let g = self.host.execs[pr].gamma(&cell);
         let mut seeds = Vec::with_capacity(g.len());
         for &(t, [x, y]) in &g {
             let addr = self.stage_value(Pt3::new(x, y, t), pr)?;
@@ -227,7 +223,7 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         // Stage pillar states (borrow foreign ones, charged).
         let mut state_seeds = Vec::new();
         if self.m > 1 {
-            for [x, y] in self.host.execs[pr].pillars(&piece.cell) {
+            for [x, y] in self.host.execs[pr].pillars(&cell) {
                 let hpr = self.proc_of_node(x, y);
                 let home_addr = self.state_home(x, y);
                 let copy = self.host.transit_zones[pr].alloc_block(self.m);
@@ -256,7 +252,7 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         want.sort_unstable();
         debug_assert!(seeds.windows(2).all(|w| w[0].0 < w[1].0));
         let states = state_seeds.iter().map(|&(x, addr, _, _)| (x, addr));
-        let out_addrs = self.host.exec(pr, &piece.cell, &want, &seeds, states)?;
+        let out_addrs = self.host.exec(pr, &cell, &want, &seeds, states)?;
         self.host.tmark(pr, piece.points_count() as u64, 0);
 
         // Harvest outbound values: persist them at the *consumer-side*
@@ -424,7 +420,7 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsmp_machine::run_mesh;
+    use bsmp_machine::run_guest;
     use bsmp_workloads::{inputs, HeatDiffusion, SystolicMatmul, VonNeumannLife};
 
     #[test]
@@ -451,7 +447,7 @@ mod tests {
         init: &[Word],
     ) -> SimReport {
         let spec = MachineSpec::new(2, n, p, prog.m() as u64);
-        let guest = run_mesh(&spec, prog, init, steps);
+        let guest = run_guest::<2>(&spec, prog, init, steps);
         let rep = simulate_multi2(&spec, prog, init, steps);
         rep.assert_matches(&guest.mem, &guest.values);
         rep

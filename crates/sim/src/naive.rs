@@ -421,7 +421,7 @@ fn run<const D: usize>(
     tracer: &mut Tracer,
     scalar: bool,
 ) -> Result<SimReport, SimError> {
-    // d = 1, 2 only: naive3 is `dnc3`'s one bulk stage.
+    // d = 1, 2 only: naive3 is `crate::naive3`'s one bulk stage.
     let kind = [EngineKind::Naive1, EngineKind::Naive2][D - 1];
     let mut host =
         StageHost::for_spec(kind, spec, steps, prog.m(), init.len(), &opts.plan, tracer)?;
@@ -559,7 +559,7 @@ fn run<const D: usize>(
 mod tests {
     use super::*;
     use bsmp_faults::FaultPlan;
-    use bsmp_machine::{run_linear, run_mesh, LinearProgram, MeshProgram};
+    use bsmp_machine::{run_guest, LinearProgram, MeshProgram};
     use bsmp_workloads::{
         inputs, CyclicWave, Eca, HeatDiffusion, OddEvenSort, SystolicMatmul, TokenShift,
         VonNeumannLife,
@@ -573,7 +573,7 @@ mod tests {
         init: &[Word],
     ) -> SimReport {
         let spec = MachineSpec::new(1, n, p, prog.m() as u64);
-        let guest = run_linear(&spec, prog, init, steps);
+        let guest = run_guest::<1>(&spec, prog, init, steps);
         let rep = simulate_naive::<1>(&spec, prog, init, steps);
         rep.assert_matches(&guest.mem, &guest.values);
         rep
@@ -668,7 +668,7 @@ mod tests {
             (a.host_time - b.host_time).abs() < 1e-9,
             "threaded cost deterministic"
         );
-        let guest = run_linear(&spec, &Eca::rule110(), &init, 8);
+        let guest = run_guest::<1>(&spec, &Eca::rule110(), &init, 8);
         a.assert_matches(&guest.mem, &guest.values);
     }
 
@@ -744,7 +744,7 @@ mod tests {
         init: &[Word],
     ) -> SimReport {
         let spec = MachineSpec::new(2, n, p, prog.m() as u64);
-        let guest = run_mesh(&spec, prog, init, steps);
+        let guest = run_guest::<2>(&spec, prog, init, steps);
         let rep = simulate_naive::<2>(&spec, prog, init, steps);
         rep.assert_matches(&guest.mem, &guest.values);
         rep

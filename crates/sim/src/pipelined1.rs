@@ -115,7 +115,7 @@ pub fn simulate_pipelined1(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsmp_machine::run_linear;
+    use bsmp_machine::run_guest;
     use bsmp_workloads::{inputs, Eca};
 
     #[test]
@@ -124,7 +124,7 @@ mod tests {
         let init = inputs::random_bits(80, n as usize);
         for p in [1u64, 4, 16] {
             let spec = MachineSpec::new(1, n, p, 1);
-            let guest = run_linear(&spec, &Eca::rule110(), &init, n as i64);
+            let guest = run_guest::<1>(&spec, &Eca::rule110(), &init, n as i64);
             let rep = simulate_pipelined1(&spec, &Eca::rule110(), &init, n as i64);
             rep.assert_matches(&guest.mem, &guest.values);
         }

@@ -16,12 +16,12 @@
 //! where, and when.
 
 use bsmp_faults::{FaultEnv, FaultPlan, FaultSession};
-use bsmp_geometry::{Pt2, Pt3};
+use bsmp_geometry::{Diamond, Pt2, Pt3};
 use bsmp_hram::{CostMeter, Hram, Word};
 use bsmp_machine::{ExecPolicy, Guest, MachineSpec, PoolLease, StageClock};
 use bsmp_trace::{EngineKind, RunMeta, StageTally, StageTotals, Tracer};
 
-use crate::execd::{CellExec, CellPlans, Point, ProductCell};
+use crate::execd::{CellExec, CellPlans, Point};
 use crate::zone::ZoneAlloc;
 use crate::{SimError, SimReport};
 
@@ -324,9 +324,9 @@ pub(crate) fn run_uniprocessor(
 /// `p` processors of `M_d(n, p, m)`, each an H-RAM with the same
 /// layout, low to high: the cell budget `[0, tile_space)`, the transit
 /// zone, the value-home zone, then the node states from `state_base`.
-pub(crate) struct ProcArray<'a, C, P, const D: usize> {
+pub(crate) struct ProcArray<'a, P, const D: usize> {
     /// Per-processor executors (each owns its processor's H-RAM).
-    pub execs: Vec<CellExec<'a, C, P, D>>,
+    pub execs: Vec<CellExec<'a, P, D>>,
     /// The run's shape plans, lent to whichever executor runs a cell.
     plans: CellPlans<D>,
     pub home_zones: Vec<ZoneAlloc>,
@@ -342,7 +342,7 @@ pub(crate) struct ProcArray<'a, C, P, const D: usize> {
     pub state_base: usize,
 }
 
-impl<'a, C: ProductCell<D>, P: Guest<D>, const D: usize> ProcArray<'a, C, P, D> {
+impl<'a, P: Guest<D>, const D: usize> ProcArray<'a, P, D> {
     /// Lay out `spec.p` processors built by `new_exec` on `host`.  The
     /// cell budget is twice the footprint of `interior` plus `pad`; the
     /// zones take `transit_cap` and `home_cap` words, the node states
@@ -352,8 +352,8 @@ impl<'a, C: ProductCell<D>, P: Guest<D>, const D: usize> ProcArray<'a, C, P, D> 
     pub fn new(
         spec: &MachineSpec,
         host: StageHost<'a>,
-        new_exec: impl Fn() -> CellExec<'a, C, P, D>,
-        interior: &C,
+        new_exec: impl Fn() -> CellExec<'a, P, D>,
+        interior: &[Diamond; D],
         pad: usize,
         transit_cap: usize,
         home_cap: usize,
@@ -450,7 +450,7 @@ impl<'a, C: ProductCell<D>, P: Guest<D>, const D: usize> ProcArray<'a, C, P, D> 
     pub fn exec(
         &mut self,
         pr: usize,
-        cell: &C,
+        cell: &[Diamond; D],
         want: &[Point<D>],
         seeds: &[(Point<D>, usize)],
         states: impl IntoIterator<Item = ([i64; D], usize)>,

@@ -6,10 +6,10 @@
 use bsmp_faults::rng::Rng64;
 use bsmp_faults::FaultPlan;
 use bsmp_hram::Word;
-use bsmp_machine::{run_linear, run_mesh, LinearProgram, MachineSpec, MeshProgram};
+use bsmp_machine::{run_guest, LinearProgram, MachineSpec, MeshProgram};
 use bsmp_sim::{
-    dnc1::simulate_dnc1, dnc2::simulate_dnc2, multi1::simulate_multi1, multi1::try_simulate_multi1,
-    naive::simulate_naive, naive::try_simulate_naive, RunOpts,
+    dnc::simulate_dnc, multi1::simulate_multi1, multi1::try_simulate_multi1, naive::simulate_naive,
+    naive::try_simulate_naive, RunOpts,
 };
 use bsmp_trace::Tracer;
 
@@ -80,10 +80,10 @@ fn any_rule_any_input_all_engines() {
         let n = 16u64;
         let prog = AnyRule(rule);
         let spec = MachineSpec::new(1, n, p, 1);
-        let guest = run_linear(&spec, &prog, &bits, steps);
+        let guest = run_guest::<1>(&spec, &prog, &bits, steps);
         simulate_naive::<1>(&spec, &prog, &bits, steps).assert_matches(&guest.mem, &guest.values);
         if p == 1 {
-            simulate_dnc1(&spec, &prog, &bits, steps).assert_matches(&guest.mem, &guest.values);
+            simulate_dnc::<1>(&spec, &prog, &bits, steps).assert_matches(&guest.mem, &guest.values);
         } else {
             simulate_multi1(&spec, &prog, &bits, steps).assert_matches(&guest.mem, &guest.values);
         }
@@ -98,8 +98,8 @@ fn two_cell_program_random_inputs() {
         let steps = rng.range_i64(1, 16);
         let n = 16u64;
         let spec = MachineSpec::new(1, n, 1, 2);
-        let guest = run_linear(&spec, &Mix2, &words, steps);
-        simulate_dnc1(&spec, &Mix2, &words, steps).assert_matches(&guest.mem, &guest.values);
+        let guest = run_guest::<1>(&spec, &Mix2, &words, steps);
+        simulate_dnc::<1>(&spec, &Mix2, &words, steps).assert_matches(&guest.mem, &guest.values);
         let spec4 = MachineSpec::new(1, n, 4, 2);
         simulate_multi1(&spec4, &Mix2, &words, steps).assert_matches(&guest.mem, &guest.values);
     }
@@ -112,10 +112,10 @@ fn mesh_random_inputs() {
         let words: Vec<Word> = (0..16).map(|_| rng.next_u64()).collect();
         let steps = rng.range_i64(1, 8);
         let spec = MachineSpec::new(2, 16, 1, 1);
-        let guest = run_mesh(&spec, &MeshMix, &words, steps);
+        let guest = run_guest::<2>(&spec, &MeshMix, &words, steps);
         simulate_naive::<2>(&spec, &MeshMix, &words, steps)
             .assert_matches(&guest.mem, &guest.values);
-        simulate_dnc2(&spec, &MeshMix, &words, steps).assert_matches(&guest.mem, &guest.values);
+        simulate_dnc::<2>(&spec, &MeshMix, &words, steps).assert_matches(&guest.mem, &guest.values);
     }
 }
 
@@ -129,8 +129,8 @@ fn cost_is_input_independent() {
         let bits_a: Vec<Word> = rng.vec_below(32, 2);
         let bits_b: Vec<Word> = rng.vec_below(32, 2);
         let spec = MachineSpec::new(1, 32, 1, 1);
-        let a = simulate_dnc1(&spec, &AnyRule(110), &bits_a, 16);
-        let b = simulate_dnc1(&spec, &AnyRule(110), &bits_b, 16);
+        let a = simulate_dnc::<1>(&spec, &AnyRule(110), &bits_a, 16);
+        let b = simulate_dnc::<1>(&spec, &AnyRule(110), &bits_b, 16);
         assert!((a.host_time - b.host_time).abs() < 1e-9);
         assert_eq!(a.space, b.space);
     }

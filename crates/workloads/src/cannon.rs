@@ -147,7 +147,7 @@ impl MeshProgram for SystolicMatmul {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsmp_machine::{run_mesh, MachineSpec};
+    use bsmp_machine::{run_guest, MachineSpec};
 
     fn matmul_oracle(a: &[Vec<u64>], b: &[Vec<u64>]) -> Vec<Vec<u64>> {
         let s = a.len();
@@ -166,7 +166,7 @@ mod tests {
         let n = (s * s) as u64;
         let spec = MachineSpec::new(2, n, n, (s + 1) as u64);
         let init = prog.stage_inputs(a, b);
-        let run = run_mesh(&spec, &prog, &init, prog.steps());
+        let run = run_guest::<2>(&spec, &prog, &init, prog.steps());
         prog.extract_c(&run.values)
     }
 

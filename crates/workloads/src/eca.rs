@@ -46,11 +46,11 @@ impl LinearProgram for Eca {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsmp_machine::{run_linear, MachineSpec};
+    use bsmp_machine::{run_guest, MachineSpec};
 
     fn run(rule: u8, init: &[Word], steps: i64) -> Vec<Word> {
         let spec = MachineSpec::new(1, init.len() as u64, init.len() as u64, 1);
-        run_linear(&spec, &Eca::new(rule), init, steps).values
+        run_guest::<1>(&spec, &Eca::new(rule), init, steps).values
     }
 
     #[test]

@@ -149,12 +149,12 @@ impl LinearProgram for FirPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsmp_machine::{run_linear, MachineSpec};
+    use bsmp_machine::{run_guest, MachineSpec};
 
     fn run(prog: &FirPipeline, n: usize, steps: i64) -> Vec<Word> {
         let init = prog.coefficients(n);
         let spec = MachineSpec::new(1, n as u64, n as u64, prog.taps as u64);
-        run_linear(&spec, prog, &init, steps).values
+        run_guest::<1>(&spec, prog, &init, steps).values
     }
 
     #[test]

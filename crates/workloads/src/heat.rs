@@ -51,12 +51,12 @@ impl MeshProgram for HeatDiffusion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsmp_machine::{run_mesh, MachineSpec};
+    use bsmp_machine::{run_guest, MachineSpec};
 
     #[test]
     fn uniform_field_is_stationary() {
         let spec = MachineSpec::new(2, 16, 16, 1);
-        let run = run_mesh(&spec, &HeatDiffusion::new(1024), &[1024; 16], 6);
+        let run = run_guest::<2>(&spec, &HeatDiffusion::new(1024), &[1024; 16], 6);
         assert_eq!(run.values, vec![1024; 16]);
     }
 
@@ -66,10 +66,10 @@ mod tests {
         let mut init = vec![0; side * side];
         init[2 * side + 2] = 80_000;
         let spec = MachineSpec::new(2, 25, 25, 1);
-        let r1 = run_mesh(&spec, &HeatDiffusion::new(0), &init, 1);
+        let r1 = run_guest::<2>(&spec, &HeatDiffusion::new(0), &init, 1);
         assert!(r1.values[2 * side + 2] < 80_000, "center cools");
         assert!(r1.values[2 * side + 1] > 0, "neighbor warms");
-        let r5 = run_mesh(&spec, &HeatDiffusion::new(0), &init, 5);
+        let r5 = run_guest::<2>(&spec, &HeatDiffusion::new(0), &init, 5);
         let total: u64 = r5.values.iter().sum();
         assert!(total < 80_000, "heat leaks through the cold border");
         assert!(

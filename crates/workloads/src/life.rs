@@ -66,7 +66,7 @@ impl MeshProgram for VonNeumannLife {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsmp_machine::{run_mesh, MachineSpec};
+    use bsmp_machine::{run_guest, MachineSpec};
 
     #[test]
     fn fredkin_replicates_single_cell() {
@@ -75,7 +75,7 @@ mod tests {
         let mut init = vec![0; side * side];
         init[2 * side + 2] = 1;
         let spec = MachineSpec::new(2, (side * side) as u64, (side * side) as u64, 1);
-        let run = run_mesh(&spec, &VonNeumannLife::fredkin(), &init, 1);
+        let run = run_guest::<2>(&spec, &VonNeumannLife::fredkin(), &init, 1);
         let live: Vec<usize> = run
             .values
             .iter()
@@ -90,7 +90,7 @@ mod tests {
     #[test]
     fn dead_mesh_stays_dead() {
         let spec = MachineSpec::new(2, 16, 16, 1);
-        let run = run_mesh(&spec, &VonNeumannLife::b2s12(), &[0; 16], 5);
+        let run = run_guest::<2>(&spec, &VonNeumannLife::b2s12(), &[0; 16], 5);
         assert!(run.values.iter().all(|&v| v == 0));
     }
 
@@ -99,8 +99,8 @@ mod tests {
         let side = 4usize;
         let init: Vec<Word> = (0..16).map(|i| u64::from(i % 3 == 0)).collect();
         let spec = MachineSpec::new(2, 16, 16, 1);
-        let a = run_mesh(&spec, &VonNeumannLife::b2s12(), &init, 4);
-        let b = run_mesh(&spec, &VonNeumannLife::fredkin(), &init, 4);
+        let a = run_guest::<2>(&spec, &VonNeumannLife::b2s12(), &init, 4);
+        let b = run_guest::<2>(&spec, &VonNeumannLife::fredkin(), &init, 4);
         assert_ne!(a.values, b.values);
         let _ = side;
     }

@@ -61,7 +61,7 @@ impl MeshProgram for PlaneWave {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsmp_machine::{run_mesh, MachineSpec};
+    use bsmp_machine::{run_guest, MachineSpec};
 
     /// Oracle: simulate the recurrence directly on a value history.
     fn oracle(init: &[Word], side: usize, m: usize, steps: i64) -> Vec<Word> {
@@ -103,7 +103,7 @@ mod tests {
         let n = side * side;
         let init: Vec<Word> = (0..(n * m) as u64).map(|i| i * 7 + 1).collect();
         let spec = MachineSpec::new(2, n as u64, n as u64, m as u64);
-        let run = run_mesh(&spec, &PlaneWave::new(m), &init, steps);
+        let run = run_guest::<2>(&spec, &PlaneWave::new(m), &init, steps);
         assert_eq!(run.values, oracle(&init, side, m, steps));
     }
 

@@ -39,13 +39,13 @@ impl LinearProgram for TokenShift {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsmp_machine::{run_linear, MachineSpec};
+    use bsmp_machine::{run_guest, MachineSpec};
 
     #[test]
     fn tokens_march_right() {
         let init: Vec<Word> = vec![10, 20, 30, 40, 50];
         let spec = MachineSpec::new(1, 5, 5, 1);
-        let run = run_linear(&spec, &TokenShift::new(99), &init, 2);
+        let run = run_guest::<1>(&spec, &TokenShift::new(99), &init, 2);
         assert_eq!(run.values, vec![99, 99, 10, 20, 30]);
     }
 
@@ -53,7 +53,7 @@ mod tests {
     fn after_n_steps_everything_is_fill() {
         let init: Vec<Word> = (1..=6).collect();
         let spec = MachineSpec::new(1, 6, 6, 1);
-        let run = run_linear(&spec, &TokenShift::new(7), &init, 6);
+        let run = run_guest::<1>(&spec, &TokenShift::new(7), &init, 6);
         assert_eq!(run.values, vec![7; 6]);
     }
 }

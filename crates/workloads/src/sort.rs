@@ -48,12 +48,12 @@ impl LinearProgram for OddEvenSort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsmp_machine::{run_linear, MachineSpec};
+    use bsmp_machine::{run_guest, MachineSpec};
 
     fn sort_with_network(vals: &[Word]) -> Vec<Word> {
         let n = vals.len() as u64;
         let spec = MachineSpec::new(1, n, n, 1);
-        run_linear(
+        run_guest::<1>(
             &spec,
             &OddEvenSort::new(vals.len()),
             vals,

@@ -33,7 +33,7 @@ impl VolumeProgram for Parity3d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsmp_machine::{run_volume, MachineSpec};
+    use bsmp_machine::{run_guest, MachineSpec};
 
     #[test]
     fn impulse_moves_to_six_neighbors() {
@@ -43,7 +43,7 @@ mod tests {
         let mut init = vec![0; n];
         let idx = |x: usize, y: usize, z: usize| (z * side + y) * side + x;
         init[idx(2, 2, 2)] = 1;
-        let run = run_volume(&spec, &Parity3d, &init, 1);
+        let run = run_guest::<3>(&spec, &Parity3d, &init, 1);
         let live: usize = run.values.iter().map(|&v| v as usize).sum();
         assert_eq!(live, 6);
         assert_eq!(run.values[idx(1, 2, 2)], 1);
@@ -58,9 +58,9 @@ mod tests {
         let a: Vec<Word> = (0..n as u64).map(|i| (i * 7 + 1) % 2).collect();
         let b: Vec<Word> = (0..n as u64).map(|i| (i * 5 + 2) % 2).collect();
         let ab: Vec<Word> = a.iter().zip(&b).map(|(x, y)| x ^ y).collect();
-        let ra = run_volume(&spec, &Parity3d, &a, 3).values;
-        let rb = run_volume(&spec, &Parity3d, &b, 3).values;
-        let rab = run_volume(&spec, &Parity3d, &ab, 3).values;
+        let ra = run_guest::<3>(&spec, &Parity3d, &a, 3).values;
+        let rb = run_guest::<3>(&spec, &Parity3d, &b, 3).values;
+        let rab = run_guest::<3>(&spec, &Parity3d, &ab, 3).values;
         let xor: Vec<Word> = ra.iter().zip(&rb).map(|(x, y)| x ^ y).collect();
         assert_eq!(rab, xor);
     }

@@ -45,7 +45,7 @@ impl LinearProgram for CyclicWave {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsmp_machine::{run_linear, MachineSpec};
+    use bsmp_machine::{run_guest, MachineSpec};
 
     /// Oracle: simulate the recurrence directly on a value history.
     fn oracle(init: &[Word], n: usize, m: usize, steps: i64) -> Vec<Word> {
@@ -78,7 +78,7 @@ mod tests {
         let (n, m, steps) = (8usize, 3usize, 10i64);
         let init: Vec<Word> = (0..(n * m) as u64).map(|i| i * 7 + 1).collect();
         let spec = MachineSpec::new(1, n as u64, n as u64, m as u64);
-        let run = run_linear(&spec, &CyclicWave::new(m), &init, steps);
+        let run = run_guest::<1>(&spec, &CyclicWave::new(m), &init, steps);
         assert_eq!(run.values, oracle(&init, n, m, steps));
     }
 
@@ -91,8 +91,8 @@ mod tests {
         let init2: Vec<Word> = (1..=12).collect();
         let s1 = MachineSpec::new(1, 6, 6, 1);
         let s2 = MachineSpec::new(1, 6, 6, 2);
-        let r1 = run_linear(&s1, &CyclicWave::new(1), &init1, 6);
-        let r2 = run_linear(&s2, &CyclicWave::new(2), &init2, 6);
+        let r1 = run_guest::<1>(&s1, &CyclicWave::new(1), &init1, 6);
+        let r2 = run_guest::<1>(&s2, &CyclicWave::new(2), &init2, 6);
         assert_ne!(r1.values, r2.values);
         let _ = n;
     }

@@ -2,7 +2,7 @@
 //! in-repo seeded [`Rng64`] case generator.
 
 use bsmp_faults::rng::Rng64;
-use bsmp_machine::{run_linear, run_mesh, MachineSpec};
+use bsmp_machine::{run_guest, MachineSpec};
 use bsmp_workloads::{cannon, inputs, OddEvenSort, SystolicMatmul, TokenShift};
 
 const CASES: u64 = 32;
@@ -15,7 +15,7 @@ fn odd_even_sort_sorts_anything() {
         let vals: Vec<u64> = rng.vec_below(len, 10_000);
         let n = vals.len() as u64;
         let spec = MachineSpec::new(1, n, n, 1);
-        let run = run_linear(
+        let run = run_guest::<1>(
             &spec,
             &OddEvenSort::new(vals.len()),
             &vals,
@@ -36,13 +36,13 @@ fn sort_is_idempotent_after_n_steps() {
         let extra = rng.range_i64(0, 8);
         let n = vals.len() as u64;
         let spec = MachineSpec::new(1, n, n, 1);
-        let a = run_linear(
+        let a = run_guest::<1>(
             &spec,
             &OddEvenSort::new(vals.len()),
             &vals,
             vals.len() as i64,
         );
-        let b = run_linear(
+        let b = run_guest::<1>(
             &spec,
             &OddEvenSort::new(vals.len()),
             &vals,
@@ -61,7 +61,7 @@ fn token_shift_is_a_shift() {
         let k = rng.range_i64(1, 10);
         let n = vals.len();
         let spec = MachineSpec::new(1, n as u64, n as u64, 1);
-        let run = run_linear(&spec, &TokenShift::new(0), &vals, k);
+        let run = run_guest::<1>(&spec, &TokenShift::new(0), &vals, k);
         for v in 0..n {
             let expect = if (v as i64) < k {
                 0
@@ -85,7 +85,7 @@ fn systolic_matmul_equals_oracle() {
         let init = prog.stage_inputs(&a, &b);
         let n = (side * side) as u64;
         let spec = MachineSpec::new(2, n, n, (side + 1) as u64);
-        let run = run_mesh(&spec, &prog, &init, prog.steps());
+        let run = run_guest::<2>(&spec, &prog, &init, prog.steps());
         let c = prog.extract_c(&run.values);
         for r in 0..side {
             for q in 0..side {

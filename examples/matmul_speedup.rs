@@ -13,8 +13,8 @@
 //! ```
 
 use bsmp::analytic::matmul;
-use bsmp::machine::{run_mesh, MachineSpec};
-use bsmp::sim::{dnc2::simulate_dnc2, naive::simulate_naive};
+use bsmp::machine::{run_guest, MachineSpec};
+use bsmp::sim::{dnc::simulate_dnc, naive::simulate_naive};
 use bsmp::workloads::{inputs, SystolicMatmul};
 
 fn main() {
@@ -45,9 +45,9 @@ fn main() {
     let m = (side + 1) as u64;
     let spec = MachineSpec::new(2, n, 1, m);
 
-    let guest = run_mesh(&spec, &prog, &init, prog.steps());
+    let guest = run_guest::<2>(&spec, &prog, &init, prog.steps());
     let naive = simulate_naive::<2>(&spec, &prog, &init, prog.steps());
-    let dnc = simulate_dnc2(&spec, &prog, &init, prog.steps());
+    let dnc = simulate_dnc::<2>(&spec, &prog, &init, prog.steps());
     naive.assert_matches(&guest.mem, &guest.values);
     dnc.assert_matches(&guest.mem, &guest.values);
 

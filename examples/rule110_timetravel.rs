@@ -8,8 +8,8 @@
 //! ```
 
 use bsmp::geometry::{render, Diamond, IRect};
-use bsmp::machine::{run_linear, MachineSpec};
-use bsmp::sim::dnc1::simulate_dnc1;
+use bsmp::machine::{run_guest, MachineSpec};
+use bsmp::sim::dnc::simulate_dnc;
 use bsmp::workloads::{inputs, Eca};
 
 fn main() {
@@ -32,8 +32,8 @@ fn main() {
         render::render_partition1(IRect::new(1, 16, 1, 17), &pieces)
     );
 
-    let guest = run_linear(&spec, &Eca::rule110(), &init, steps);
-    let host = simulate_dnc1(&spec, &Eca::rule110(), &init, steps);
+    let guest = run_guest::<1>(&spec, &Eca::rule110(), &init, steps);
+    let host = simulate_dnc::<1>(&spec, &Eca::rule110(), &init, steps);
     host.assert_matches(&guest.mem, &guest.values);
 
     println!("rule 110, n = {n}, T = {steps}:");

@@ -6,7 +6,7 @@
 //! *orderings*, which is what Θ-bounds assert.
 
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{dnc1::simulate_dnc1, naive::simulate_naive};
+use bsmp::sim::{dnc::simulate_dnc, naive::simulate_naive};
 use bsmp::workloads::{inputs, CyclicWave, Eca};
 use bsmp::{analytic, Simulation, Strategy};
 
@@ -17,7 +17,7 @@ fn theorem2_growth_rate() {
     let slow = |n: u64| {
         let init = inputs::random_bits(20, n as usize);
         let spec = MachineSpec::new(1, n, 1, 1);
-        simulate_dnc1(&spec, &Eca::rule90(), &init, n as i64).slowdown()
+        simulate_dnc::<1>(&spec, &Eca::rule90(), &init, n as i64).slowdown()
     };
     let (s64, s128, s256) = (slow(64), slow(128), slow(256));
     let g1 = s128 / s64;
@@ -51,7 +51,7 @@ fn theorem3_locality_term_saturates() {
     let slow = |m: usize| {
         let init = inputs::random_words(22, n as usize * m, 50);
         let spec = MachineSpec::new(1, n, 1, m as u64);
-        simulate_dnc1(&spec, &CyclicWave::new(m), &init, n as i64).slowdown()
+        simulate_dnc::<1>(&spec, &CyclicWave::new(m), &init, n as i64).slowdown()
     };
     let s1 = slow(1);
     let s4 = slow(4);
@@ -137,7 +137,7 @@ fn space_stays_within_proposition3() {
     let spec_of = |n: u64| MachineSpec::new(1, n, 1, 1);
     let space = |n: u64| {
         let init = inputs::random_bits(26, n as usize);
-        simulate_dnc1(&spec_of(n), &Eca::rule90(), &init, n as i64).space as f64
+        simulate_dnc::<1>(&spec_of(n), &Eca::rule90(), &init, n as i64).space as f64
     };
     let s128 = space(128);
     let s512 = space(512);

@@ -2,10 +2,9 @@
 //! what direct guest execution computes, across workloads, machine
 //! shapes, densities and processor counts.
 
-use bsmp::machine::{run_linear, run_mesh, MachineSpec};
+use bsmp::machine::{run_guest, MachineSpec};
 use bsmp::sim::{
-    dnc1::simulate_dnc1, dnc2::simulate_dnc2, multi1::simulate_multi1, multi2::simulate_multi2,
-    naive::simulate_naive,
+    dnc::simulate_dnc, multi1::simulate_multi1, multi2::simulate_multi2, naive::simulate_naive,
 };
 use bsmp::workloads::{
     inputs, CyclicWave, Eca, FirPipeline, OddEvenSort, SystolicMatmul, VonNeumannLife,
@@ -16,10 +15,10 @@ fn check1(prog: &impl LinearProgram, n: u64, steps: i64, seed: u64) {
     let m = prog.m() as u64;
     let init = inputs::random_words(seed, (n * m) as usize, 64);
     let uni = MachineSpec::new(1, n, 1, m);
-    let guest = run_linear(&uni, prog, &init, steps);
+    let guest = run_guest::<1>(&uni, prog, &init, steps);
 
     simulate_naive::<1>(&uni, prog, &init, steps).assert_matches(&guest.mem, &guest.values);
-    simulate_dnc1(&uni, prog, &init, steps).assert_matches(&guest.mem, &guest.values);
+    simulate_dnc::<1>(&uni, prog, &init, steps).assert_matches(&guest.mem, &guest.values);
     for p in [2u64, 4] {
         if !n.is_multiple_of(p) {
             continue;
@@ -41,10 +40,10 @@ fn check2(prog: &impl MeshProgram, n: u64, steps: i64, seed: u64) {
 fn check2_init(prog: &impl MeshProgram, n: u64, steps: i64, init: &[u64]) {
     let m = prog.m() as u64;
     let uni = MachineSpec::new(2, n, 1, m);
-    let guest = run_mesh(&uni, prog, init, steps);
+    let guest = run_guest::<2>(&uni, prog, init, steps);
 
     simulate_naive::<2>(&uni, prog, init, steps).assert_matches(&guest.mem, &guest.values);
-    simulate_dnc2(&uni, prog, init, steps).assert_matches(&guest.mem, &guest.values);
+    simulate_dnc::<2>(&uni, prog, init, steps).assert_matches(&guest.mem, &guest.values);
     {
         let p = 4u64;
         let spec = MachineSpec::new(2, n, p, m);
@@ -88,9 +87,9 @@ fn all_engines_agree_on_fir_pipeline() {
     let n = 16u64;
     let init = prog.coefficients(n as usize);
     let uni = MachineSpec::new(1, n, 1, 3);
-    let guest = run_linear(&uni, &prog, &init, 24);
+    let guest = run_guest::<1>(&uni, &prog, &init, 24);
     simulate_naive::<1>(&uni, &prog, &init, 24).assert_matches(&guest.mem, &guest.values);
-    simulate_dnc1(&uni, &prog, &init, 24).assert_matches(&guest.mem, &guest.values);
+    simulate_dnc::<1>(&uni, &prog, &init, 24).assert_matches(&guest.mem, &guest.values);
     let spec4 = MachineSpec::new(1, n, 4, 3);
     simulate_multi1(&spec4, &prog, &init, 24).assert_matches(&guest.mem, &guest.values);
     // Outputs agree with the workload's own oracle too.

@@ -6,7 +6,7 @@
 //! is only a part of each stage's critical path, so inflating it by ν
 //! inflates the stage by at most ν).
 
-use bsmp::machine::{run_linear, run_mesh, MachineSpec};
+use bsmp::machine::{run_guest, MachineSpec};
 use bsmp::sim::{engine, multi2, naive};
 use bsmp::workloads::{inputs, Eca, VonNeumannLife};
 use bsmp::{EngineKind, FaultPlan, RunOpts, SimReport, Simulation, Strategy, Tracer};
@@ -53,7 +53,7 @@ fn uniform_slowdown_envelope_linear_engines() {
     let init = inputs::random_bits(90, n as usize);
     let prog = Eca::rule110();
     let spec = MachineSpec::new(1, n, 8, 1);
-    let guest = run_linear(&spec, &prog, &init, 32);
+    let guest = run_guest::<1>(&spec, &prog, &init, 32);
 
     for kind in [
         EngineKind::Naive1,
@@ -85,7 +85,7 @@ fn uniform_slowdown_envelope_mesh_engines() {
     let init = inputs::random_bits(91, 64);
     let prog = VonNeumannLife::fredkin();
     let spec = MachineSpec::new(2, 64, 4, 1);
-    let guest = run_mesh(&spec, &prog, &init, 8);
+    let guest = run_guest::<2>(&spec, &prog, &init, 8);
 
     for kind in [EngineKind::Naive2, EngineKind::Multi2] {
         let run = |plan| {
@@ -114,7 +114,7 @@ fn lossy_and_crashy_runs_stay_functionally_equivalent() {
     let init = inputs::random_bits(92, n as usize);
     let prog = Eca::rule90();
     let spec = MachineSpec::new(1, n, 8, 1);
-    let guest = run_linear(&spec, &prog, &init, 48);
+    let guest = run_guest::<1>(&spec, &prog, &init, 48);
 
     // Heavy losses + jitter + random crashes: values must still match
     // guest execution, and the accounting must show the faults happened.

@@ -5,7 +5,7 @@
 
 use bsmp::hram::Word;
 use bsmp::machine::{ExecPolicy, Guest, MachineSpec};
-use bsmp::sim::{dnc3, naive};
+use bsmp::sim::{naive, naive3};
 use bsmp::trace::Tracer;
 use bsmp::workloads::{inputs, CyclicWave, Eca, Parity3d, PlaneWave, VonNeumannLife};
 use bsmp::{FaultPlan, RunOpts, SimReport};
@@ -172,8 +172,8 @@ fn naive3_tiled_matches_scalar_bitwise() {
         let spec = MachineSpec::new(3, side.pow(3) as u64, 1, 1);
         let init = inputs::random_bits(13, spec.n as usize);
         let steps = side;
-        let tiled = dnc3::simulate_naive3(&spec, &Parity3d, &init, steps);
-        let scalar = dnc3::try_simulate_naive3_scalar(&spec, &Parity3d, &init, steps).unwrap();
+        let tiled = naive3::simulate_naive3(&spec, &Parity3d, &init, steps);
+        let scalar = naive3::try_simulate_naive3_scalar(&spec, &Parity3d, &init, steps).unwrap();
         assert_bit_identical(&tiled, &scalar, &format!("naive3 side={side}"));
         assert_eq!(scalar.meter.table_hits, 0, "naive3 scalar used tables");
         assert!(tiled.meter.table_hits > 0, "naive3 tiled path not taken");

@@ -8,7 +8,7 @@
 //!    regime tag), and the summary's Brent × locality split multiplies
 //!    back to the measured slowdown.
 
-use bsmp::sim::{dnc3, pipelined1};
+use bsmp::sim::{dnc, naive3, pipelined1};
 use bsmp::trace::{RunTrace, Tracer};
 use bsmp::workloads::{inputs, Eca, Parity3d, VonNeumannLife};
 use bsmp::{validate_trace, FaultPlan, MachineSpec, RunOpts, SimReport, Simulation, Strategy};
@@ -144,14 +144,15 @@ fn direct_engines_produce_valid_traces() {
     let cube = MachineSpec::new(3, 64, 1, 1);
     let vinit = inputs::random_bits(95, 64);
     let mut tracer = Tracer::recording();
-    let rep = dnc3::try_simulate_dnc3(&cube, &Parity3d, &vinit, 4, RunOpts::default(), &mut tracer)
-        .unwrap();
+    let rep =
+        dnc::try_simulate_dnc::<3>(&cube, &Parity3d, &vinit, 4, RunOpts::default(), &mut tracer)
+            .unwrap();
     let tr = tracer.take().unwrap();
     check_trace(&tr, "dnc3", &rep);
 
     let mut tracer = Tracer::recording();
     let rep =
-        dnc3::try_simulate_naive3(&cube, &Parity3d, &vinit, 4, RunOpts::default(), &mut tracer)
+        naive3::try_simulate_naive3(&cube, &Parity3d, &vinit, 4, RunOpts::default(), &mut tracer)
             .unwrap();
     let tr = tracer.take().unwrap();
     check_trace(&tr, "naive3", &rep);
